@@ -208,12 +208,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _shield_leading_minus(argv: List[str]) -> List[str]:
+    """Let values such as -x^-1 through argparse.
+
+    argparse reads any token starting with "-" that is not a plain number
+    as an option, so ``--s "-x^-1"`` fails.  This parser has no
+    single-dash option besides -h, so every other such token is a value;
+    a leading space, which every input parser ignores, makes argparse
+    take it as one.
+    """
+    return [
+        f" {tok}" if tok.startswith("-") and not tok.startswith("--") and tok != "-h" else tok
+        for tok in argv
+    ]
+
+
 def run(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_shield_leading_minus(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, IndexError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,11 @@ and multiplication twisted by  a * y^p = y^p * sigma^p(a)  where sigma
 flips the sign of every x-exponent.  Moving y^-1 ... y around a
 coefficient therefore applies sigma, which is exactly the group relation
 y^-1 x y = x^-1.
+
+The verification path gets its boundary data from boundary_data, which
+evaluates Fox derivatives straight into S in one pass per relator.
+eval_combo evaluates a FreeCombo; with presentations.boundary_matrices it
+is the reference the tests hold boundary_data to.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .laurent import PolySyntaxError, RPoly, parse_rpoly
-from .presentations import FreeCombo
+from .presentations import FreeCombo, Presentation
 from .words import Word
 
 
@@ -193,6 +198,55 @@ def eval_combo(c: FreeCombo) -> SPoly:
     for w, coeff in c.items():
         acc = acc + SPoly.from_group(eval_word(w), coeff)
     return acc
+
+
+def boundary_data(p: Presentation) -> Tuple[List[List[SPoly]], List[SPoly]]:
+    """boundary_matrices(p, eval_combo), computed in one pass per relator.
+
+    Same (d2, d1) shape and right-module convention, and the same
+    ValueError for a generator other than x and y.  No FreeCombo is built:
+    each relator is read left to right with its prefix kept as the normal
+    form y^m x^n, and the letter g^k adds to the row of g the evaluated,
+    anti-involuted Fox terms  +(prefix g^i)^-1 for 0 <= i < k, or
+    -(prefix g^i)^-1 for k <= i < 0  (R. H. Fox, Free differential
+    calculus I, Ann. of Math. 57, 1953).  Coefficients collect in one dict
+    per row, keyed by y-degree and then x-exponent.
+    """
+    gens = p.generators
+    one = SPoly.one()
+    # eval_word raises the foreign-generator error, so d2 only meets x and y.
+    d1 = [SPoly.from_group(eval_word(Word(((g, -1),)))) - one for g in gens]
+    d2 = []
+    for rel in p.relators:
+        rows: Dict[str, Dict[int, Dict[int, int]]] = {g: {} for g in gens}
+        m = n = 0
+        for name, k in rel.letters:
+            acc = rows[name]
+            c, steps = (1, range(k)) if k > 0 else (-1, range(k, 0))
+            if name == "x":
+                # (y^m x^(n+i))^-1 = y^-m x^-(n+i) for even m, y^-m x^(n+i) for odd m
+                row = acc.setdefault(-m, {})
+                sign = -1 if m % 2 == 0 else 1
+                for i in steps:
+                    e = sign * (n + i)
+                    row[e] = row.get(e, 0) + c
+                n += k
+            else:
+                # prefix y^i = y^(m+i) x^((-1)^i n); invert that normal form
+                for i in steps:
+                    d = m + i
+                    e = n if i % 2 == 0 else -n
+                    if d % 2 == 0:
+                        e = -e
+                    row = acc.setdefault(-d, {})
+                    row[e] = row.get(e, 0) + c
+                m += k
+                if k % 2:
+                    n = -n
+        d2.append([
+            SPoly({d: RPoly(coeffs) for d, coeffs in rows[g].items()}) for g in gens
+        ])
+    return d2, d1
 
 
 _TERM = re.compile(r"^y(?:\^(?P<m>-?\d+))?\s*(?:\*\s*(?P<paren>\(.*\))\s*)?$", re.S)

@@ -5,6 +5,11 @@ integer combinations of words (FreeCombo).  Pushing them into a group ring
 is done by an evaluation map supplied by the caller, so the chain-level
 boundary data can be assembled for any quotient group.
 
+FreeCombo, fox_derivative and boundary_matrices serve the fox command and
+are the reference the tests check against.  Verification does not use
+them: klein.boundary_data evaluates the same Fox derivatives directly in
+the Klein bottle group ring, in one pass per relator.
+
 Convention for right modules: the boundary entries handed to the evaluator
 are the anti-involution (sum c*w -> sum c*w^-1) of the left Fox
 derivatives, and the edge boundary sends the edge of g to the image of

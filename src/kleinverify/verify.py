@@ -23,8 +23,8 @@ from .division import (
     witnesses,
     y_plus_s,
 )
-from .klein import SPoly, eval_combo
-from .presentations import Presentation, boundary_matrices, euler_characteristic
+from .klein import SPoly, boundary_data
+from .presentations import Presentation, euler_characteristic
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ def build_chain_data(
 ) -> ChainData:
     p = p if p is not None else builtin.presentation_p()
     q = q if q is not None else builtin.presentation_q()
-    d2p, d1p = boundary_matrices(p, eval_combo)
-    d2q, d1q = boundary_matrices(q, eval_combo)
+    d2p, d1p = boundary_data(p)
+    d2q, d1q = boundary_data(q)
     if d1p != d1q:
         raise ValueError("presentations disagree on the edge boundary")
     return ChainData(tuple(d2p[0]), tuple(tuple(row) for row in d2q), tuple(d1p))
@@ -190,16 +190,36 @@ def stafford_verdict(
     return StaffordVerdict(condition_i, condition_ii, witnesses_ok, degree_one, monic)
 
 
-_FLAG_DESCRIPTIONS = (
-    ("chi_ok", "Euler characteristics: chi(Q) = 2 - 2 + 1 = 1 and chi(P) = 1 - 2 + 1 = 0"),
-    ("pi1_ok", "presentation equivalence: every relator certified over the other presentation"),
-    ("factorization_ok", "boundary rows: d2'(D1) = d2(D)*(y - x^-1) and d2'(D2) = d2(D)*(x^3 - x - 1)"),
-    ("bezout_ok", "unit combination: (x^3-x-1)*alpha + (y - x^-1)*beta = 1"),
-    ("splitting_ok", "explicit splitting: psi.t = id, pi^2 = pi, psi.pi = 0"),
-    ("condition_i", "r*S + (y+s)*S = S, witnessed by the unit combination"),
-    ("condition_ii", "s*sigma(r) is not divisible by r in Z[x, x^-1]"),
-    ("witnesses_ok", "V holds a span-1 element with non-unit top coefficient and a monic element"),
+_FLAGS = (
+    "chi_ok",
+    "pi1_ok",
+    "factorization_ok",
+    "bezout_ok",
+    "splitting_ok",
+    "condition_i",
+    "condition_ii",
+    "witnesses_ok",
 )
+
+
+def _flag_descriptions(r: str, s: str) -> Tuple[str, ...]:
+    """One line per flag, in _FLAGS order, for the instance (r, s).
+
+    The row factors are the built-in ones whatever the instance, because
+    verify_factorization checks those.
+    """
+    y_plus_s_text = f"y - {s[1:]}" if s.startswith("-") else f"y + {s}"
+    return (
+        "Euler characteristics: chi(Q) = 2 - 2 + 1 = 1 and chi(P) = 1 - 2 + 1 = 0",
+        "presentation equivalence: every relator certified over the other presentation",
+        f"boundary rows: d2'(D1) = d2(D)*({builtin.FIRST_FACTOR_STRING})"
+        f" and d2'(D2) = d2(D)*({builtin.SECOND_FACTOR_STRING})",
+        f"unit combination: ({r.replace(' ', '')})*alpha + ({y_plus_s_text})*beta = 1",
+        "explicit splitting: psi.t = id, pi^2 = pi, psi.pi = 0",
+        "r*S + (y+s)*S = S, witnessed by the unit combination",
+        "s*sigma(r) is not divisible by r in Z[x, x^-1]",
+        "V holds a span-1 element with non-unit top coefficient and a monic element",
+    )
 
 
 @dataclass(frozen=True)
@@ -230,10 +250,10 @@ class NonFreenessReport:
         )
 
     def flags(self) -> List[Tuple[str, bool]]:
-        return [(name, getattr(self, name)) for name, _ in _FLAG_DESCRIPTIONS]
+        return [(name, getattr(self, name)) for name in _FLAGS]
 
     def to_json_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {name: getattr(self, name) for name, _ in _FLAG_DESCRIPTIONS}
+        out: Dict[str, object] = {name: getattr(self, name) for name in _FLAGS}
         out["all_ok"] = self.all_ok
         out["inputs"] = self.inputs
         return out
@@ -242,8 +262,11 @@ class NonFreenessReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
     def to_text(self) -> str:
+        descriptions = _flag_descriptions(
+            self.inputs.get("r", builtin.R_STRING), self.inputs.get("s", builtin.S_STRING)
+        )
         lines = []
-        for name, desc in _FLAG_DESCRIPTIONS:
+        for name, desc in zip(_FLAGS, descriptions):
             mark = "ok  " if getattr(self, name) else "FAIL"
             lines.append(f"[{mark}] {name:<16} {desc}")
         verdict = (
@@ -294,7 +317,9 @@ def full_report(
     )
     bezout_ok = attempt(lambda: verify_bezout(w, inst))
     splitting_ok = attempt(lambda: splitting_check(w, inst))
-    fragment = stafford_verdict(inst, w)
+    # Condition (i) is the unit combination bezout_ok has just checked, so
+    # the verdict is asked only for the witness-free conditions.
+    fragment = stafford_verdict(inst, None)
 
     inputs: Dict[str, object] = {
         "presentation_P": p.to_dict(),
@@ -314,7 +339,7 @@ def full_report(
         factorization_ok=factorization_ok,
         bezout_ok=bezout_ok,
         splitting_ok=splitting_ok,
-        condition_i=fragment.condition_i,
+        condition_i=bezout_ok,
         condition_ii=fragment.condition_ii,
         witnesses_ok=fragment.witnesses_ok,
         inputs=inputs,

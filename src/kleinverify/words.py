@@ -47,6 +47,13 @@ class Word:
     def __init__(self, letters: Iterable[Letter] = ()):
         self._letters = _reduced(letters)
 
+    @classmethod
+    def _of_reduced(cls, letters: Tuple[Letter, ...]) -> "Word":
+        """Wrap letters that are already freely reduced, skipping the pass."""
+        w = object.__new__(cls)
+        w._letters = letters
+        return w
+
     @property
     def letters(self) -> Tuple[Letter, ...]:
         return self._letters
@@ -68,18 +75,27 @@ class Word:
         return sum(abs(e) for _, e in self._letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self._letters + other._letters)
+        # Both operands are reduced, so letters can only cancel or merge
+        # where they meet: the tail of self against the head of other.
+        a, b = self._letters, other._letters
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            merged = a[i - 1][1] + b[j][1]
+            if merged:
+                return Word._of_reduced(a[: i - 1] + ((b[j][0], merged),) + b[j + 1 :])
+            i -= 1
+            j += 1
+        return Word._of_reduced(a[:i] + b[j:])
 
     def __invert__(self) -> "Word":
-        return Word(tuple((name, -exp) for name, exp in reversed(self._letters)))
+        return Word._of_reduced(
+            tuple((name, -exp) for name, exp in reversed(self._letters))
+        )
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return (~self) ** (-n)
-        out = Word()
-        for _ in range(n):
-            out = out * self
-        return out
+        return Word(self._letters * n)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Word) and self._letters == other._letters

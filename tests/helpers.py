@@ -5,7 +5,9 @@ The oracles deliberately avoid the code paths they judge:
 normal_form_oracle sorts single letters with the rewriting rules instead
 of using the closed-form group law, and spoly_mul_oracle multiplies group
 ring elements term by term through the group law instead of the twisted
-row convolution.
+row convolution.  The fold oracles re-reduce the whole concatenation at
+every step, as Word products once did, and boundary_matrices with
+eval_combo goes through FreeCombo instead of klein.boundary_data.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from kleinverify import (
     RPoly,
     SPoly,
     Word,
+    boundary_data,
     boundary_matrices,
     cert_concat,
     cert_conjugate,
@@ -146,6 +149,33 @@ def spoly_mul_oracle(f: SPoly, g: SPoly) -> SPoly:
         for c2, g2 in spoly_terms(g):
             out.append((c1 * c2, group_mul(g1, g2)))
     return spoly_from_terms(out)
+
+
+def fold_mul(u: Word, v: Word) -> Word:
+    """u * v by reducing the whole concatenation again."""
+    return Word(u.letters + v.letters)
+
+
+def fold_pow(w: Word, n: int) -> Word:
+    """w ** n as the left fold of fold_mul."""
+    base = w if n >= 0 else Word(tuple((g, -e) for g, e in reversed(w.letters)))
+    out = Word()
+    for _ in range(abs(n)):
+        out = fold_mul(out, base)
+    return out
+
+
+def fold_expand(src: Presentation, cert: ConjugacyCertificate) -> Word:
+    """The certificate product as a left fold of fully reduced conjugates."""
+    acc = Word()
+    for f in cert.factors:
+        if not 0 <= f.relator < len(src.relators):
+            raise IndexError(f"relator index {f.relator} out of range")
+        rel = src.relators[f.relator]
+        piece = rel if f.sign == 1 else fold_pow(rel, -1)
+        conj = fold_mul(fold_mul(f.conjugator, piece), fold_pow(f.conjugator, -1))
+        acc = fold_mul(acc, conj)
+    return acc
 
 
 # ----------------------------------------------------------- property suites
@@ -373,3 +403,92 @@ def build_reverse_certificate() -> ConjugacyCertificate:
 
     assert final.u == builtin.presentation_p().relators[0]
     return ConjugacyCertificate(final.cert.target, final.cert.factors, "Q")
+
+
+def check_word_mul_matches_fold(cases: int, seed: int = SEED) -> None:
+    """Junction-only products against full re-reduction, with operands
+    built to cancel partly, wholly, or inside a merged letter."""
+    rng = random.Random(seed)
+    for i in range(cases):
+        u, v = rand_word(rng), rand_word(rng)
+        cut = rng.randint(0, len(u.letters))
+        tail = Word(u.letters[cut:])
+        right = (
+            fold_mul(fold_pow(tail, -1), v),  # cancels the tail of u, then v
+            fold_pow(u, -1),                   # cancels everything
+            v,
+        )[i % 3]
+        assert u * right == fold_mul(u, right)
+        assert right * u == fold_mul(right, u)
+    w = rand_word(rng, max_runs=40)
+    assert (w * ~w).is_identity() and (~w * w).is_identity()
+
+
+def check_word_pow_matches_fold(cases: int, seed: int = SEED) -> None:
+    """One-pass powers against the fold, on conjugates u c u^-1 whose
+    powers cancel inside, and on inverses."""
+    rng = random.Random(seed)
+    for i in range(cases):
+        c, u = rand_word(rng, max_runs=4), rand_word(rng, max_runs=3)
+        w = c if i % 2 else fold_mul(fold_mul(u, c), fold_pow(u, -1))
+        n = rng.randint(-7, 7)
+        assert w ** n == fold_pow(w, n)
+        assert (~w) ** abs(n) == fold_pow(w, -abs(n))
+        assert (w * ~w) ** n == Word()
+
+
+def _rand_presentation(rng: random.Random, i: int) -> Presentation:
+    if i % 5 == 0:
+        return rand_consequence_presentation(rng)
+    gens = ("x", "y") if i % 7 else ("y", "x")
+    relators = []
+    for _ in range(rng.randint(0, 3)):
+        # exponents up to 9 in magnitude; about one relator in eleven is empty
+        relators.append(Word() if rng.random() < 1 / 11 else rand_word(rng, max_exp=9))
+    return Presentation(gens, tuple(relators))
+
+
+def check_boundary_data_matches_oracle(cases: int, long_cases: int = 3, seed: int = SEED) -> None:
+    """klein.boundary_data against boundary_matrices(p, eval_combo)."""
+    rng = random.Random(seed)
+    for i in range(cases):
+        p = _rand_presentation(rng, i)
+        assert boundary_data(p) == boundary_matrices(p, eval_combo), p.to_dict()
+    for _ in range(long_cases):
+        # several hundred letters: runs of up to 3 letters each
+        p = Presentation(("x", "y"), (rand_word(rng, max_runs=rng.randint(150, 200)),))
+        assert boundary_data(p) == boundary_matrices(p, eval_combo)
+
+
+def _rand_cancelling_factors(rng: random.Random, src: Presentation):
+    """Factors drawn so that neighbours cancel: a factor followed by its
+    inverse, conjugators sharing a long prefix, and plain random ones."""
+    factors: List[CertFactor] = []
+    prefix = rand_word(rng, max_runs=5)
+    count = rng.randint(0, 8)
+    while len(factors) < count:
+        w = fold_mul(prefix, rand_word(rng, max_runs=2)) if rng.random() < 0.6 else rand_word(rng)
+        f = CertFactor(w, rng.randrange(len(src.relators)), rng.choice((1, -1)))
+        factors.append(f)
+        if rng.random() < 0.4:
+            factors.append(CertFactor(f.conjugator, f.relator, -f.sign))
+    return tuple(factors)
+
+
+def check_expand_matches_fold(cases: int, seed: int = SEED) -> None:
+    """The one-pass expand_certificate against the left fold."""
+    rng = random.Random(seed)
+    sources = (
+        builtin.presentation_p(),
+        builtin.presentation_q(),
+        Presentation(("x", "y"), (rand_word(rng), rand_word(rng, max_exp=6))),
+    )
+    letters_in = letters_out = 0
+    for i in range(cases):
+        src = sources[i % len(sources)]
+        cert = ConjugacyCertificate(Word(), _rand_cancelling_factors(rng, src))
+        got = expand_certificate(src, cert)
+        assert got == fold_expand(src, cert)
+        letters_in += sum(2 * len(f.conjugator) + len(src.relators[f.relator]) for f in cert.factors)
+        letters_out += len(got)
+    assert 2 * letters_out < letters_in  # most letters cancel between factors

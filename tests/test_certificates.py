@@ -22,7 +22,13 @@ from kleinverify import (
 )
 from kleinverify import builtin
 
-from helpers import SEED, build_reverse_certificate, rand_valid_certificate, rand_word
+from helpers import (
+    SEED,
+    build_reverse_certificate,
+    check_expand_matches_fold,
+    rand_valid_certificate,
+    rand_word,
+)
 
 P = builtin.presentation_p()
 Q = builtin.presentation_q()
@@ -154,3 +160,7 @@ def test_json_roundtrip(tmp_path):
 def test_factor_sign_validation():
     with pytest.raises(ValueError):
         CertFactor(Word(), 0, 2)
+
+
+def test_expand_matches_fold():
+    check_expand_matches_fold(600)

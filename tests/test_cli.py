@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -113,3 +115,66 @@ def test_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_certificate_relator_index_out_of_range(tmp_path, capsys):
+    data = certificate_to_dict(builtin.forward_certificates()[0])
+    data["factors"][0]["rel"] = 5
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(["certificate", "--certificate", str(path), "--presentation", "P"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: relator index 5 out of range\n"
+
+
+def test_leading_minus_values(capsys):
+    assert run(["divides", "-x", "x^2"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+    assert run(["member", "-(1)", "--s", "-x^-1", "--r", "-x^3 + x + 1"]) == 1
+    assert capsys.readouterr().out.strip() == "false"
+    assert run(["stafford", "--s", "-1", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["s"] == "-1"
+
+
+# Documented exit status and an expected output line of every command in
+# the README's "Command line" section, keyed by the command as written there.
+README_COMMANDS = {
+    "kleinverify verify-paper": (0, "VERIFIED: the second homotopy module is stably free"
+                                    " and not free, on a complex with chi = 1 and Klein"
+                                    " bottle fundamental group"),
+    "kleinverify verify-paper --format json": (0, '"all_ok": true,'),
+    "kleinverify chi --presentation Q": (0, "1"),
+    'kleinverify normal-form "y^-1 x y"': (0, "x^-1"),
+    'kleinverify fox "x y" y': (0, "1*(x)"),
+    'kleinverify divides "x^3 - x - 1" "x^3 + x^2 - 1"': (1, "false"),
+    'kleinverify member "y^2*(1) + (-1)"': (0, "true"),
+    'kleinverify member "(1)" --r "x^3 - x - 1" --s "-x^-1"': (1, "false"),
+    "kleinverify certificate --certificate cert.json": (0, "pass"),
+    'kleinverify stafford --r "x^3 - x - 1" --s "-x^-1"': (0, "condition_ii  ok"),
+}
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return [
+        line.split("  #", 1)[0].strip()
+        for line in section.splitlines()
+        if line.startswith("kleinverify ")
+    ]
+
+
+def test_readme_commands(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert sorted(commands) == sorted(README_COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    cert = builtin.forward_certificates()[0]
+    (tmp_path / "cert.json").write_text(json.dumps(certificate_to_dict(cert)), encoding="utf-8")
+    for command in commands:
+        status, line = README_COMMANDS[command]
+        argv = shlex.split(command)[1:]
+        assert run(argv) == status, command
+        captured = capsys.readouterr()
+        assert line in [out.strip() for out in captured.out.splitlines()], command
+        assert captured.err == "", command

@@ -16,10 +16,12 @@ from kleinverify import (
     s_add,
     s_mul,
 )
+from kleinverify import Presentation, boundary_data, boundary_matrices
 from kleinverify.klein import PolySyntaxError
 
 from helpers import (
     SEED,
+    check_boundary_data_matches_oracle,
     check_eval_homomorphism,
     check_spoly_ring_axioms,
     normal_form_oracle,
@@ -146,3 +148,19 @@ def test_spoly_parse_errors():
     for bad in ("", "y^*(1)", "y^2*(1", "q + 1"):
         with pytest.raises(PolySyntaxError):
             parse_spoly(bad)
+
+
+def test_boundary_data_matches_oracle():
+    check_boundary_data_matches_oracle(500)
+
+
+def test_boundary_data_foreign_generator():
+    for p in (
+        Presentation(("x", "y", "z"), (parse_word("x z y"),)),
+        Presentation(("x", "y", "z"), (parse_word("x y"),)),
+    ):
+        with pytest.raises(ValueError) as new:
+            boundary_data(p)
+        with pytest.raises(ValueError) as old:
+            boundary_matrices(p, eval_combo)
+        assert str(new.value) == str(old.value)

@@ -19,7 +19,7 @@ from kleinverify import (
     verify_bezout,
     verify_factorization,
 )
-from kleinverify import builtin
+from kleinverify import builtin, verify
 from kleinverify.certificates import CertFactor, ConjugacyCertificate
 
 from helpers import SEED, rand_spoly
@@ -193,3 +193,53 @@ def test_report_json_shape():
     assert list(data.keys()) == expected_keys
     assert data["all_ok"] is True
     assert data["inputs"]["r"] == "x^3 - x - 1"
+
+
+PAPER_TEXT = """\
+[ok  ] chi_ok           Euler characteristics: chi(Q) = 2 - 2 + 1 = 1 and chi(P) = 1 - 2 + 1 = 0
+[ok  ] pi1_ok           presentation equivalence: every relator certified over the other presentation
+[ok  ] factorization_ok boundary rows: d2'(D1) = d2(D)*(y - x^-1) and d2'(D2) = d2(D)*(x^3 - x - 1)
+[ok  ] bezout_ok        unit combination: (x^3-x-1)*alpha + (y - x^-1)*beta = 1
+[ok  ] splitting_ok     explicit splitting: psi.t = id, pi^2 = pi, psi.pi = 0
+[ok  ] condition_i      r*S + (y+s)*S = S, witnessed by the unit combination
+[ok  ] condition_ii     s*sigma(r) is not divisible by r in Z[x, x^-1]
+[ok  ] witnesses_ok     V holds a span-1 element with non-unit top coefficient and a monic element
+VERIFIED: the second homotopy module is stably free and not free, on a complex with chi = 1 \
+and Klein bottle fundamental group"""
+
+
+def test_paper_report_text():
+    assert full_report().to_text() == PAPER_TEXT
+
+
+def test_flag_descriptions_follow_instance():
+    inst = StaffordInstance(parse_rpoly("2*x^2 + x - 3"), parse_rpoly("x^2"))
+    lines = full_report(instance=inst).to_text().splitlines()
+    assert lines[3] == "[FAIL] bezout_ok        unit combination: (2*x^2+x-3)*alpha + (y + x^2)*beta = 1"
+    # the row factors checked are the built-in ones whatever the instance
+    assert lines[2] == PAPER_TEXT.splitlines()[2]
+
+
+def test_full_report_checks_bezout_once(monkeypatch):
+    calls = []
+    real = verify.verify_bezout
+
+    def counted(w, inst=None):
+        calls.append(inst)
+        return real(w, inst)
+
+    monkeypatch.setattr(verify, "verify_bezout", counted)
+    report = full_report()
+    assert report.bezout_ok and report.condition_i
+    # once for bezout_ok and condition_i, once inside splitting_check (psi.t = id)
+    assert len(calls) == 2
+
+
+def test_full_report_bezout_error_reads_false(monkeypatch):
+    def broken(w, inst=None):
+        raise ValueError("corrupt witness")
+
+    monkeypatch.setattr(verify, "verify_bezout", broken)
+    report = full_report()
+    assert not report.bezout_ok and not report.condition_i and not report.splitting_ok
+    assert report.chi_ok and report.condition_ii and report.witnesses_ok

@@ -4,7 +4,14 @@ import pytest
 
 from kleinverify import Word, WordSyntaxError, conjugate, invert, multiply, parse_word
 
-from helpers import SEED, check_free_group_axioms, check_reduction_canonical, rand_word
+from helpers import (
+    SEED,
+    check_free_group_axioms,
+    check_reduction_canonical,
+    check_word_mul_matches_fold,
+    check_word_pow_matches_fold,
+    rand_word,
+)
 
 
 def test_parse_relator():
@@ -84,3 +91,17 @@ def test_word_pow():
     assert x**3 == parse_word("x^3")
     assert x**-2 == parse_word("x^-2")
     assert (parse_word("x y") ** 0).is_identity()
+
+
+def test_mul_matches_fold():
+    check_word_mul_matches_fold(600)
+
+
+def test_pow_matches_fold():
+    check_word_pow_matches_fold(600)
+
+
+def test_long_pow_is_reduced():
+    assert (parse_word("x y") ** 5000).letters == (("x", 1), ("y", 1)) * 5000
+    w = parse_word("y x^2 y^-1")
+    assert w ** 5000 == parse_word("y x^10000 y^-1")

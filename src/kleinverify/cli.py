@@ -215,7 +215,8 @@ def _shield_leading_minus(argv: List[str]) -> List[str]:
     as an option, so ``--s "-x^-1"`` fails.  This parser has no
     single-dash option besides -h, so every other such token is a value;
     a leading space, which every input parser ignores, makes argparse
-    take it as one.
+    take it as one.  open() does not ignore it, so run() takes it off
+    the file paths again.
     """
     return [
         f" {tok}" if tok.startswith("-") and not tok.startswith("--") and tok != "-h" else tok
@@ -226,6 +227,10 @@ def _shield_leading_minus(argv: List[str]) -> List[str]:
 def run(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_shield_leading_minus(sys.argv[1:] if argv is None else argv))
+    for name in ("certificate", "presentation"):
+        path = getattr(args, name, None)
+        if path is not None and path.startswith(" -"):
+            setattr(args, name, path[1:])
     try:
         return args.func(args)
     except (ValueError, KeyError, IndexError, OSError, json.JSONDecodeError) as exc:

@@ -55,9 +55,10 @@ def divide(f: SPoly, s: RPoly) -> DivisionResult:
     """
     if f.is_zero():
         return DivisionResult(SPoly.zero(), 0, RPoly.zero())
-    rows = {m: a for m, a in f.rows()}
+    rows = dict(f._rows)
     d = min(rows)
     q_rows = {}
+    # Zero rows are dropped as they appear, because max(rows) reads the keys.
     while rows and max(rows) > d:
         top = max(rows)
         c = rows.pop(top)
@@ -120,9 +121,12 @@ def monic_witness(inst: StaffordInstance, max_degree: int = 4) -> Optional[SPoly
     sum t_i a_i + t_d = 0 with the reduction scalars t_i, one linear
     condition over the coefficient ring per degree bound.  Single
     nonzero-coefficient solutions a_i = -t_d / t_i are tried in order.
+    The scalars for every degree bound are prefixes of one table, built
+    once.  Each candidate is checked with in_V, so a returned element
+    lies in V; callers need not check it again.
     """
+    ts = _reduction_scalars(inst, max_degree)
     for d in range(1, max_degree + 1):
-        ts = _reduction_scalars(inst, d)
         for i in range(d):
             c = quotient(ts[i], ts[d])
             if c is None:
@@ -137,14 +141,16 @@ def witnesses(inst: StaffordInstance) -> Tuple[SPoly, SPoly]:
     """A degree-1 element of V and a monic-in-y element of V.
 
     The degree-1 element is y*r + s*sigma(r); membership follows from
-    r * (s*sigma(r)) = s*sigma(r) * r in the commutative coefficient ring.
-    The monic element comes from the bounded-degree search.  Both are
-    re-verified by the division oracle before being returned.
+    r * (s*sigma(r)) = s*sigma(r) * r in the commutative coefficient ring,
+    and is checked here with in_V.  The monic element comes from
+    monic_witness, which has checked it with in_V already.  Raises
+    ValueError when either element is missing or fails membership, so
+    each returned element has passed in_V exactly once.
     """
     degree_one = SPoly({1: inst.r, 0: inst.s * inst.r.sigma()})
     if not in_V(degree_one, inst):
         raise ValueError("degree-1 construction failed membership; convention bug")
     monic = monic_witness(inst)
-    if monic is None or not in_V(monic, inst):
+    if monic is None:
         raise ValueError("no monic element found within the degree bound")
     return degree_one, monic

@@ -138,11 +138,7 @@ class SPoly:
     def __add__(self, other: "SPoly") -> "SPoly":
         out = dict(self._rows)
         for m, a in other._rows.items():
-            v = out.get(m, RPoly.zero()) + a
-            if v.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = v
+            out[m] = out[m] + a if m in out else a
         return SPoly(out)
 
     def __neg__(self) -> "SPoly":
@@ -158,11 +154,7 @@ class SPoly:
             for p, b in other._rows.items():
                 piece = _sigma_pow(a, p) * b
                 key = m + p
-                v = out.get(key, RPoly.zero()) + piece
-                if v.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = v
+                out[key] = out[key] + piece if key in out else piece
         return SPoly(out)
 
     def scale(self, k: int) -> "SPoly":

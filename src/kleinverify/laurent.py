@@ -97,11 +97,7 @@ class RPoly:
     def __add__(self, other: "RPoly") -> "RPoly":
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + c
         return RPoly(out)
 
     def __neg__(self) -> "RPoly":
@@ -115,11 +111,7 @@ class RPoly:
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, 0) + c1 * c2
         return RPoly(out)
 
     def __pow__(self, n: int) -> "RPoly":
@@ -185,11 +177,7 @@ def parse_rpoly(text: str) -> RPoly:
             exp = int(m.group("exp")) if m.group("exp") else 1
         else:
             exp = 0
-        v = coeffs.get(exp, 0) + sign * coeff
-        if v:
-            coeffs[exp] = v
-        else:
-            coeffs.pop(exp, None)
+        coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
         i = m.end()
         if i < n and s[i] not in "+-":
             raise PolySyntaxError(f"unexpected character {s[i]!r} at position {i} in {text!r}")
@@ -199,7 +187,8 @@ def parse_rpoly(text: str) -> RPoly:
 def _exact_poly_quotient(num: Dict[int, int], den: Dict[int, int]) -> Optional[Dict[int, int]]:
     # Ordinary polynomials (min exponent 0, nonzero constant term for den).
     # Long division from the top; every quotient coefficient must be an
-    # exact integer and the remainder must vanish.
+    # exact integer and the remainder must vanish.  Zeros are dropped from
+    # rem as they appear, because max(rem) and the loop test read its keys.
     dmax = max(den)
     dlead = den[dmax]
     rem = dict(num)

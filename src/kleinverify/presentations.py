@@ -108,11 +108,7 @@ class FreeCombo:
     def __add__(self, other: "FreeCombo") -> "FreeCombo":
         out = dict(self._terms)
         for w, c in other._terms.items():
-            v = out.get(w, 0) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
+            out[w] = out.get(w, 0) + c
         return FreeCombo(out)
 
     def __neg__(self) -> "FreeCombo":
@@ -129,11 +125,7 @@ class FreeCombo:
         out: Dict[Word, int] = {}
         for w, c in self._terms.items():
             key = u * w
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + c
         return FreeCombo(out)
 
     def rmul(self, u: Word) -> "FreeCombo":
@@ -141,11 +133,7 @@ class FreeCombo:
         out: Dict[Word, int] = {}
         for w, c in self._terms.items():
             key = w * u
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + c
         return FreeCombo(out)
 
     def star(self) -> "FreeCombo":
@@ -153,11 +141,7 @@ class FreeCombo:
         out: Dict[Word, int] = {}
         for w, c in self._terms.items():
             key = ~w
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + c
         return FreeCombo(out)
 
     def __str__(self) -> str:

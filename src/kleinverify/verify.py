@@ -18,7 +18,6 @@ from . import builtin
 from .certificates import ConjugacyCertificate, equivalence_verdict
 from .division import (
     StaffordInstance,
-    in_V,
     no_monic_degree_one,
     witnesses,
     y_plus_s,
@@ -134,12 +133,15 @@ def splitting_projector(
 def splitting_check(w: BezoutWitness, inst: Optional[StaffordInstance] = None) -> bool:
     """The witness splits psi: psi.t = id, pi^2 = pi, psi.pi = 0.
 
-    All three are exact identities of 2x2 / 1x2 matrices over the twisted
-    ring, checked on the basis; right-linearity extends them everywhere.
+    pi^2 = pi and psi.pi = 0 are exact identities of 2x2 / 1x2 matrices
+    over the twisted ring, checked on the basis; right-linearity extends
+    them everywhere.  psi.t = id is the unit combination: verify_bezout
+    checks it, and full_report runs that check once, before this one.
+    It is not checked again here; psi.pi = 0 implies it.
     """
     inst = inst if inst is not None else builtin.stafford_instance()
-    if not verify_bezout(w, inst):
-        return False
+    # psi.pi = (1 - psi.t).psi, and (1 - psi.t).(y + s) = 0 in the domain S
+    # with y + s != 0 forces psi.t = 1: a passing check implies verify_bezout.
     ys = y_plus_s(inst.s)
     r = SPoly.from_rpoly(inst.r)
     proj = splitting_projector(w, inst)
@@ -165,25 +167,23 @@ def stafford_verdict(
     """Both non-freeness conditions plus the witness structure.
 
     condition_i needs the explicit unit combination; with no witness it is
-    reported false.  witnesses_ok demands: both constructed elements pass
-    the membership oracle, the degree-1 element spans exactly one y-degree
-    with a non-unit top coefficient, the monic element has a unit top
-    coefficient, and no monic degree-1 element exists at all.
+    reported false.  witnesses_ok demands: witnesses() returns both
+    elements, which it does only once each has passed in_V; the degree-1
+    element spans exactly one y-degree with a non-unit top coefficient,
+    the monic element has a unit top coefficient, and no monic degree-1
+    element exists at all.  Membership is not checked again here.
     """
     condition_i = bool(w is not None and verify_bezout(w, inst))
     condition_ii = no_monic_degree_one(inst)
     degree_one = monic = None
-    witnesses_ok = False
     try:
         degree_one, monic = witnesses(inst)
     except ValueError:
         witnesses_ok = False
     else:
         witnesses_ok = (
-            in_V(degree_one, inst)
-            and degree_one.span() == 1
+            degree_one.span() == 1
             and not degree_one.row(degree_one.max_degree).is_unit()
-            and in_V(monic, inst)
             and monic.row(monic.max_degree).is_unit()
             and condition_ii
         )
@@ -316,7 +316,8 @@ def full_report(
         lambda: verify_factorization(build_chain_data(p, q))
     )
     bezout_ok = attempt(lambda: verify_bezout(w, inst))
-    splitting_ok = attempt(lambda: splitting_check(w, inst))
+    # splitting_check leaves psi.t = id to the bezout_ok check just run.
+    splitting_ok = bezout_ok and attempt(lambda: splitting_check(w, inst))
     # Condition (i) is the unit combination bezout_ok has just checked, so
     # the verdict is asked only for the witness-free conditions.
     fragment = stafford_verdict(inst, None)

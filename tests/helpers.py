@@ -16,6 +16,7 @@ import random
 from typing import List, Tuple
 
 from kleinverify import (
+    BezoutWitness,
     CertFactor,
     ConjugacyCertificate,
     FreeCombo,
@@ -30,6 +31,7 @@ from kleinverify import (
     cert_conjugate,
     cert_invert,
     conjugate,
+    default_witness,
     divide,
     eval_combo,
     eval_word,
@@ -37,6 +39,9 @@ from kleinverify import (
     fox_derivative,
     group_mul,
     in_V,
+    lift_kernel,
+    splitting_check,
+    verify_bezout,
     witnesses,
     y_plus_s,
 )
@@ -178,6 +183,23 @@ def fold_expand(src: Presentation, cert: ConjugacyCertificate) -> Word:
     return acc
 
 
+def assert_normalised(value) -> None:
+    """value stores no zero coefficient (RPoly), row (SPoly) or term (FreeCombo)."""
+    if isinstance(value, SPoly):
+        for row in value._rows.values():
+            assert not row.is_zero()
+            assert_normalised(row)
+    else:
+        store = value._coeffs if isinstance(value, RPoly) else value._terms
+        assert all(store.values())
+
+
+def assert_cancelled(values, zero) -> None:
+    for v in values:
+        assert v == zero and v.is_zero()
+        assert_normalised(v)
+
+
 # ----------------------------------------------------------- property suites
 
 def check_free_group_axioms(cases: int, seed: int = SEED) -> None:
@@ -219,6 +241,11 @@ def check_rpoly_ring_axioms(cases: int, seed: int = SEED) -> None:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * one == a
+        # operands that cancel: the constructor alone drops the zeros
+        assert_cancelled((a - a, a + (-a), (a + b) - b - a, a * b - b * a), zero)
+        assert (a + b) - b == a and (a + b) * (a - b) == a * a - b * b
+        for v in ((a + b) - b, (a + b) * (a - b), a * b):
+            assert_normalised(v)
 
 
 def check_spoly_ring_axioms(cases: int, seed: int = SEED) -> None:
@@ -234,6 +261,14 @@ def check_spoly_ring_axioms(cases: int, seed: int = SEED) -> None:
         assert (f + g) * h == f * h + g * h
         assert f * one == f and one * f == f
         assert f * g == spoly_mul_oracle(f, g)
+        assert_cancelled((f - f, f + (-f), (f + g) - g - f), zero)
+        assert (f + g) - g == f
+        # (y + a)(y - sigma(a)) = y^2 - a sigma(a): the y-row cancels inside the product
+        a = f.row(0)
+        prod = (SPoly.y() + SPoly.from_rpoly(a)) * (SPoly.y() - SPoly.from_rpoly(a.sigma()))
+        assert prod == SPoly({2: RPoly.one(), 0: -(a * a.sigma())})
+        for v in ((f + g) - g, f * g, prod):
+            assert_normalised(v)
 
 
 def check_sigma_involution(cases: int, seed: int = SEED) -> None:
@@ -301,6 +336,12 @@ def check_fox_fundamental(cases: int, seed: int = SEED) -> None:
             d = fox_derivative(w, g)
             total = total + d.rmul(Word(((g, 1),))) - d
         assert total == FreeCombo.term(w) - FreeCombo.term(e)
+        assert_normalised(total)
+        dx, dy = fox_derivative(w, "x"), fox_derivative(w, "y")
+        assert_cancelled((dx - dx, dx + (-dx), (dx + dy) - dy - dx), FreeCombo.zero())
+        assert (dx + dy) - dy == dx
+        for v in ((dx + dy) - dy, (dx + dy).lmul(w) - dy.lmul(w), (dx - dy).star() + dy.star()):
+            assert_normalised(v)
 
 
 def check_fox_product_rule(cases: int, seed: int = SEED) -> None:
@@ -311,6 +352,26 @@ def check_fox_product_rule(cases: int, seed: int = SEED) -> None:
             assert fox_derivative(u * v, g) == fox_derivative(u, g) + fox_derivative(
                 v, g
             ).lmul(u)
+
+
+def check_splitting_matches_bezout(cases: int, seed: int = SEED) -> None:
+    """splitting_check agrees with verify_bezout on the paper instance,
+    for valid witnesses shifted by kernel elements (w1*k, lift) and for
+    witnesses with a random nonzero error added to alpha or beta."""
+    rng = random.Random(seed)
+    inst = builtin.stafford_instance()
+    base = default_witness()
+    w1, _ = witnesses(inst)
+    for i in range(cases):
+        expected = i % 2 == 0
+        if expected:
+            v = w1 * rand_spoly(rng, max_rows=2)
+            w = BezoutWitness(base.alpha + v, base.beta + lift_kernel(v, inst))
+        elif i % 4 == 1:
+            w = BezoutWitness(base.alpha + rand_spoly(rng, nonzero=True, max_rows=2), base.beta)
+        else:
+            w = BezoutWitness(base.alpha, base.beta + rand_spoly(rng, nonzero=True, max_rows=2))
+        assert splitting_check(w, inst) == verify_bezout(w, inst) == expected, (i, str(w.alpha))
 
 
 def check_chain_composite_zero(cases: int, seed: int = SEED) -> None:

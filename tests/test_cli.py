@@ -136,6 +136,18 @@ def test_leading_minus_values(capsys):
     assert json.loads(capsys.readouterr().out)["s"] == "-1"
 
 
+def test_leading_minus_file_paths(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cert = builtin.forward_certificates()[0]
+    (tmp_path / "-cert.json").write_text(json.dumps(certificate_to_dict(cert)), encoding="utf-8")
+    p = builtin.presentation_p()
+    (tmp_path / "-p.json").write_text(json.dumps(p.to_dict()), encoding="utf-8")
+    assert run(["certificate", "--certificate", "-cert.json", "--presentation", "-p.json"]) == 0
+    assert capsys.readouterr().out.strip() == "pass"
+    assert run(["chi", "--presentation", "-p.json"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
 # Documented exit status and an expected output line of every command in
 # the README's "Command line" section, keyed by the command as written there.
 README_COMMANDS = {

@@ -19,10 +19,10 @@ from kleinverify import (
     verify_bezout,
     verify_factorization,
 )
-from kleinverify import builtin, verify
+from kleinverify import builtin, division, verify
 from kleinverify.certificates import CertFactor, ConjugacyCertificate
 
-from helpers import SEED, rand_spoly
+from helpers import SEED, check_splitting_matches_bezout, rand_spoly
 
 INST = builtin.stafford_instance()
 WITNESS = default_witness()
@@ -230,9 +230,29 @@ def test_full_report_checks_bezout_once(monkeypatch):
 
     monkeypatch.setattr(verify, "verify_bezout", counted)
     report = full_report()
-    assert report.bezout_ok and report.condition_i
-    # once for bezout_ok and condition_i, once inside splitting_check (psi.t = id)
-    assert len(calls) == 2
+    assert report.bezout_ok and report.condition_i and report.splitting_ok
+    # once for bezout_ok, condition_i and the psi.t = id part of splitting_ok
+    assert len(calls) == 1
+
+
+def test_stafford_verdict_checks_each_witness_once(monkeypatch):
+    counts = {"in_V": 0, "_reduction_scalars": 0}
+    for name in counts:
+        real = getattr(division, name)
+
+        def counted(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(division, name, counted)
+    verdict = stafford_verdict(INST, WITNESS)
+    assert verdict.condition_i and verdict.condition_ii and verdict.witnesses_ok
+    # one membership check per witness, one table of reduction scalars
+    assert counts == {"in_V": 2, "_reduction_scalars": 1}
+
+
+def test_splitting_matches_bezout():
+    check_splitting_matches_bezout(500)
 
 
 def test_full_report_bezout_error_reads_false(monkeypatch):

@@ -39,13 +39,6 @@ def presentation_q() -> Presentation:
 PRESENTATIONS: Dict[str, callable] = {"P": presentation_p, "Q": presentation_q}
 
 
-def named_presentation(name: str) -> Presentation:
-    try:
-        return PRESENTATIONS[name]()
-    except KeyError:
-        raise ValueError(f"unknown built-in presentation {name!r}; use P or Q")
-
-
 def _load_data(name: str) -> dict:
     text = resources.files("kleinverify").joinpath("data", name).read_text("utf-8")
     return json.loads(text)

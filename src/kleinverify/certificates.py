@@ -174,13 +174,17 @@ def certificate_to_dict(cert: ConjugacyCertificate) -> Dict:
 def certificate_from_dict(data: Mapping) -> ConjugacyCertificate:
     if "target" not in data or "factors" not in data:
         raise ValueError("certificate JSON needs 'target' and 'factors'")
+    if any(not isinstance(f, Mapping) for f in data["factors"]):
+        raise ValueError("each certificate factor must be an object with 'w', 'rel' and 'sign'")
+    # A number would reach open() as a file descriptor: 0 reads stdin.
+    source = data.get("source")
+    if source is not None and not isinstance(source, str):
+        raise ValueError(f"certificate source must be a string, not {source!r}")
     factors = tuple(
         CertFactor(parse_word(f["w"]), int(f["rel"]), int(f["sign"]))
         for f in data["factors"]
     )
-    return ConjugacyCertificate(
-        parse_word(data["target"]), factors, data.get("source")
-    )
+    return ConjugacyCertificate(parse_word(data["target"]), factors, source)
 
 
 def load_certificate(path) -> ConjugacyCertificate:

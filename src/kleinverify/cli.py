@@ -23,7 +23,7 @@ from .words import parse_word
 
 def _resolve_presentation(name_or_path: str):
     if name_or_path in builtin.PRESENTATIONS:
-        return builtin.named_presentation(name_or_path)
+        return builtin.PRESENTATIONS[name_or_path]()
     return load_presentation(name_or_path)
 
 

@@ -32,10 +32,6 @@ class GroupElem:
     m: int
     n: int
 
-    @classmethod
-    def identity(cls) -> "GroupElem":
-        return cls(0, 0)
-
     def is_identity(self) -> bool:
         return self.m == 0 and self.n == 0
 

@@ -33,27 +33,17 @@ class RPoly:
         return cls({0: 1})
 
     @classmethod
-    def from_int(cls, n: int) -> "RPoly":
-        return cls({0: n})
-
-    @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> "RPoly":
         return cls({exp: coeff})
 
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def is_one(self) -> bool:
-        return self._coeffs == {0: 1}
-
     def is_unit(self) -> bool:
         """Units of Z[x, x^-1] are exactly +-x^k."""
         if len(self._coeffs) != 1:
             return False
         return next(iter(self._coeffs.values())) in (1, -1)
-
-    def coeff(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
 
     def items(self) -> List[Tuple[int, int]]:
         """(exponent, coefficient) pairs in descending exponent order."""
@@ -114,14 +104,6 @@ class RPoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return RPoly(out)
 
-    def __pow__(self, n: int) -> "RPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for general RPoly")
-        out = RPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __str__(self) -> str:
         if not self._coeffs:
             return "0"
@@ -141,10 +123,6 @@ class RPoly:
 
     def __repr__(self) -> str:
         return f"RPoly({str(self)!r})"
-
-    @classmethod
-    def parse(cls, text: str) -> "RPoly":
-        return parse_rpoly(text)
 
 
 _MONO = re.compile(r"(?:(?P<coeff>\d+)\*?)?(?P<var>x(?:\^(?P<exp>-?\d+))?)?")

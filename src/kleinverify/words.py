@@ -125,6 +125,8 @@ def parse_word(text: str, generators: Optional[Iterable[str]] = None) -> Word:
     >>> parse_word("x x^-1").is_identity()
     True
     """
+    if not isinstance(text, str):
+        raise WordSyntaxError(f"a word must be a string, not {text!r}")
     declared = set(generators) if generators is not None else None
     tokens = text.split()
     if tokens == ["1"]:

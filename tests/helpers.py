@@ -41,6 +41,7 @@ from kleinverify import (
     in_V,
     lift_kernel,
     splitting_check,
+    splitting_projector,
     verify_bezout,
     witnesses,
     y_plus_s,
@@ -354,10 +355,20 @@ def check_fox_product_rule(cases: int, seed: int = SEED) -> None:
             ).lmul(u)
 
 
+def _square(m):
+    """m . m for a 2x2 matrix over S, written out as the oracle for pi^2."""
+    return [
+        [sum((m[i][k] * m[k][j] for k in range(2)), SPoly.zero()) for j in range(2)]
+        for i in range(2)
+    ]
+
+
 def check_splitting_matches_bezout(cases: int, seed: int = SEED) -> None:
     """splitting_check agrees with verify_bezout on the paper instance,
     for valid witnesses shifted by kernel elements (w1*k, lift) and for
-    witnesses with a random nonzero error added to alpha or beta."""
+    witnesses with a random nonzero error added to alpha or beta.  The
+    projector is idempotent exactly when the witness is valid; splitting_check
+    does not compute pi^2, so it is checked here against _square."""
     rng = random.Random(seed)
     inst = builtin.stafford_instance()
     base = default_witness()
@@ -372,6 +383,8 @@ def check_splitting_matches_bezout(cases: int, seed: int = SEED) -> None:
         else:
             w = BezoutWitness(base.alpha, base.beta + rand_spoly(rng, nonzero=True, max_rows=2))
         assert splitting_check(w, inst) == verify_bezout(w, inst) == expected, (i, str(w.alpha))
+        proj = splitting_projector(w, inst)
+        assert (_square(proj) == proj) == expected, (i, str(w.alpha))
 
 
 def check_chain_composite_zero(cases: int, seed: int = SEED) -> None:

@@ -190,3 +190,25 @@ def test_readme_commands(tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         assert line in [out.strip() for out in captured.out.splitlines()], command
         assert captured.err == "", command
+
+
+# Valid JSON whose fields have the wrong type is bad input (exit 2), not a
+# failed check and not a traceback.  A numeric source must not reach open(),
+# which would read file descriptor 0, stdin.
+@pytest.mark.parametrize(
+    "command, data, reason",
+    [
+        ("certificate", {"target": "x", "factors": [1]}, "certificate factor"),
+        ("certificate", {"target": 5, "factors": []}, "must be a string, not 5"),
+        ("certificate", {"target": "1", "factors": [], "source": 0}, "source"),
+        ("chi", {"generators": ["x", "y"], "relators": [7]}, "must be a string, not 7"),
+    ],
+    ids=["factor-not-object", "target-not-string", "source-not-string", "relator-not-string"],
+)
+def test_wrong_typed_json_fields_exit_2(tmp_path, capsys, command, data, reason):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    flag = "--certificate" if command == "certificate" else "--presentation"
+    assert run([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err, err

@@ -21,6 +21,7 @@ from kleinverify import (
 )
 from kleinverify import builtin, division, verify
 from kleinverify.certificates import CertFactor, ConjugacyCertificate
+from kleinverify.cli import run
 
 from helpers import SEED, check_splitting_matches_bezout, rand_spoly
 
@@ -210,6 +211,60 @@ and Klein bottle fundamental group"""
 
 def test_paper_report_text():
     assert full_report().to_text() == PAPER_TEXT
+
+
+PAPER_JSON = """\
+{
+  "chi_ok": true,
+  "pi1_ok": true,
+  "factorization_ok": true,
+  "bezout_ok": true,
+  "splitting_ok": true,
+  "condition_i": true,
+  "condition_ii": true,
+  "witnesses_ok": true,
+  "all_ok": true,
+  "inputs": {
+    "presentation_P": {
+      "generators": [
+        "x",
+        "y"
+      ],
+      "relators": [
+        "y^-1 x y x"
+      ]
+    },
+    "presentation_Q": {
+      "generators": [
+        "x",
+        "y"
+      ],
+      "relators": [
+        "y^-2 x y^2 x^-1",
+        "x^-3 y^-1 x y x^2 y^-1 x^-2 y"
+      ]
+    },
+    "certificates_Q_over_P": [
+      "y^-2 x y^2 x^-1",
+      "x^-3 y^-1 x y x^2 y^-1 x^-2 y"
+    ],
+    "certificates_P_over_Q": [
+      "y^-1 x y x"
+    ],
+    "r": "x^3 - x - 1",
+    "s": "-x^-1",
+    "alpha": "(x^-3 - x^-4) + y^-1*(-1)",
+    "beta": "y^-1*(x^-1 + x^-2 - x^-4)",
+    "degree_one_witness": "y*(x^3 - x - 1) + (x^-1 + x^-2 - x^-4)",
+    "monic_witness": "y^2*(1) + (-1)"
+  }
+}
+"""
+
+
+def test_paper_report_json(capsys):
+    assert run(["verify-paper", "--format", "json"]) == 0
+    assert capsys.readouterr().out == PAPER_JSON
 
 
 def test_flag_descriptions_follow_instance():

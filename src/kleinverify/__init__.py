@@ -12,8 +12,6 @@ from .words import (
     Word,
     WordSyntaxError,
     conjugate,
-    invert,
-    multiply,
     parse_word,
 )
 from .laurent import PolySyntaxError, RPoly, divides, parse_rpoly, quotient
@@ -31,10 +29,7 @@ from .klein import (
     boundary_data,
     eval_combo,
     eval_word,
-    group_mul,
     parse_spoly,
-    s_add,
-    s_mul,
 )
 from .division import (
     DivisionResult,
@@ -87,8 +82,6 @@ __all__ = [
     "Word",
     "WordSyntaxError",
     "conjugate",
-    "invert",
-    "multiply",
     "parse_word",
     "PolySyntaxError",
     "RPoly",
@@ -106,10 +99,7 @@ __all__ = [
     "boundary_data",
     "eval_combo",
     "eval_word",
-    "group_mul",
     "parse_spoly",
-    "s_add",
-    "s_mul",
     "DivisionResult",
     "StaffordInstance",
     "divide",

@@ -30,6 +30,9 @@ class CertFactor:
     sign: int
 
     def __post_init__(self):
+        # JSON may hold 0.9, "0" or true here; type() also rejects bool.
+        if type(self.relator) is not int or type(self.sign) is not int:
+            raise ValueError(f"rel and sign must be integers: {self.relator!r}, {self.sign!r}")
         if self.sign not in (1, -1):
             raise ValueError("factor sign must be +1 or -1")
 
@@ -67,27 +70,20 @@ def check_certificate(src: Presentation, cert: ConjugacyCertificate) -> bool:
     return expand_certificate(src, cert) == cert.target
 
 
-def boundary_factor(
-    src: Presentation, cert: ConjugacyCertificate, per_relator: bool = True
-):
+def boundary_factor(src: Presentation, cert: ConjugacyCertificate) -> Dict[int, SPoly]:
     """Chain-level factor carried by each source relator.
 
-    For a valid certificate, relator j picks up
+    For a valid certificate, relator j maps to
     sum over its factors of  sign * (group image of conjugator^-1),
-    as an element of the group ring.  With per_relator False the
-    unaggregated (relator, contribution) list is returned instead.
+    as an element of the group ring; a relator with no factor is absent.
+    Raises ValueError for an invalid certificate.
     """
     if not check_certificate(src, cert):
         raise ValueError("invalid certificate: product does not reduce to target")
-    contributions = [
-        (f.relator, SPoly.from_group(eval_word(~f.conjugator), f.sign))
-        for f in cert.factors
-    ]
-    if not per_relator:
-        return contributions
     out: Dict[int, SPoly] = {}
-    for j, term in contributions:
-        out[j] = out.get(j, SPoly.zero()) + term
+    for f in cert.factors:
+        term = SPoly.from_group(eval_word(~f.conjugator), f.sign)
+        out[f.relator] = out.get(f.relator, SPoly.zero()) + term
     return out
 
 
@@ -172,8 +168,10 @@ def certificate_to_dict(cert: ConjugacyCertificate) -> Dict:
 
 
 def certificate_from_dict(data: Mapping) -> ConjugacyCertificate:
-    if "target" not in data or "factors" not in data:
-        raise ValueError("certificate JSON needs 'target' and 'factors'")
+    if not isinstance(data, Mapping) or "target" not in data or "factors" not in data:
+        raise ValueError("certificate JSON needs an object with 'target' and 'factors'")
+    if not isinstance(data["factors"], list):
+        raise ValueError(f"certificate 'factors' must be a list, not {data['factors']!r}")
     if any(not isinstance(f, Mapping) for f in data["factors"]):
         raise ValueError("each certificate factor must be an object with 'w', 'rel' and 'sign'")
     # A number would reach open() as a file descriptor: 0 reads stdin.
@@ -181,7 +179,7 @@ def certificate_from_dict(data: Mapping) -> ConjugacyCertificate:
     if source is not None and not isinstance(source, str):
         raise ValueError(f"certificate source must be a string, not {source!r}")
     factors = tuple(
-        CertFactor(parse_word(f["w"]), int(f["rel"]), int(f["sign"]))
+        CertFactor(parse_word(f["w"]), f["rel"], f["sign"])
         for f in data["factors"]
     )
     return ConjugacyCertificate(parse_word(data["target"]), factors, source)

@@ -56,19 +56,16 @@ def divide(f: SPoly, s: RPoly) -> DivisionResult:
     if f.is_zero():
         return DivisionResult(SPoly.zero(), 0, RPoly.zero())
     rows = dict(f._rows)
-    d = min(rows)
+    d = f.min_degree
     q_rows = {}
-    # Zero rows are dropped as they appear, because max(rows) reads the keys.
-    while rows and max(rows) > d:
-        top = max(rows)
+    # One step per y-degree, with no max(rows).  Below a cleared row the
+    # next row is nonzero (S is a domain) unless it cancels exactly; a
+    # cancelled row stays in rows as zero and its step moves nothing.
+    for top in range(f.max_degree, d, -1):
         c = rows.pop(top)
         q_rows[top - 1] = c
-        lowered = rows.get(top - 1, RPoly.zero()) - _sigma_pow(s, top - 1) * c
-        if lowered.is_zero():
-            rows.pop(top - 1, None)
-        else:
-            rows[top - 1] = lowered
-    return DivisionResult(SPoly(q_rows), d, rows.get(d, RPoly.zero()))
+        rows[top - 1] = rows.get(top - 1, RPoly.zero()) - _sigma_pow(s, top - 1) * c
+    return DivisionResult(SPoly(q_rows), d, rows[d])
 
 
 def in_right_ideal(f: SPoly, s: RPoly) -> bool:
@@ -114,8 +111,11 @@ def no_monic_degree_one(inst: StaffordInstance) -> bool:
     return not divides(inst.r, inst.s * inst.r.sigma())
 
 
-def monic_witness(inst: StaffordInstance, max_degree: int = 4) -> Optional[SPoly]:
-    """Search for a monic-in-y element of V of bounded top degree.
+_MONIC_MAX_DEGREE = 4
+
+
+def monic_witness(inst: StaffordInstance) -> Optional[SPoly]:
+    """A monic-in-y element of V of top degree <= _MONIC_MAX_DEGREE, or None.
 
     An element y^d + sum_{i<d} y^i a_i lies in V iff
     sum t_i a_i + t_d = 0 with the reduction scalars t_i, one linear
@@ -125,8 +125,8 @@ def monic_witness(inst: StaffordInstance, max_degree: int = 4) -> Optional[SPoly
     once.  Each candidate is checked with in_V, so a returned element
     lies in V; callers need not check it again.
     """
-    ts = _reduction_scalars(inst, max_degree)
-    for d in range(1, max_degree + 1):
+    ts = _reduction_scalars(inst, _MONIC_MAX_DEGREE)
+    for d in range(1, _MONIC_MAX_DEGREE + 1):
         for i in range(d):
             c = quotient(ts[i], ts[d])
             if c is None:

@@ -39,19 +39,15 @@ class GroupElem:
         return GroupElem(-self.m, -self.n if self.m % 2 == 0 else self.n)
 
     def __mul__(self, other: "GroupElem") -> "GroupElem":
-        return group_mul(self, other)
+        """(m, n) * (p, q) = (m + p, (-1)^p n + q)."""
+        n = self.n if other.m % 2 == 0 else -self.n
+        return GroupElem(self.m + other.m, n + other.n)
 
     def to_word(self) -> Word:
         return Word((("y", self.m), ("x", self.n)))
 
     def __str__(self) -> str:
         return str(self.to_word())
-
-
-def group_mul(a: GroupElem, b: GroupElem) -> GroupElem:
-    """(m, n) * (p, q) = (m + p, (-1)^p n + q)."""
-    n = a.n if b.m % 2 == 0 else -a.n
-    return GroupElem(a.m + b.m, n + b.n)
 
 
 def eval_word(w: Word) -> GroupElem:
@@ -64,7 +60,7 @@ def eval_word(w: Word) -> GroupElem:
             step = GroupElem(exp, 0)
         else:
             raise ValueError(f"foreign generator {name!r}; only x and y are defined")
-        acc = group_mul(acc, step)
+        acc = acc * step
     return acc
 
 
@@ -153,9 +149,6 @@ class SPoly:
                 out[key] = out[key] + piece if key in out else piece
         return SPoly(out)
 
-    def scale(self, k: int) -> "SPoly":
-        return SPoly({m: a.scale(k) for m, a in self._rows.items()})
-
     def __str__(self) -> str:
         if not self._rows:
             return "0"
@@ -170,14 +163,6 @@ class SPoly:
 
     def __repr__(self) -> str:
         return f"SPoly({str(self)!r})"
-
-
-def s_add(f: SPoly, g: SPoly) -> SPoly:
-    return f + g
-
-
-def s_mul(f: SPoly, g: SPoly) -> SPoly:
-    return f * g
 
 
 def eval_combo(c: FreeCombo) -> SPoly:

@@ -52,9 +52,14 @@ class Presentation:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Presentation":
-        if "generators" not in data or "relators" not in data:
-            raise ValueError("presentation JSON needs 'generators' and 'relators'")
-        return cls.from_strings(data["generators"], data["relators"])
+        if not isinstance(data, Mapping) or "generators" not in data or "relators" not in data:
+            raise ValueError("presentation JSON needs an object with 'generators' and 'relators'")
+        gens, rels = data["generators"], data["relators"]
+        if not (isinstance(gens, list) and isinstance(rels, list)) or any(
+            not isinstance(g, str) for g in gens
+        ):
+            raise ValueError("presentation 'generators' and 'relators' must be lists of strings")
+        return cls.from_strings(gens, rels)
 
     def to_dict(self) -> Dict:
         return {
@@ -116,9 +121,6 @@ class FreeCombo:
 
     def __sub__(self, other: "FreeCombo") -> "FreeCombo":
         return self + (-other)
-
-    def scale(self, k: int) -> "FreeCombo":
-        return FreeCombo({w: k * c for w, c in self._terms.items()})
 
     def lmul(self, u: Word) -> "FreeCombo":
         """Left-multiply every word by u."""

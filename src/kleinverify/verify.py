@@ -11,7 +11,7 @@ psi(u, v) = (y + s) * u + r * v.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import builtin
@@ -48,11 +48,7 @@ class ChainData:
     d1: Tuple[SPoly, ...]
 
 
-def build_chain_data(
-    p: Optional[Presentation] = None, q: Optional[Presentation] = None
-) -> ChainData:
-    p = p if p is not None else builtin.presentation_p()
-    q = q if q is not None else builtin.presentation_q()
+def build_chain_data(p: Presentation, q: Presentation) -> ChainData:
     d2p, d1p = boundary_data(p)
     d2q, d1q = boundary_data(q)
     if d1p != d1q:
@@ -78,11 +74,8 @@ def psi(u: SPoly, v: SPoly, inst: StaffordInstance) -> SPoly:
     return y_plus_s(inst.s) * u + SPoly.from_rpoly(inst.r) * v
 
 
-def verify_factorization(
-    chains: ChainData, factors: Optional[Tuple[SPoly, SPoly]] = None
-) -> bool:
+def verify_factorization(chains: ChainData, factors: Sequence[SPoly]) -> bool:
     """Row identities: d2_q row i equals d2_p row times the i-th factor."""
-    factors = factors if factors is not None else builtin.boundary_row_factors()
     if len(chains.d2_q) != len(factors):
         return False
     for row, factor in zip(chains.d2_q, factors):
@@ -128,8 +121,8 @@ class StaffordVerdict:
     condition_i: bool
     condition_ii: bool
     witnesses_ok: bool
-    degree_one: Optional[SPoly] = None
-    monic: Optional[SPoly] = None
+    degree_one: Optional[SPoly]
+    monic: Optional[SPoly]
 
 
 def stafford_verdict(
@@ -205,7 +198,7 @@ class NonFreenessReport:
     condition_i: bool
     condition_ii: bool
     witnesses_ok: bool
-    inputs: Dict[str, object] = field(default_factory=dict)
+    inputs: Dict[str, object]
 
     @property
     def all_ok(self) -> bool:
@@ -224,9 +217,7 @@ class NonFreenessReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
     def to_text(self) -> str:
-        descriptions = _flag_descriptions(
-            self.inputs.get("r", builtin.R_STRING), self.inputs.get("s", builtin.S_STRING)
-        )
+        descriptions = _flag_descriptions(self.inputs["r"], self.inputs["s"])
         lines = []
         for name, desc in zip(_FLAGS, descriptions):
             mark = "ok  " if getattr(self, name) else "FAIL"
@@ -247,22 +238,21 @@ def default_witness() -> BezoutWitness:
 
 def full_report(
     *,
-    presentation_p: Optional[Presentation] = None,
     presentation_q: Optional[Presentation] = None,
     forward_certs: Optional[Sequence[ConjugacyCertificate]] = None,
-    reverse_certs: Optional[Sequence[ConjugacyCertificate]] = None,
     instance: Optional[StaffordInstance] = None,
     witness: Optional[BezoutWitness] = None,
 ) -> NonFreenessReport:
-    """Run every check against the built-ins, or against supplied overrides.
+    """Run every check on the built-in data; Q, the forward certificates,
+    the instance (r, s) and the witness may be overridden.
 
     Component failures (including raised errors from corrupted inputs) are
     recorded as false flags, never re-raised.
     """
-    p = presentation_p if presentation_p is not None else builtin.presentation_p()
+    p = builtin.presentation_p()
     q = presentation_q if presentation_q is not None else builtin.presentation_q()
     fwd = list(forward_certs) if forward_certs is not None else list(builtin.forward_certificates())
-    rev = list(reverse_certs) if reverse_certs is not None else list(builtin.reverse_certificates())
+    rev = builtin.reverse_certificates()
     inst = instance if instance is not None else builtin.stafford_instance()
     w = witness if witness is not None else default_witness()
 
@@ -275,7 +265,7 @@ def full_report(
     chi_ok = attempt(lambda: euler_characteristic(q) == 1 and euler_characteristic(p) == 0)
     pi1_ok = attempt(lambda: equivalence_verdict(p, q, fwd, rev))
     factorization_ok = attempt(
-        lambda: verify_factorization(build_chain_data(p, q))
+        lambda: verify_factorization(build_chain_data(p, q), builtin.boundary_row_factors())
     )
     bezout_ok = attempt(lambda: verify_bezout(w, inst))
     # splitting_check passes only where bezout_ok holds, so it is skipped

@@ -144,16 +144,6 @@ def parse_word(text: str, generators: Optional[Iterable[str]] = None) -> Word:
     return Word(letters)
 
 
-def multiply(u: Word, v: Word) -> Word:
-    """Freely reduced product u*v."""
-    return u * v
-
-
-def invert(w: Word) -> Word:
-    """Free-group inverse of w."""
-    return ~w
-
-
 def conjugate(r: Word, w: Word) -> Word:
     """Conjugate of r by w, that is w * r * w^-1, freely reduced."""
     return w * r * ~w

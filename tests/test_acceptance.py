@@ -21,7 +21,6 @@ from kleinverify import (
     parse_rpoly,
     parse_spoly,
     psi,
-    s_mul,
     splitting_check,
     stafford_verdict,
     verify_bezout,
@@ -55,7 +54,7 @@ def test_a02_conjugacy_certificates():
 def test_a03_group_ring_relations():
     """y^-1 * x * y = x^-1 in the twisted ring; all relators die in the group."""
     y_inv, x, y = SPoly.y(-1), SPoly.from_rpoly(parse_rpoly("x")), SPoly.y(1)
-    assert s_mul(s_mul(y_inv, x), y) == SPoly.from_rpoly(parse_rpoly("x^-1"))
+    assert y_inv * x * y == SPoly.from_rpoly(parse_rpoly("x^-1"))
     for rel in Q.relators + P.relators:
         assert eval_word(rel) == GroupElem(0, 0)
 
@@ -64,8 +63,8 @@ def test_a04_boundary_factorization():
     """Row identities d2'(D1) = d2(D)*(y - x^-1), d2'(D2) = d2(D)*(x^3 - x - 1),
     with all rows produced by the free differential calculus under the one
     documented convention."""
-    chains = build_chain_data()
-    assert verify_factorization(chains)
+    chains = build_chain_data(P, Q)
+    assert verify_factorization(chains, builtin.boundary_row_factors())
     # the factors also fall out of the certificates' chain shadows
     from kleinverify import boundary_factor
 

@@ -74,10 +74,9 @@ def test_boundary_factor_rejects_invalid():
 
 
 def test_boundary_factor_unaggregated():
-    parts = boundary_factor(P, CERT1, per_relator=False)
-    assert len(parts) == 2
-    total = parts[0][1] + parts[1][1]
-    assert total == parse_spoly("y - x^-1")
+    # Two factors on relator 0; their contributions sum to the row factor.
+    assert [f.relator for f in CERT1.factors] == [0, 0]
+    assert boundary_factor(P, CERT1) == {0: parse_spoly("y - x^-1")}
 
 
 def test_concat_with_inverse_is_trivial():

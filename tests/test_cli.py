@@ -192,6 +192,12 @@ def test_readme_commands(tmp_path, monkeypatch, capsys):
         assert captured.err == "", command
 
 
+def _factor(rel=0, sign=1) -> dict:
+    """The certificate of P's relator over P, with rel and sign replaced."""
+    factor = {"w": "1", "rel": rel, "sign": sign}
+    return {"target": "y^-1 x y x", "factors": [factor], "source": "P"}
+
+
 # Valid JSON whose fields have the wrong type is bad input (exit 2), not a
 # failed check and not a traceback.  A numeric source must not reach open(),
 # which would read file descriptor 0, stdin.
@@ -202,8 +208,21 @@ def test_readme_commands(tmp_path, monkeypatch, capsys):
         ("certificate", {"target": 5, "factors": []}, "must be a string, not 5"),
         ("certificate", {"target": "1", "factors": [], "source": 0}, "source"),
         ("chi", {"generators": ["x", "y"], "relators": [7]}, "must be a string, not 7"),
+        ("certificate", _factor(rel=0.9), "must be integers: 0.9, 1"),
+        ("certificate", _factor(sign=1.5), "must be integers: 0, 1.5"),
+        ("certificate", _factor(rel="0"), "must be integers: '0', 1"),
+        ("certificate", _factor(rel=True), "must be integers: True, 1"),
+        ("certificate", _factor(rel=[0]), "must be integers: [0], 1"),
+        ("certificate", 5, "needs an object"),
+        ("certificate", {"target": "1", "factors": 5}, "'factors' must be a list, not 5"),
+        ("chi", {"generators": ["x", "y"], "relators": 7}, "must be lists of strings"),
+        ("chi", {"generators": 5, "relators": []}, "must be lists of strings"),
     ],
-    ids=["factor-not-object", "target-not-string", "source-not-string", "relator-not-string"],
+    ids=[
+        "factor-not-object", "target-not-string", "source-not-string", "relator-not-string",
+        "rel-float", "sign-float", "rel-string", "rel-bool", "rel-list",
+        "certificate-not-object", "factors-not-list", "relators-not-list", "generators-not-list",
+    ],
 )
 def test_wrong_typed_json_fields_exit_2(tmp_path, capsys, command, data, reason):
     path = tmp_path / "input.json"

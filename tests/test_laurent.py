@@ -54,6 +54,15 @@ def test_divides_roundtrip():
         assert c is not None and a * c == b
 
 
+def test_divides_sparse_gap():
+    # The quotient has 10^4 terms spread over 10^8 exponents; long division
+    # jumps the gaps between them instead of walking every exponent.
+    a = parse_rpoly("x^10000 - 1")
+    c = quotient(a, parse_rpoly("x^100000000 - 1"))
+    assert c == RPoly({10000 * k: 1 for k in range(10000)})
+    assert not divides(a, parse_rpoly("x^100000001 - 1"))
+
+
 def test_divides_monomials():
     assert divides(parse_rpoly("x^2"), parse_rpoly("x^5"))
     assert divides(parse_rpoly("x^5"), parse_rpoly("x^2"))  # units absorb shifts

@@ -27,6 +27,9 @@ from helpers import SEED, check_splitting_matches_bezout, rand_spoly
 
 INST = builtin.stafford_instance()
 WITNESS = default_witness()
+P = builtin.presentation_p()
+Q = builtin.presentation_q()
+FACTORS = builtin.boundary_row_factors()
 
 
 def test_psi_zero():
@@ -50,30 +53,29 @@ def test_psi_right_linearity():
 
 
 def test_chain_data_invariants():
-    chains = build_chain_data()
+    chains = build_chain_data(P, Q)
     assert chain_composites_vanish(chains)
 
 
 def test_verify_factorization():
-    chains = build_chain_data()
-    assert verify_factorization(chains)
+    chains = build_chain_data(P, Q)
+    assert verify_factorization(chains, FACTORS)
 
 
 def test_factorization_negative_control_swapped_relators():
     from kleinverify import Presentation
 
-    q = builtin.presentation_q()
-    swapped = Presentation(q.generators, (q.relators[1], q.relators[0]))
-    chains = build_chain_data(q=swapped)
-    assert not verify_factorization(chains)
+    swapped = Presentation(Q.generators, (Q.relators[1], Q.relators[0]))
+    chains = build_chain_data(P, swapped)
+    assert not verify_factorization(chains, FACTORS)
     # with the factors swapped to match, the rows factor again
-    f1, f2 = builtin.boundary_row_factors()
-    assert verify_factorization(chains, factors=(f2, f1))
+    f1, f2 = FACTORS
+    assert verify_factorization(chains, (f2, f1))
 
 
 def test_factorization_identity_factor():
-    chains = build_chain_data(q=builtin.presentation_p())
-    assert verify_factorization(chains, factors=(SPoly.one(),))
+    chains = build_chain_data(P, P)
+    assert verify_factorization(chains, (SPoly.one(),))
 
 
 def test_verify_bezout():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kleinverify import Word, WordSyntaxError, conjugate, invert, multiply, parse_word
+from kleinverify import Word, WordSyntaxError, conjugate, parse_word
 
 from helpers import (
     SEED,
@@ -52,16 +52,16 @@ def test_print_parse_roundtrip():
 
 def test_multiply_examples():
     x = parse_word("x")
-    assert multiply(x, invert(x)).is_identity()
-    assert multiply(parse_word("y^-1 x y"), x) == parse_word("y^-1 x y x")
+    assert (x * ~x).is_identity()
+    assert parse_word("y^-1 x y") * x == parse_word("y^-1 x y x")
     w = parse_word("x^2 y^-1")
-    assert multiply(Word(), w) == w
+    assert Word() * w == w
 
 
 def test_invert_examples():
-    assert invert(parse_word("y^-1 x y x")) == parse_word("x^-1 y^-1 x^-1 y")
-    assert invert(Word()).is_identity()
-    assert invert(parse_word("x^3")) == parse_word("x^-3")
+    assert ~parse_word("y^-1 x y x") == parse_word("x^-1 y^-1 x^-1 y")
+    assert (~Word()).is_identity()
+    assert ~parse_word("x^3") == parse_word("x^-3")
 
 
 def test_conjugate_examples():
@@ -75,7 +75,7 @@ def test_conjugate_matches_definition():
     rng = random.Random(SEED)
     for _ in range(100):
         r, w = rand_word(rng), rand_word(rng)
-        assert conjugate(r, w) == multiply(multiply(w, r), invert(w))
+        assert conjugate(r, w) == w * r * ~w
 
 
 def test_reduction_is_canonical():

@@ -56,16 +56,28 @@ def divide(f: SPoly, s: RPoly) -> DivisionResult:
     if f.is_zero():
         return DivisionResult(SPoly.zero(), 0, RPoly.zero())
     rows = dict(f._rows)
-    d = f.min_degree
+    keys = sorted(rows)
+    d, top, i = keys[0], keys[-1], len(keys) - 1
+    s_pow = (s, s.sigma())  # sigma^k(s) by the parity of k
     q_rows = {}
-    # One step per y-degree, with no max(rows).  Below a cleared row the
-    # next row is nonzero (S is a domain) unless it cancels exactly; a
-    # cancelled row stays in rows as zero and its step moves nothing.
-    for top in range(f.max_degree, d, -1):
+    # One step per y-degree.  Each step writes only the row just below
+    # top, and that row is nonzero unless it cancels exactly (S is a
+    # domain).  After a cancellation only a row of f can be nonzero below,
+    # so the walk jumps to the next key of f and skips the gap.
+    while top > d:
         c = rows.pop(top)
-        q_rows[top - 1] = c
-        rows[top - 1] = rows.get(top - 1, RPoly.zero()) - _sigma_pow(s, top - 1) * c
-    return DivisionResult(SPoly(q_rows), d, rows[d])
+        top -= 1
+        q_rows[top] = c
+        row = rows.get(top, RPoly.zero()) - s_pow[top % 2] * c
+        if row:
+            rows[top] = row
+        else:
+            rows.pop(top, None)
+            if top > d:
+                while keys[i] >= top:
+                    i -= 1
+                top = keys[i]
+    return DivisionResult(SPoly(q_rows), d, rows.get(d, RPoly.zero()))
 
 
 def in_right_ideal(f: SPoly, s: RPoly) -> bool:

@@ -2,8 +2,20 @@
 
 Coefficients are plain Python ints (arbitrary precision).  Values are
 immutable once constructed.  sigma is the ring involution x -> x^-1.
-Divisibility is decided exactly: units x^k are divided out and the rest is
-integer polynomial long division with no rational arithmetic.
+
+Products and quotients pick their method by operand size.  Small or sparse
+operands use the schoolbook double loop and integer long division.  Dense
+operands with at least _KRONECKER_TERMS terms use Kronecker substitution:
+each polynomial is read as one integer p(N), N = 2^(8*width), with balanced
+digits wide enough that no digit carries, and Python's exact big-int
+product or division does the work.
+
+Divisibility is decided exactly, with no rational arithmetic: units x^k are
+divided out first.  On the Kronecker path a None is sound, because a | b in
+Z[x] implies a(N) | b(N), and a(N) != 0 since its top digit outweighs the
+rest.  A quotient is returned only after a * q == b has been checked;
+when that check fails (a digit width too narrow for q, or a(N) | b(N) by
+coincidence), long division decides.
 """
 
 from __future__ import annotations
@@ -97,9 +109,12 @@ class RPoly:
         return self + (-other)
 
     def __mul__(self, other: "RPoly") -> "RPoly":
+        a, b = self._coeffs, other._coeffs
+        if len(a) >= _KRONECKER_TERMS and len(b) >= _KRONECKER_TERMS and _dense(a) and _dense(b):
+            return RPoly(_kronecker_mul(a, b))
         out: Dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return RPoly(out)
@@ -162,8 +177,74 @@ def parse_rpoly(text: str) -> RPoly:
     return RPoly(coeffs)
 
 
+# Kronecker substitution pays off once both operands have about this many
+# terms: on perfbench's laurent.mul and laurent.quotient series, products
+# break even at 15-17 terms and quotients at 17-19.  An operand is dense
+# when its exponent span is under _DENSE_FILL times its term count, so a
+# sparse x^100000000 - 1 is never packed into an integer.
+_KRONECKER_TERMS = 18
+_DENSE_FILL = 4
+
+
+def _dense(coeffs: Dict[int, int]) -> bool:
+    return max(coeffs) - min(coeffs) < _DENSE_FILL * len(coeffs)
+
+
+def _max_abs(coeffs: Dict[int, int]) -> int:
+    return max(map(abs, coeffs.values()))
+
+
+def _width(bound: int) -> int:
+    """Bytes per balanced digit holding every integer of absolute value <= bound."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _bias(width: int, n: int) -> int:
+    """2^(8*width - 1) in each of n digits: the offset that makes balanced digits nonnegative."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+def _pack(coeffs: Dict[int, int], lo: int, n: int, width: int) -> int:
+    """sum coeffs[lo + i] * 2^(8*width*i) over 0 <= i < n, in linear time."""
+    half = 1 << (8 * width - 1)
+    get = coeffs.get
+    raw = b"".join((get(e, 0) + half).to_bytes(width, "little") for e in range(lo, lo + n))
+    return int.from_bytes(raw, "little") - _bias(width, n)
+
+
+def _unpack(value: int, width: int, n: int) -> Optional[List[int]]:
+    """The n balanced digits of value, lowest first, or None when it has none."""
+    half = 1 << (8 * width - 1)
+    value += _bias(width, n)
+    if value < 0 or value.bit_length() > 8 * width * n:
+        return None
+    raw = value.to_bytes(width * n, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * n, width)]
+
+
+def _kronecker_mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    # No product coefficient exceeds max|a| * max|b| * min(terms), since
+    # each exponent pairs at most that many terms; so no digit carries.
+    a_lo, b_lo = min(a), min(b)
+    a_n, b_n = max(a) - a_lo + 1, max(b) - b_lo + 1
+    width = _width(_max_abs(a) * _max_abs(b) * min(len(a), len(b)))
+    product = _pack(a, a_lo, a_n, width) * _pack(b, b_lo, b_n, width)
+    return dict(enumerate(_unpack(product, width, a_n + b_n - 1), a_lo + b_lo))
+
+
 def _exact_poly_quotient(num: Dict[int, int], den: Dict[int, int]) -> Optional[Dict[int, int]]:
     # Ordinary polynomials (min exponent 0, nonzero constant term for den).
+    if (
+        len(den) >= _KRONECKER_TERMS
+        and max(num) - max(den) + 1 >= _KRONECKER_TERMS
+        and _dense(num)
+        and _dense(den)
+    ):
+        return _kronecker_quotient(num, den)
+    return _long_quotient(num, den)
+
+
+def _long_quotient(num: Dict[int, int], den: Dict[int, int]) -> Optional[Dict[int, int]]:
     # Long division from the top; every quotient coefficient must be an
     # exact integer and the remainder must vanish.  Zeros are dropped from
     # rem and max(rem) finds the next top, so the loop jumps over zero gaps:
@@ -189,6 +270,25 @@ def _exact_poly_quotient(num: Dict[int, int], den: Dict[int, int]) -> Optional[D
             else:
                 rem.pop(ne, None)
     return quot
+
+
+def _kronecker_quotient(num: Dict[int, int], den: Dict[int, int]) -> Optional[Dict[int, int]]:
+    # None when den(N) does not divide num(N), which is exact (see the
+    # module docstring).  Otherwise the integer quotient is unpacked to a
+    # candidate, returned only if den * candidate == num.  The width fits
+    # both operands; that it also fits the quotient is a guess, and a
+    # candidate that fails the check goes to long division.
+    num_n, den_n = max(num) + 1, max(den) + 1
+    width = _width(max(_max_abs(num) * len(num), _max_abs(den)))
+    big_q, big_rem = divmod(_pack(num, 0, num_n, width), _pack(den, 0, den_n, width))
+    if big_rem:
+        return None
+    digits = _unpack(big_q, width, num_n - den_n + 1)
+    if digits is not None:
+        quot = RPoly(dict(enumerate(digits)))
+        if (RPoly(den) * quot)._coeffs == num:
+            return quot._coeffs
+    return _long_quotient(num, den)
 
 
 def quotient(a: RPoly, b: RPoly) -> Optional[RPoly]:

@@ -8,12 +8,16 @@ ring elements term by term through the group law instead of the twisted
 row convolution.  The fold oracles re-reduce the whole concatenation at
 every step, as Word products once did, and boundary_matrices with
 eval_combo goes through FreeCombo instead of klein.boundary_data.
+rpoly_mul_oracle and poly_quotient_oracle are the dict double loop and the
+dict long division, with no Kronecker substitution.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
-from typing import List, Tuple
+from collections import Counter
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from kleinverify import (
     BezoutWitness,
@@ -38,7 +42,9 @@ from kleinverify import (
     expand_certificate,
     fox_derivative,
     in_V,
+    laurent,
     lift_kernel,
+    quotient,
     splitting_check,
     splitting_projector,
     verify_bezout,
@@ -154,6 +160,62 @@ def spoly_mul_oracle(f: SPoly, g: SPoly) -> SPoly:
         for c2, g2 in spoly_terms(g):
             out.append((c1 * c2, g1 * g2))
     return spoly_from_terms(out)
+
+
+def rpoly_mul_oracle(a: RPoly, b: RPoly) -> RPoly:
+    """Schoolbook product: every pair of terms, summed in a dict."""
+    out: Dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return RPoly(out)
+
+
+def poly_quotient_oracle(a: RPoly, b: RPoly) -> Optional[RPoly]:
+    """b / a by integer long division from the top, after shifting both to
+    ordinary polynomials; None when a does not divide b."""
+    if b.is_zero():
+        return RPoly.zero()
+    den = {e - a.min_exp: c for e, c in a.items()}
+    rem = {e - b.min_exp: c for e, c in b.items()}
+    dmax = max(den)
+    quot = {}
+    while rem:
+        rmax = max(rem)
+        if rmax < dmax:
+            return None
+        c, leftover = divmod(rem[rmax], den[dmax])
+        if leftover:
+            return None
+        quot[rmax - dmax] = c
+        for e, dc in den.items():
+            v = rem.get(e + rmax - dmax, 0) - dc * c
+            if v:
+                rem[e + rmax - dmax] = v
+            else:
+                rem.pop(e + rmax - dmax, None)
+    return RPoly(quot).shift(b.min_exp - a.min_exp)
+
+
+@contextlib.contextmanager
+def counting(module, *names: str) -> Iterator[Dict[str, int]]:
+    """Count the calls to module-level functions while the block runs."""
+    counts = dict.fromkeys(names, 0)
+    saved = {name: getattr(module, name) for name in names}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    for name, fn in saved.items():
+        setattr(module, name, counted(name, fn))
+    try:
+        yield counts
+    finally:
+        for name, fn in saved.items():
+            setattr(module, name, fn)
 
 
 def fold_mul(u: Word, v: Word) -> Word:
@@ -319,6 +381,148 @@ def check_division_recomposition(cases: int, seed: int = SEED) -> None:
             d, c = d - rng.randint(1, 3), rand_rpoly(rng, nonzero=True)
             f = f + SPoly({d: c})
         assert divide(f, twist) == (q, d, c)
+    # f = (y + twist) * y^k c + low: the top two rows cancel in the first
+    # step, and the rows of low lie up to 10^6 y-degrees below.  Its own
+    # stream again.
+    rng = random.Random(seed + 2)
+    for i in range(cases):
+        twist = s if i % 4 else rand_rpoly(rng, nonzero=True, max_terms=2)
+        k = rng.randint(10, 10**6)
+        c = rand_rpoly(rng, nonzero=True)
+        low = rand_spoly(rng)
+        f = y_plus_s(twist) * SPoly({k: c}) + low
+        q, d, rem = divide(low, twist) if low else (SPoly.zero(), k, RPoly.zero())
+        assert divide(f, twist) == (SPoly({k: c}) + q, d, rem)
+
+
+def _byte_edge(rng: random.Random) -> int:
+    """+-(2^(8k) - 1) or +-2^(8k - 1): the largest digit of k bytes, or a
+    balanced digit's half."""
+    k = rng.randint(1, 6)
+    return rng.choice((1, -1)) * rng.choice(((1 << 8 * k) - 1, 1 << (8 * k - 1)))
+
+
+def _dense_rpoly(rng: random.Random, terms: int, coeff=None, shift=None) -> RPoly:
+    """terms consecutive exponents from a random shift, each coefficient
+    nonzero, so the operand is as dense as it can be."""
+    coeff = coeff or (lambda r: r.choice((1, -1)) * r.randint(1, 9))
+    lo = rng.randint(-20, 20) if shift is None else shift
+    return RPoly({lo + i: coeff(rng) for i in range(terms)})
+
+
+def _rand_kronecker_operand(rng: random.Random, kind: int) -> RPoly:
+    """An operand for the product and quotient suites, by kind:
+    0 byte-boundary and 1 +-10^40 coefficients, 2 negative leading and
+    trailing coefficients, 3 a random fill that may or may not be dense."""
+    terms = rng.randint(laurent._KRONECKER_TERMS, 60)
+    if kind == 0:
+        return _dense_rpoly(rng, terms, lambda r: _byte_edge(r) if r.random() < 0.7 else r.randint(1, 9))
+    if kind == 1:
+        return _dense_rpoly(rng, terms, lambda r: r.choice((1, -1)) * (10**40 - r.randint(0, 1)))
+    if kind == 2:
+        a = _dense_rpoly(rng, terms)
+        ends = (a.min_exp, a.max_exp)
+        return RPoly({e: -abs(c) if e in ends else c for e, c in a.items()})
+    span = rng.randint(1, 5 * terms)
+    return rand_rpoly(rng, max_terms=terms, exp_range=(0, span), coeff_range=(-20, 20))
+
+
+def _rand_mul_pair(rng: random.Random, i: int) -> Tuple[RPoly, RPoly]:
+    kind = i % 7
+    if kind < 4:
+        return _rand_kronecker_operand(rng, kind), _rand_kronecker_operand(rng, rng.randrange(4))
+    if kind == 4:
+        # (1 + x + ... + x^(n-1)) g times (1 - x) h = (1 - x^n) g h: the
+        # middle terms cancel to zero.
+        n = rng.randint(20, 80)
+        ones = RPoly({e: 1 for e in range(n)})
+        g, h = _dense_rpoly(rng, rng.randint(1, 20)), _dense_rpoly(rng, rng.randint(15, 20))
+        return rpoly_mul_oracle(ones, g), rpoly_mul_oracle(RPoly({0: 1, 1: -1}), h)
+    if kind == 5:
+        # one operand below the crossover
+        small = _dense_rpoly(rng, rng.randint(1, laurent._KRONECKER_TERMS - 1))
+        return small, _rand_kronecker_operand(rng, rng.randrange(4))
+    # sparse operands whose gaps span up to 10^6
+    a = rand_rpoly(rng, max_terms=40, exp_range=(-(10**6), 10**6), coeff_range=(-9, 9))
+    return a, rand_rpoly(rng, max_terms=40, exp_range=(-(10**6), 10**6), coeff_range=(-9, 9))
+
+
+def check_rpoly_mul_matches_oracle(cases: int, seed: int = SEED) -> None:
+    """RPoly products, Kronecker and schoolbook, against the dict double
+    loop; both methods must be taken."""
+    rng = random.Random(seed)
+    with counting(laurent, "_kronecker_mul") as calls:
+        for i in range(cases):
+            a, b = _rand_mul_pair(rng, i)
+            got = a * b
+            assert got == rpoly_mul_oracle(a, b), (i, str(a), str(b))
+            assert b * a == got
+            assert_normalised(got)
+    assert 0 < calls["_kronecker_mul"] < 2 * cases
+
+
+def _outgrown_quotient(rng: random.Random) -> Tuple[RPoly, RPoly]:
+    """a = (1 - x)^4 g and b = (1 - x^M)^4 g, so b / a is
+    (1 + x + ... + x^(M-1))^4.  b's coefficients stay within 6 max|g|,
+    while the quotient's reach about (2/3) M^3: too wide for the digit
+    width that b sets."""
+    m = rng.randint(45, 60)
+    g = _dense_rpoly(rng, 16, lambda r: r.choice((1, -1)) * r.randint(1, 3), shift=0)
+
+    def quartic(step: int) -> RPoly:  # (1 - x^step)^4
+        return RPoly({k * step: c for k, c in enumerate((1, -4, 6, -4, 1))})
+
+    return rpoly_mul_oracle(g, quartic(1)), rpoly_mul_oracle(g, quartic(m))
+
+
+def _rand_quotient_pair(rng: random.Random, i: int) -> Tuple[RPoly, RPoly]:
+    kind = i % 7
+    if kind < 3:
+        a = _rand_kronecker_operand(rng, kind)
+        c = _rand_kronecker_operand(rng, rng.randrange(4))
+        return a, rpoly_mul_oracle(a, c)
+    if kind == 3:
+        # a * c plus one monomial just outside it, or anywhere
+        a, c = _rand_kronecker_operand(rng, rng.randrange(3)), _dense_rpoly(rng, rng.randint(16, 60))
+        b = rpoly_mul_oracle(a, c)
+        e = rng.choice((b.min_exp - 1, b.max_exp + 1, rng.randint(b.min_exp, b.max_exp)))
+        return a, b + RPoly.monomial(e, rng.choice((1, -1)))
+    if kind == 4:
+        return _outgrown_quotient(rng)
+    if kind == 5:
+        # one side below the crossover: long division
+        a = _dense_rpoly(rng, rng.randint(1, 40))
+        c = _dense_rpoly(rng, rng.randint(1, 2 * laurent._KRONECKER_TERMS))
+        b = rpoly_mul_oracle(a, c)
+        return a, b if rng.random() < 0.5 else b + RPoly.monomial(rng.randint(-50, 50))
+    # sparse, wide gaps: x^k - 1 against products of sparse operands
+    a = RPoly({0: -1, rng.randint(1, 10**4): 1}) if rng.random() < 0.5 else rand_rpoly(
+        rng, nonzero=True, exp_range=(-(10**5), 10**5)
+    )
+    c = rand_rpoly(rng, max_terms=20, exp_range=(-(10**6), 10**6))
+    b = rpoly_mul_oracle(a, c)
+    return a, b if rng.random() < 0.5 else b + RPoly.monomial(rng.randint(-(10**6), 10**6))
+
+
+def check_quotient_matches_oracle(cases: int, seed: int = SEED) -> None:
+    """quotient against the dict long division.  Each case is counted by
+    the path it took: "long" division alone, or the Kronecker path ending
+    in "integer" non-divisibility, a "checked" candidate, or a
+    "fallback" to long division.  All four must be taken."""
+    rng = random.Random(seed)
+    paths: Counter = Counter()
+    for i in range(cases):
+        a, b = _rand_quotient_pair(rng, i)
+        with counting(laurent, "_kronecker_quotient", "_long_quotient") as calls:
+            got = quotient(a, b)
+        assert got == poly_quotient_oracle(a, b), (i, str(a), str(b))
+        if not calls["_kronecker_quotient"]:
+            paths["long"] += 1
+        elif calls["_long_quotient"]:
+            paths["fallback"] += 1
+        else:
+            paths["integer" if got is None else "checked"] += 1
+    assert all(paths[p] for p in ("long", "integer", "checked", "fallback")), paths
 
 
 def check_single_degree_span(cases: int, seed: int = SEED) -> None:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -55,6 +56,17 @@ def test_divide_zero():
 
 def test_divide_recomposition():
     check_division_recomposition(1000)
+
+
+def test_divide_jumps_cancelled_gap():
+    # The top two rows cancel in the first step; walking the 10^6 empty
+    # y-degrees below them one by one took seconds.
+    f = parse_spoly("y^1000001 - y^1000000*(x^-1) + 1")
+    start = time.perf_counter()
+    res = divide(f, parse_rpoly("-x^-1"))
+    assert time.perf_counter() - start < 0.5
+    assert res == (SPoly.y(1000000), 0, RPoly.one())
+    assert not in_V(f, StaffordInstance(RPoly.one(), S))
 
 
 def test_single_degree_span():

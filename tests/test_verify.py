@@ -23,7 +23,7 @@ from kleinverify import builtin, division, verify
 from kleinverify.certificates import CertFactor, ConjugacyCertificate
 from kleinverify.cli import run
 
-from helpers import SEED, check_splitting_matches_bezout, rand_spoly
+from helpers import SEED, check_splitting_matches_bezout, counting, rand_spoly
 
 INST = builtin.stafford_instance()
 WITNESS = default_witness()
@@ -292,17 +292,9 @@ def test_full_report_checks_bezout_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_stafford_verdict_checks_each_witness_once(monkeypatch):
-    counts = {"in_V": 0, "_reduction_scalars": 0}
-    for name in counts:
-        real = getattr(division, name)
-
-        def counted(*args, real=real, name=name):
-            counts[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(division, name, counted)
-    verdict = stafford_verdict(INST, WITNESS)
+def test_stafford_verdict_checks_each_witness_once():
+    with counting(division, "in_V", "_reduction_scalars") as counts:
+        verdict = stafford_verdict(INST, WITNESS)
     assert verdict.condition_i and verdict.condition_ii and verdict.witnesses_ok
     # one membership check per witness, one table of reduction scalars
     assert counts == {"in_V": 2, "_reduction_scalars": 1}

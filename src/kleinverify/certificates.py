@@ -15,8 +15,8 @@ which is where the boundary factorization identities come from.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .klein import SPoly, eval_word
 from .presentations import Presentation
@@ -40,8 +40,8 @@ class CertFactor:
 @dataclass(frozen=True)
 class ConjugacyCertificate:
     target: Word
-    factors: Tuple[CertFactor, ...]
-    source: Optional[str] = None
+    factors: tuple[CertFactor, ...]
+    source: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -54,7 +54,7 @@ def expand_certificate(src: Presentation, cert: ConjugacyCertificate) -> Word:
     onto one free-reduction pass, so the cost is linear in the total
     letter count rather than reducing the accumulated product per factor.
     """
-    letters: List[Tuple[str, int]] = []
+    letters: list[tuple[str, int]] = []
     for f in cert.factors:
         if not 0 <= f.relator < len(src.relators):
             raise IndexError(f"relator index {f.relator} out of range")
@@ -70,7 +70,7 @@ def check_certificate(src: Presentation, cert: ConjugacyCertificate) -> bool:
     return expand_certificate(src, cert) == cert.target
 
 
-def boundary_factor(src: Presentation, cert: ConjugacyCertificate) -> Dict[int, SPoly]:
+def boundary_factor(src: Presentation, cert: ConjugacyCertificate) -> dict[int, SPoly]:
     """Chain-level factor carried by each source relator.
 
     For a valid certificate, relator j maps to
@@ -80,14 +80,14 @@ def boundary_factor(src: Presentation, cert: ConjugacyCertificate) -> Dict[int, 
     """
     if not check_certificate(src, cert):
         raise ValueError("invalid certificate: product does not reduce to target")
-    out: Dict[int, SPoly] = {}
+    out: dict[int, SPoly] = {}
     for f in cert.factors:
         term = SPoly.from_group(eval_word(~f.conjugator), f.sign)
         out[f.relator] = out.get(f.relator, SPoly.zero()) + term
     return out
 
 
-def _merge_sources(a: Optional[str], b: Optional[str]) -> Optional[str]:
+def _merge_sources(a: str | None, b: str | None) -> str | None:
     if a is not None and b is not None and a != b:
         raise ValueError(f"incompatible certificate sources {a!r} and {b!r}")
     return a if a is not None else b
@@ -96,8 +96,8 @@ def _merge_sources(a: Optional[str], b: Optional[str]) -> Optional[str]:
 def cert_concat(*certs: ConjugacyCertificate) -> ConjugacyCertificate:
     """Certificate for the product of the targets."""
     target = Word()
-    factors: List[CertFactor] = []
-    source: Optional[str] = None
+    factors: list[CertFactor] = []
+    source: str | None = None
     for c in certs:
         target = target * c.target
         factors.extend(c.factors)
@@ -154,8 +154,8 @@ def equivalence_verdict(
     )
 
 
-def certificate_to_dict(cert: ConjugacyCertificate) -> Dict:
-    data: Dict = {
+def certificate_to_dict(cert: ConjugacyCertificate) -> dict:
+    data: dict = {
         "target": str(cert.target),
         "factors": [
             {"w": str(f.conjugator), "rel": f.relator, "sign": f.sign}

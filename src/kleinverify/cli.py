@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
 
 from . import builtin
 from .certificates import check_certificate, load_certificate
 from .division import StaffordInstance, in_V
 from .klein import eval_word, parse_spoly
 from .laurent import divides, parse_rpoly
-from .presentations import euler_characteristic, load_presentation
+from .presentations import euler_characteristic, fox_derivative, load_presentation
 from .verify import default_witness, full_report, stafford_verdict
 from .words import parse_word
 
@@ -64,8 +63,6 @@ def cmd_normal_form(args) -> int:
 
 
 def cmd_fox(args) -> int:
-    from .presentations import fox_derivative
-
     combo = fox_derivative(parse_word(args.word), args.generator)
     _emit(
         args,
@@ -208,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _shield_leading_minus(argv: List[str]) -> List[str]:
+def _shield_leading_minus(argv: list[str]) -> list[str]:
     """Let values such as -x^-1 through argparse.
 
     argparse reads any token starting with "-" that is not a plain number
@@ -224,7 +221,7 @@ def _shield_leading_minus(argv: List[str]) -> List[str]:
     ]
 
 
-def run(argv: Optional[List[str]] = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_shield_leading_minus(sys.argv[1:] if argv is None else argv))
     for name in ("certificate", "presentation"):
@@ -233,7 +230,9 @@ def run(argv: Optional[List[str]] = None) -> int:
             setattr(args, name, path[1:])
     try:
         return args.func(args)
-    except (ValueError, KeyError, IndexError, OSError, json.JSONDecodeError) as exc:
+    # The library has no recursion of its own, so only the JSON decoder
+    # raises RecursionError: on an input file nested too deep.
+    except (ValueError, KeyError, IndexError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

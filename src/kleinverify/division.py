@@ -18,8 +18,8 @@ Z[x, x^-1] only.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
 
 from .klein import SPoly, _sigma_pow
 from .laurent import RPoly, divides, quotient
@@ -37,10 +37,8 @@ class StaffordInstance:
             raise ValueError("instance requires nonzero r and s")
 
 
-class DivisionResult(NamedTuple):
-    quotient: SPoly
-    rem_degree: int
-    remainder: RPoly
+# What divide returns: quotient (SPoly), rem_degree (int), remainder (RPoly).
+DivisionResult = namedtuple("DivisionResult", "quotient rem_degree remainder")
 
 
 def y_plus_s(s: RPoly) -> SPoly:
@@ -102,10 +100,10 @@ def lift_kernel(v: SPoly, inst: StaffordInstance) -> SPoly:
     return -res.quotient
 
 
-def _reduction_scalars(inst: StaffordInstance, top: int) -> List[RPoly]:
+def _reduction_scalars(inst: StaffordInstance, top: int) -> list[RPoly]:
     # t_i = (-1)^i (prod_{j<i} sigma^j(s)) sigma^i(r): the coefficient that
     # y^i sigma^i(r) contributes after full reduction to y-degree 0.
-    ts: List[RPoly] = []
+    ts: list[RPoly] = []
     prod = RPoly.one()
     for i in range(top + 1):
         t = prod * _sigma_pow(inst.r, i)
@@ -126,7 +124,7 @@ def no_monic_degree_one(inst: StaffordInstance) -> bool:
 _MONIC_MAX_DEGREE = 4
 
 
-def monic_witness(inst: StaffordInstance) -> Optional[SPoly]:
+def monic_witness(inst: StaffordInstance) -> SPoly | None:
     """A monic-in-y element of V of top degree <= _MONIC_MAX_DEGREE, or None.
 
     An element y^d + sum_{i<d} y^i a_i lies in V iff
@@ -149,7 +147,7 @@ def monic_witness(inst: StaffordInstance) -> Optional[SPoly]:
     return None
 
 
-def witnesses(inst: StaffordInstance) -> Tuple[SPoly, SPoly]:
+def witnesses(inst: StaffordInstance) -> tuple[SPoly, SPoly]:
     """A degree-1 element of V and a monic-in-y element of V.
 
     The degree-1 element is y*r + s*sigma(r); membership follows from

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
 
 from .laurent import PolySyntaxError, RPoly, parse_rpoly
 from .presentations import FreeCombo, Presentation
@@ -73,7 +72,7 @@ class SPoly:
 
     __slots__ = ("_rows",)
 
-    def __init__(self, rows: Optional[Dict[int, RPoly]] = None):
+    def __init__(self, rows: dict[int, RPoly] | None = None):
         self._rows = {m: a for m, a in (rows or {}).items() if not a.is_zero()}
 
     @classmethod
@@ -96,7 +95,7 @@ class SPoly:
     def from_group(cls, e: GroupElem, coeff: int = 1) -> "SPoly":
         return cls({e.m: RPoly.monomial(e.n, coeff)})
 
-    def rows(self) -> List[Tuple[int, RPoly]]:
+    def rows(self) -> list[tuple[int, RPoly]]:
         """(y-degree, coefficient) pairs in descending degree order."""
         return sorted(self._rows.items(), reverse=True)
 
@@ -141,7 +140,7 @@ class SPoly:
 
     def __mul__(self, other: "SPoly") -> "SPoly":
         # (y^m a)(y^p b) = y^(m+p) sigma^p(a) b
-        out: Dict[int, RPoly] = {}
+        out: dict[int, RPoly] = {}
         for m, a in self._rows.items():
             for p, b in other._rows.items():
                 piece = _sigma_pow(a, p) * b
@@ -173,7 +172,7 @@ def eval_combo(c: FreeCombo) -> SPoly:
     return acc
 
 
-def boundary_data(p: Presentation) -> Tuple[List[List[SPoly]], List[SPoly]]:
+def boundary_data(p: Presentation) -> tuple[list[list[SPoly]], list[SPoly]]:
     """boundary_matrices(p, eval_combo), computed in one pass per relator.
 
     Same (d2, d1) shape and right-module convention, and the same
@@ -191,7 +190,7 @@ def boundary_data(p: Presentation) -> Tuple[List[List[SPoly]], List[SPoly]]:
     d1 = [SPoly.from_group(eval_word(Word(((g, -1),)))) - one for g in gens]
     d2 = []
     for rel in p.relators:
-        rows: Dict[str, Dict[int, Dict[int, int]]] = {g: {} for g in gens}
+        rows: dict[str, dict[int, dict[int, int]]] = {g: {} for g in gens}
         m = n = 0
         for name, k in rel.letters:
             acc = rows[name]
@@ -225,9 +224,9 @@ def boundary_data(p: Presentation) -> Tuple[List[List[SPoly]], List[SPoly]]:
 _TERM = re.compile(r"^y(?:\^(?P<m>-?\d+))?\s*(?:\*\s*(?P<paren>\(.*\))\s*)?$", re.S)
 
 
-def _split_terms(s: str) -> List[Tuple[int, str]]:
-    chunks: List[Tuple[int, str]] = []
-    cur: List[str] = []
+def _split_terms(s: str) -> list[tuple[int, str]]:
+    chunks: list[tuple[int, str]] = []
+    cur: list[str] = []
     sign = 1
     depth = 0
     prev = ""

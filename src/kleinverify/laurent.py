@@ -21,7 +21,6 @@ coincidence), long division decides.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
 
 
 class PolySyntaxError(ValueError):
@@ -33,7 +32,7 @@ class RPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Optional[Dict[int, int]] = None):
+    def __init__(self, coeffs: dict[int, int] | None = None):
         self._coeffs = {e: c for e, c in (coeffs or {}).items() if c}
 
     @classmethod
@@ -57,7 +56,7 @@ class RPoly:
             return False
         return next(iter(self._coeffs.values())) in (1, -1)
 
-    def items(self) -> List[Tuple[int, int]]:
+    def items(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs in descending exponent order."""
         return sorted(self._coeffs.items(), reverse=True)
 
@@ -112,7 +111,7 @@ class RPoly:
         a, b = self._coeffs, other._coeffs
         if len(a) >= _KRONECKER_TERMS and len(b) >= _KRONECKER_TERMS and _dense(a) and _dense(b):
             return RPoly(_kronecker_mul(a, b))
-        out: Dict[int, int] = {}
+        out: dict[int, int] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
@@ -122,7 +121,7 @@ class RPoly:
     def __str__(self) -> str:
         if not self._coeffs:
             return "0"
-        parts: List[str] = []
+        parts: list[str] = []
         for exp, c in self.items():
             mag = abs(c)
             if exp == 0:
@@ -148,7 +147,7 @@ def parse_rpoly(text: str) -> RPoly:
     s = text.replace("−", "-").replace(" ", "").replace("\t", "")
     if not s:
         raise PolySyntaxError("empty polynomial string")
-    coeffs: Dict[int, int] = {}
+    coeffs: dict[int, int] = {}
     i = 0
     n = len(s)
     while i < n:
@@ -186,11 +185,11 @@ _KRONECKER_TERMS = 18
 _DENSE_FILL = 4
 
 
-def _dense(coeffs: Dict[int, int]) -> bool:
+def _dense(coeffs: dict[int, int]) -> bool:
     return max(coeffs) - min(coeffs) < _DENSE_FILL * len(coeffs)
 
 
-def _max_abs(coeffs: Dict[int, int]) -> int:
+def _max_abs(coeffs: dict[int, int]) -> int:
     return max(map(abs, coeffs.values()))
 
 
@@ -204,7 +203,7 @@ def _bias(width: int, n: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
 
 
-def _pack(coeffs: Dict[int, int], lo: int, n: int, width: int) -> int:
+def _pack(coeffs: dict[int, int], lo: int, n: int, width: int) -> int:
     """sum coeffs[lo + i] * 2^(8*width*i) over 0 <= i < n, in linear time."""
     half = 1 << (8 * width - 1)
     get = coeffs.get
@@ -212,7 +211,7 @@ def _pack(coeffs: Dict[int, int], lo: int, n: int, width: int) -> int:
     return int.from_bytes(raw, "little") - _bias(width, n)
 
 
-def _unpack(value: int, width: int, n: int) -> Optional[List[int]]:
+def _unpack(value: int, width: int, n: int) -> list[int] | None:
     """The n balanced digits of value, lowest first, or None when it has none."""
     half = 1 << (8 * width - 1)
     value += _bias(width, n)
@@ -222,7 +221,7 @@ def _unpack(value: int, width: int, n: int) -> Optional[List[int]]:
     return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * n, width)]
 
 
-def _kronecker_mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+def _kronecker_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     # No product coefficient exceeds max|a| * max|b| * min(terms), since
     # each exponent pairs at most that many terms; so no digit carries.
     a_lo, b_lo = min(a), min(b)
@@ -232,7 +231,7 @@ def _kronecker_mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
     return dict(enumerate(_unpack(product, width, a_n + b_n - 1), a_lo + b_lo))
 
 
-def _exact_poly_quotient(num: Dict[int, int], den: Dict[int, int]) -> Optional[Dict[int, int]]:
+def _exact_poly_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, int] | None:
     # Ordinary polynomials (min exponent 0, nonzero constant term for den).
     if (
         len(den) >= _KRONECKER_TERMS
@@ -244,7 +243,7 @@ def _exact_poly_quotient(num: Dict[int, int], den: Dict[int, int]) -> Optional[D
     return _long_quotient(num, den)
 
 
-def _long_quotient(num: Dict[int, int], den: Dict[int, int]) -> Optional[Dict[int, int]]:
+def _long_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, int] | None:
     # Long division from the top; every quotient coefficient must be an
     # exact integer and the remainder must vanish.  Zeros are dropped from
     # rem and max(rem) finds the next top, so the loop jumps over zero gaps:
@@ -252,7 +251,7 @@ def _long_quotient(num: Dict[int, int], den: Dict[int, int]) -> Optional[Dict[in
     dmax = max(den)
     dlead = den[dmax]
     rem = dict(num)
-    quot: Dict[int, int] = {}
+    quot: dict[int, int] = {}
     while rem:
         rmax = max(rem)
         if rmax < dmax:
@@ -272,7 +271,7 @@ def _long_quotient(num: Dict[int, int], den: Dict[int, int]) -> Optional[Dict[in
     return quot
 
 
-def _kronecker_quotient(num: Dict[int, int], den: Dict[int, int]) -> Optional[Dict[int, int]]:
+def _kronecker_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, int] | None:
     # None when den(N) does not divide num(N), which is exact (see the
     # module docstring).  Otherwise the integer quotient is unpacked to a
     # candidate, returned only if den * candidate == num.  The width fits
@@ -291,7 +290,7 @@ def _kronecker_quotient(num: Dict[int, int], den: Dict[int, int]) -> Optional[Di
     return _long_quotient(num, den)
 
 
-def quotient(a: RPoly, b: RPoly) -> Optional[RPoly]:
+def quotient(a: RPoly, b: RPoly) -> RPoly | None:
     """Exact quotient c with b = a * c, or None when a does not divide b.
 
     Requires a nonzero.  Units x^k are absorbed by shifting both operands

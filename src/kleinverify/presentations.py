@@ -19,8 +19,8 @@ g^-1 - 1.  Composites then pair edge entries on the LEFT of disk entries.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
 from .words import Word, parse_word
 
@@ -29,8 +29,8 @@ from .words import Word, parse_word
 class Presentation:
     """Ordered generators plus relator words over those generators."""
 
-    generators: Tuple[str, ...]
-    relators: Tuple[Word, ...]
+    generators: tuple[str, ...]
+    relators: tuple[Word, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -61,7 +61,7 @@ class Presentation:
             raise ValueError("presentation 'generators' and 'relators' must be lists of strings")
         return cls.from_strings(gens, rels)
 
-    def to_dict(self) -> Dict:
+    def to_dict(self) -> dict:
         return {
             "generators": list(self.generators),
             "relators": [str(r) for r in self.relators],
@@ -87,7 +87,7 @@ class FreeCombo:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Dict[Word, int] | None = None):
+    def __init__(self, terms: dict[Word, int] | None = None):
         self._terms = {w: c for w, c in (terms or {}).items() if c}
 
     @classmethod
@@ -98,7 +98,7 @@ class FreeCombo:
     def term(cls, word: Word, coeff: int = 1) -> "FreeCombo":
         return cls({word: coeff})
 
-    def items(self) -> List[Tuple[Word, int]]:
+    def items(self) -> list[tuple[Word, int]]:
         return sorted(self._terms.items(), key=lambda t: (len(t[0]), str(t[0])))
 
     def is_zero(self) -> bool:
@@ -124,7 +124,7 @@ class FreeCombo:
 
     def lmul(self, u: Word) -> "FreeCombo":
         """Left-multiply every word by u."""
-        out: Dict[Word, int] = {}
+        out: dict[Word, int] = {}
         for w, c in self._terms.items():
             key = u * w
             out[key] = out.get(key, 0) + c
@@ -132,7 +132,7 @@ class FreeCombo:
 
     def rmul(self, u: Word) -> "FreeCombo":
         """Right-multiply every word by u."""
-        out: Dict[Word, int] = {}
+        out: dict[Word, int] = {}
         for w, c in self._terms.items():
             key = w * u
             out[key] = out.get(key, 0) + c
@@ -140,7 +140,7 @@ class FreeCombo:
 
     def star(self) -> "FreeCombo":
         """Linear anti-involution: each word is replaced by its inverse."""
-        out: Dict[Word, int] = {}
+        out: dict[Word, int] = {}
         for w, c in self._terms.items():
             key = ~w
             out[key] = out.get(key, 0) + c
@@ -155,37 +155,31 @@ class FreeCombo:
         return f"FreeCombo({str(self)!r})"
 
 
-def _run_derivative(g: str, exp: int) -> FreeCombo:
-    # d(g^k)/dg = 1 + g + ... + g^(k-1) for k > 0,
-    #           = -(g^-1 + ... + g^k)   for k < 0.
-    terms: Dict[Word, int] = {}
-    if exp > 0:
-        for i in range(exp):
-            terms[Word(((g, i),))] = 1
-    else:
-        for i in range(1, -exp + 1):
-            terms[Word(((g, -i),))] = -1
-    return FreeCombo(terms)
-
-
 def fox_derivative(w: Word, g: str) -> FreeCombo:
     """Left Fox derivative of w with respect to the generator g.
 
     Satisfies dg/dg = 1, dh/dg = 0 for h != g, d(g^-1)/dg = -g^-1 and the
     product rule d(uv)/dg = du/dg + u * dv/dg.
     """
-    result = FreeCombo.zero()
+    # By the product rule each run g^k adds prefix * d(g^k)/dg, where
+    # d(g^k)/dg = 1 + g + ... + g^(k-1) for k > 0,
+    #           = -(g^-1 + ... + g^k)   for k < 0.
+    # All runs add into one dict, so the cost is that of the output.
+    terms: dict[Word, int] = {}
     prefix = Word()
     for name, exp in w.letters:
         if name == g:
-            result = result + _run_derivative(g, exp).lmul(prefix)
+            sign = 1 if exp > 0 else -1
+            for i in range(exp) if exp > 0 else range(-1, exp - 1, -1):
+                key = prefix * Word(((g, i),))
+                terms[key] = terms.get(key, 0) + sign
         prefix = prefix * Word(((name, exp),))
-    return result
+    return FreeCombo(terms)
 
 
 def boundary_matrices(
     p: Presentation, eval_combo: Callable[[FreeCombo], object]
-) -> Tuple[List[List[object]], List[object]]:
+) -> tuple[list[list[object]], list[object]]:
     """Boundary data of the presentation complex in the right-module convention.
 
     Returns (d2, d1) where d2[j][i] is the evaluated, anti-involuted Fox

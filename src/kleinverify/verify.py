@@ -11,8 +11,8 @@ psi(u, v) = (y + s) * u + r * v.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import builtin
 from .certificates import ConjugacyCertificate, equivalence_verdict
@@ -43,9 +43,9 @@ class ChainData:
     by the (x, y) edge order.
     """
 
-    d2_p: Tuple[SPoly, ...]
-    d2_q: Tuple[Tuple[SPoly, ...], ...]
-    d1: Tuple[SPoly, ...]
+    d2_p: tuple[SPoly, ...]
+    d2_q: tuple[tuple[SPoly, ...], ...]
+    d1: tuple[SPoly, ...]
 
 
 def build_chain_data(p: Presentation, q: Presentation) -> ChainData:
@@ -90,7 +90,7 @@ def verify_bezout(w: BezoutWitness, inst: StaffordInstance) -> bool:
     return psi(w.beta, w.alpha, inst) == SPoly.one()
 
 
-def splitting_projector(w: BezoutWitness, inst: StaffordInstance) -> List[List[SPoly]]:
+def splitting_projector(w: BezoutWitness, inst: StaffordInstance) -> list[list[SPoly]]:
     """id - t . psi, where t(c) = (beta*c, alpha*c) sections psi."""
     ys = y_plus_s(inst.s)
     r = SPoly.from_rpoly(inst.r)
@@ -121,12 +121,12 @@ class StaffordVerdict:
     condition_i: bool
     condition_ii: bool
     witnesses_ok: bool
-    degree_one: Optional[SPoly]
-    monic: Optional[SPoly]
+    degree_one: SPoly | None
+    monic: SPoly | None
 
 
 def stafford_verdict(
-    inst: StaffordInstance, w: Optional[BezoutWitness]
+    inst: StaffordInstance, w: BezoutWitness | None
 ) -> StaffordVerdict:
     """Both non-freeness conditions plus the witness structure.
 
@@ -166,7 +166,7 @@ _FLAGS = (
 )
 
 
-def _flag_descriptions(r: str, s: str) -> Tuple[str, ...]:
+def _flag_descriptions(r: str, s: str) -> tuple[str, ...]:
     """One line per flag, in _FLAGS order, for the instance (r, s).
 
     The row factors are the built-in ones whatever the instance, because
@@ -198,17 +198,17 @@ class NonFreenessReport:
     condition_i: bool
     condition_ii: bool
     witnesses_ok: bool
-    inputs: Dict[str, object]
+    inputs: dict[str, object]
 
     @property
     def all_ok(self) -> bool:
         return all(getattr(self, name) for name in _FLAGS)
 
-    def flags(self) -> List[Tuple[str, bool]]:
+    def flags(self) -> list[tuple[str, bool]]:
         return [(name, getattr(self, name)) for name in _FLAGS]
 
-    def to_json_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {name: getattr(self, name) for name in _FLAGS}
+    def to_json_dict(self) -> dict[str, object]:
+        out: dict[str, object] = {name: getattr(self, name) for name in _FLAGS}
         out["all_ok"] = self.all_ok
         out["inputs"] = self.inputs
         return out
@@ -238,10 +238,10 @@ def default_witness() -> BezoutWitness:
 
 def full_report(
     *,
-    presentation_q: Optional[Presentation] = None,
-    forward_certs: Optional[Sequence[ConjugacyCertificate]] = None,
-    instance: Optional[StaffordInstance] = None,
-    witness: Optional[BezoutWitness] = None,
+    presentation_q: Presentation | None = None,
+    forward_certs: Sequence[ConjugacyCertificate] | None = None,
+    instance: StaffordInstance | None = None,
+    witness: BezoutWitness | None = None,
 ) -> NonFreenessReport:
     """Run every check on the built-in data; Q, the forward certificates,
     the instance (r, s) and the witness may be overridden.
@@ -275,7 +275,7 @@ def full_report(
     # the verdict is asked only for the witness-free conditions.
     fragment = stafford_verdict(inst, None)
 
-    inputs: Dict[str, object] = {
+    inputs: dict[str, object] = {
         "presentation_P": p.to_dict(),
         "presentation_Q": q.to_dict(),
         "certificates_Q_over_P": [str(c.target) for c in fwd],

@@ -13,9 +13,9 @@ uses the same syntax with exponent 1 omitted.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Optional, Tuple
+from collections.abc import Iterable, Iterator
 
-Letter = Tuple[str, int]
+Letter = tuple[str, int]
 
 _TOKEN = re.compile(r"^(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>[+-]?\d+))?$")
 
@@ -24,7 +24,7 @@ class WordSyntaxError(ValueError):
     """Raised when a word string cannot be parsed."""
 
 
-def _reduced(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
+def _reduced(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     stack: list[Letter] = []
     for name, exp in letters:
         if exp == 0:
@@ -48,14 +48,14 @@ class Word:
         self._letters = _reduced(letters)
 
     @classmethod
-    def _of_reduced(cls, letters: Tuple[Letter, ...]) -> "Word":
+    def _of_reduced(cls, letters: tuple[Letter, ...]) -> "Word":
         """Wrap letters that are already freely reduced, skipping the pass."""
         w = object.__new__(cls)
         w._letters = letters
         return w
 
     @property
-    def letters(self) -> Tuple[Letter, ...]:
+    def letters(self) -> tuple[Letter, ...]:
         return self._letters
 
     def is_identity(self) -> bool:
@@ -117,7 +117,7 @@ class Word:
 IDENTITY = Word()
 
 
-def parse_word(text: str, generators: Optional[Iterable[str]] = None) -> Word:
+def parse_word(text: str, generators: Iterable[str] | None = None) -> Word:
     """Parse a word string, optionally validating generator names.
 
     >>> parse_word("y^-1 x y x").letters

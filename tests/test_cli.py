@@ -231,3 +231,15 @@ def test_wrong_typed_json_fields_exit_2(tmp_path, capsys, command, data, reason)
     assert run([command, flag, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and reason in err, err
+
+
+# Input nested deeper than the JSON decoder can recurse is bad input too.
+# json.dumps cannot build it, so the file is written as raw text.
+@pytest.mark.parametrize("command", ["certificate", "chi"])
+def test_deeply_nested_json_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    flag = "--certificate" if command == "certificate" else "--presentation"
+    assert run([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

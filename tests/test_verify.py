@@ -5,6 +5,7 @@ from kleinverify import (
     RPoly,
     SPoly,
     StaffordInstance,
+    boundary_factor,
     build_chain_data,
     chain_composites_vanish,
     default_witness,
@@ -80,6 +81,16 @@ def test_factorization_identity_factor():
 
 def test_verify_bezout():
     assert verify_bezout(WITNESS, INST)
+
+
+def test_reverse_certificate_shadow_is_an_independent_witness():
+    # builtin keeps alpha/beta apart from the certificates on purpose: the
+    # reverse certificate's chain shadow is a second, different witness.
+    shadow = boundary_factor(Q, builtin.reverse_certificates()[0])
+    assert sorted(shadow) == [0, 1]
+    other = BezoutWitness(shadow[1], shadow[0])
+    assert verify_bezout(other, INST)
+    assert other != WITNESS
 
 
 def test_bezout_negative_control_sign_flip():

@@ -7,13 +7,7 @@ module V, product-of-conjugates certificates, and the aggregate
 non-freeness verdict.
 """
 
-from .words import (
-    IDENTITY,
-    Word,
-    WordSyntaxError,
-    conjugate,
-    parse_word,
-)
+from .words import IDENTITY, Word, WordSyntaxError, parse_word
 from .laurent import PolySyntaxError, RPoly, divides, parse_rpoly, quotient
 from .presentations import (
     FreeCombo,
@@ -36,8 +30,6 @@ from .division import (
     StaffordInstance,
     divide,
     in_V,
-    in_right_ideal,
-    lift_kernel,
     monic_witness,
     no_monic_degree_one,
     witnesses,
@@ -47,11 +39,7 @@ from .certificates import (
     CertFactor,
     ConjugacyCertificate,
     boundary_factor,
-    cert_concat,
-    cert_conjugate,
-    cert_invert,
     certificate_from_dict,
-    certificate_to_dict,
     check_certificate,
     equivalence_verdict,
     expand_certificate,
@@ -81,7 +69,6 @@ __all__ = [
     "IDENTITY",
     "Word",
     "WordSyntaxError",
-    "conjugate",
     "parse_word",
     "PolySyntaxError",
     "RPoly",
@@ -104,8 +91,6 @@ __all__ = [
     "StaffordInstance",
     "divide",
     "in_V",
-    "in_right_ideal",
-    "lift_kernel",
     "monic_witness",
     "no_monic_degree_one",
     "witnesses",
@@ -113,11 +98,7 @@ __all__ = [
     "CertFactor",
     "ConjugacyCertificate",
     "boundary_factor",
-    "cert_concat",
-    "cert_conjugate",
-    "cert_invert",
     "certificate_from_dict",
-    "certificate_to_dict",
     "check_certificate",
     "equivalence_verdict",
     "expand_certificate",

@@ -3,9 +3,7 @@
 A certificate asserts that its target word equals an explicit product
 prod_i  w_i * R_{j_i}^{e_i} * w_i^-1  of conjugated relators of a source
 presentation, hence lies in the relators' normal closure.  Checking is
-pure free-group reduction.  Certificates compose: concatenation multiplies
-targets, inversion reverses and flips signs, conjugation left-multiplies
-every conjugator.
+pure free-group reduction, in one pass over all the factors.
 
 Each factor also has a chain-level shadow: once the relators bound disks,
 the factor (w, j, e) moves disk j by the group image of w^-1 with sign e,
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 from .klein import SPoly, eval_word
 from .presentations import Presentation
-from .words import Word, conjugate, parse_word
+from .words import Word, parse_word
 
 
 @dataclass(frozen=True)
@@ -87,40 +85,6 @@ def boundary_factor(src: Presentation, cert: ConjugacyCertificate) -> dict[int, 
     return out
 
 
-def _merge_sources(a: str | None, b: str | None) -> str | None:
-    if a is not None and b is not None and a != b:
-        raise ValueError(f"incompatible certificate sources {a!r} and {b!r}")
-    return a if a is not None else b
-
-
-def cert_concat(*certs: ConjugacyCertificate) -> ConjugacyCertificate:
-    """Certificate for the product of the targets."""
-    target = Word()
-    factors: list[CertFactor] = []
-    source: str | None = None
-    for c in certs:
-        target = target * c.target
-        factors.extend(c.factors)
-        source = _merge_sources(source, c.source)
-    return ConjugacyCertificate(target, tuple(factors), source)
-
-
-def cert_invert(c: ConjugacyCertificate) -> ConjugacyCertificate:
-    """Certificate for the inverse target: reversed factors, flipped signs."""
-    factors = tuple(
-        CertFactor(f.conjugator, f.relator, -f.sign) for f in reversed(c.factors)
-    )
-    return ConjugacyCertificate(~c.target, factors, c.source)
-
-
-def cert_conjugate(c: ConjugacyCertificate, u: Word) -> ConjugacyCertificate:
-    """Certificate for u * target * u^-1."""
-    factors = tuple(
-        CertFactor(u * f.conjugator, f.relator, f.sign) for f in c.factors
-    )
-    return ConjugacyCertificate(conjugate(c.target, u), factors, c.source)
-
-
 def equivalence_verdict(
     p: Presentation,
     q: Presentation,
@@ -152,19 +116,6 @@ def equivalence_verdict(
     return covered(q.relators, p, certs_q_over_p) and covered(
         p.relators, q, certs_p_over_q
     )
-
-
-def certificate_to_dict(cert: ConjugacyCertificate) -> dict:
-    data: dict = {
-        "target": str(cert.target),
-        "factors": [
-            {"w": str(f.conjugator), "rel": f.relator, "sign": f.sign}
-            for f in cert.factors
-        ],
-    }
-    if cert.source is not None:
-        data["source"] = cert.source
-    return data
 
 
 def certificate_from_dict(data: Mapping) -> ConjugacyCertificate:

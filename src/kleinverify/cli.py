@@ -63,7 +63,10 @@ def cmd_normal_form(args) -> int:
 
 
 def cmd_fox(args) -> int:
-    combo = fox_derivative(parse_word(args.word), args.generator)
+    letters = parse_word(args.generator).letters
+    if len(letters) != 1 or letters[0][1] != 1:
+        raise ValueError(f"the generator must be a single letter such as x, not {args.generator!r}")
+    combo = fox_derivative(parse_word(args.word), letters[0][0])
     _emit(
         args,
         {"command": "fox", "word": args.word, "generator": args.generator,

@@ -78,26 +78,9 @@ def divide(f: SPoly, s: RPoly) -> DivisionResult:
     return DivisionResult(SPoly(q_rows), d, rows.get(d, RPoly.zero()))
 
 
-def in_right_ideal(f: SPoly, s: RPoly) -> bool:
-    """Membership of f in the right ideal (y + s) * S."""
-    return divide(f, s).remainder.is_zero()
-
-
 def in_V(v: SPoly, inst: StaffordInstance) -> bool:
-    """Membership in V: r * v lies in (y + s) * S."""
-    return in_right_ideal(SPoly.from_rpoly(inst.r) * v, inst.s)
-
-
-def lift_kernel(v: SPoly, inst: StaffordInstance) -> SPoly:
-    """The partner u with (y + s) * u = -r * v, defined exactly on V.
-
-    The pair (u, v) then lies in the kernel of
-    (u, v) -> (y + s) * u + r * v.
-    """
-    res = divide(SPoly.from_rpoly(inst.r) * v, inst.s)
-    if not res.remainder.is_zero():
-        raise ValueError("element is not in V; no kernel lift exists")
-    return -res.quotient
+    """Membership in V: r * v lies in the right ideal (y + s) * S."""
+    return divide(SPoly.from_rpoly(inst.r) * v, inst.s).remainder.is_zero()
 
 
 def _reduction_scalars(inst: StaffordInstance, top: int) -> list[RPoly]:

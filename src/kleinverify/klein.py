@@ -10,8 +10,10 @@ y^-1 x y = x^-1.
 
 The verification path gets its boundary data from boundary_data, which
 evaluates Fox derivatives straight into S in one pass per relator.
-eval_combo evaluates a FreeCombo; with presentations.boundary_matrices it
-is the reference the tests hold boundary_data to.
+eval_combo evaluates a FreeCombo term by term; with
+presentations.boundary_matrices it is the slower reference the tests hold
+boundary_data to.  GroupElem has the group law and the conversion back to
+a word, which is all that eval_word and the normal-form command use.
 """
 
 from __future__ import annotations
@@ -31,12 +33,6 @@ class GroupElem:
     m: int
     n: int
 
-    def is_identity(self) -> bool:
-        return self.m == 0 and self.n == 0
-
-    def inverse(self) -> "GroupElem":
-        return GroupElem(-self.m, -self.n if self.m % 2 == 0 else self.n)
-
     def __mul__(self, other: "GroupElem") -> "GroupElem":
         """(m, n) * (p, q) = (m + p, (-1)^p n + q)."""
         n = self.n if other.m % 2 == 0 else -self.n
@@ -44,9 +40,6 @@ class GroupElem:
 
     def to_word(self) -> Word:
         return Word((("y", self.m), ("x", self.n)))
-
-    def __str__(self) -> str:
-        return str(self.to_word())
 
 
 def eval_word(w: Word) -> GroupElem:
@@ -82,10 +75,6 @@ class SPoly:
     @classmethod
     def one(cls) -> "SPoly":
         return cls({0: RPoly.one()})
-
-    @classmethod
-    def y(cls, m: int = 1) -> "SPoly":
-        return cls({m: RPoly.one()})
 
     @classmethod
     def from_rpoly(cls, a: RPoly, degree: int = 0) -> "SPoly":

@@ -72,12 +72,6 @@ class RPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(self._coeffs)
 
-    def length(self) -> int:
-        """Difference between highest and lowest exponent; undefined for 0."""
-        if not self._coeffs:
-            raise ValueError("length of the zero polynomial is undefined")
-        return self.max_exp - self.min_exp
-
     def sigma(self) -> "RPoly":
         """The involution x -> x^-1 (negates every exponent)."""
         return RPoly({-e: c for e, c in self._coeffs.items()})
@@ -140,11 +134,17 @@ class RPoly:
 
 
 _MONO = re.compile(r"(?:(?P<coeff>\d+)\*?)?(?P<var>x(?:\^(?P<exp>-?\d+))?)?")
+# Blanks are dropped before the scan, which would join "x^1 0" into x^10.
+_SPLIT_DIGITS = re.compile(r"\d[ \t]+\d")
 
 
 def parse_rpoly(text: str) -> RPoly:
     """Parse text such as "x^3 - x - 1", "-x^-1", "2*x^2 + 5"."""
-    s = text.replace("−", "-").replace(" ", "").replace("\t", "")
+    s = text.replace("−", "-")
+    split = _SPLIT_DIGITS.search(s)
+    if split:
+        raise PolySyntaxError(f"digits split by whitespace at position {split.start()} in {text!r}")
+    s = s.replace(" ", "").replace("\t", "")
     if not s:
         raise PolySyntaxError("empty polynomial string")
     coeffs: dict[int, int] = {}

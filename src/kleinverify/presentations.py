@@ -1,14 +1,16 @@
 """Finite group presentations and the free differential calculus.
 
-This layer stays inside the free group: Fox derivatives are returned as
-integer combinations of words (FreeCombo).  Pushing them into a group ring
-is done by an evaluation map supplied by the caller, so the chain-level
-boundary data can be assembled for any quotient group.
+This layer stays inside the free group: a Fox derivative is returned as an
+integer combination of words (FreeCombo), a value that prints and compares
+and does no arithmetic.  Pushing it into a group ring is done by an
+evaluation map supplied by the caller, so the chain-level boundary data
+can be assembled for any quotient group.
 
-FreeCombo, fox_derivative and boundary_matrices serve the fox command and
-are the reference the tests check against.  Verification does not use
-them: klein.boundary_data evaluates the same Fox derivatives directly in
-the Klein bottle group ring, in one pass per relator.
+fox_derivative serves the fox command.  boundary_matrices, with
+klein.eval_combo, is the reference the tests hold klein.boundary_data to;
+verification does not use it, because boundary_data evaluates the same
+Fox derivatives directly in the Klein bottle group ring, in one pass per
+relator.
 
 Convention for right modules: the boundary entries handed to the evaluator
 are the anti-involution (sum c*w -> sum c*w^-1) of the left Fox
@@ -82,7 +84,7 @@ class FreeCombo:
     """Finite integer combination of free-group words.
 
     This is the value of a Fox derivative before evaluation in a group
-    ring.  Terms with equal words are merged; zero coefficients vanish.
+    ring.  Zero coefficients are dropped on construction.
     """
 
     __slots__ = ("_terms",)
@@ -90,66 +92,19 @@ class FreeCombo:
     def __init__(self, terms: dict[Word, int] | None = None):
         self._terms = {w: c for w, c in (terms or {}).items() if c}
 
-    @classmethod
-    def zero(cls) -> "FreeCombo":
-        return cls()
-
-    @classmethod
-    def term(cls, word: Word, coeff: int = 1) -> "FreeCombo":
-        return cls({word: coeff})
-
     def items(self) -> list[tuple[Word, int]]:
         return sorted(self._terms.items(), key=lambda t: (len(t[0]), str(t[0])))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FreeCombo) and self._terms == other._terms
 
-    def __add__(self, other: "FreeCombo") -> "FreeCombo":
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            out[w] = out.get(w, 0) + c
-        return FreeCombo(out)
-
-    def __neg__(self) -> "FreeCombo":
-        return FreeCombo({w: -c for w, c in self._terms.items()})
-
-    def __sub__(self, other: "FreeCombo") -> "FreeCombo":
-        return self + (-other)
-
-    def lmul(self, u: Word) -> "FreeCombo":
-        """Left-multiply every word by u."""
-        out: dict[Word, int] = {}
-        for w, c in self._terms.items():
-            key = u * w
-            out[key] = out.get(key, 0) + c
-        return FreeCombo(out)
-
-    def rmul(self, u: Word) -> "FreeCombo":
-        """Right-multiply every word by u."""
-        out: dict[Word, int] = {}
-        for w, c in self._terms.items():
-            key = w * u
-            out[key] = out.get(key, 0) + c
-        return FreeCombo(out)
-
-    def star(self) -> "FreeCombo":
-        """Linear anti-involution: each word is replaced by its inverse."""
-        out: dict[Word, int] = {}
-        for w, c in self._terms.items():
-            key = ~w
-            out[key] = out.get(key, 0) + c
-        return FreeCombo(out)
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(f"{c}*({w})" for w, c in self.items())
+        # The order of items(), with each word formatted once.  Two words
+        # never share their text, so the sort never compares coefficients.
+        terms = sorted((len(w), str(w), c) for w, c in self._terms.items())
+        return " + ".join(f"{c}*({text})" for _, text, c in terms)
 
     def __repr__(self) -> str:
         return f"FreeCombo({str(self)!r})"
@@ -188,11 +143,11 @@ def boundary_matrices(
     sum_i d1[i] * d2[j][i], with d1 entries multiplying on the left.
     """
     d2 = [
-        [eval_combo(fox_derivative(rel, g).star()) for g in p.generators]
+        [
+            eval_combo(FreeCombo({~w: c for w, c in fox_derivative(rel, g)._terms.items()}))
+            for g in p.generators
+        ]
         for rel in p.relators
     ]
-    one = FreeCombo.term(Word())
-    d1 = [
-        eval_combo(FreeCombo.term(~Word(((g, 1),))) - one) for g in p.generators
-    ]
+    d1 = [eval_combo(FreeCombo({~Word(((g, 1),)): 1, Word(): -1})) for g in p.generators]
     return d2, d1

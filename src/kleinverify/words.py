@@ -13,7 +13,7 @@ uses the same syntax with exponent 1 omitted.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 Letter = tuple[str, int]
 
@@ -66,9 +66,6 @@ class Word:
 
     def __bool__(self) -> bool:
         return bool(self._letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self._letters)
 
     def __len__(self) -> int:
         """Letter length (sum of absolute exponents)."""
@@ -142,8 +139,3 @@ def parse_word(text: str, generators: Iterable[str] | None = None) -> Word:
         exp = int(m.group("exp")) if m.group("exp") else 1
         letters.append((name, exp))
     return Word(letters)
-
-
-def conjugate(r: Word, w: Word) -> Word:
-    """Conjugate of r by w, that is w * r * w^-1, freely reduced."""
-    return w * r * ~w

@@ -53,7 +53,7 @@ def test_a02_conjugacy_certificates():
 
 def test_a03_group_ring_relations():
     """y^-1 * x * y = x^-1 in the twisted ring; all relators die in the group."""
-    y_inv, x, y = SPoly.y(-1), SPoly.from_rpoly(parse_rpoly("x")), SPoly.y(1)
+    y_inv, x, y = parse_spoly("y^-1"), SPoly.from_rpoly(parse_rpoly("x")), parse_spoly("y")
     assert y_inv * x * y == SPoly.from_rpoly(parse_rpoly("x^-1"))
     for rel in Q.relators + P.relators:
         assert eval_word(rel) == GroupElem(0, 0)

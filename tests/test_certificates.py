@@ -6,13 +6,10 @@ import pytest
 from kleinverify import (
     CertFactor,
     ConjugacyCertificate,
+    GroupElem,
     Word,
     boundary_factor,
-    cert_concat,
-    cert_conjugate,
-    cert_invert,
     certificate_from_dict,
-    certificate_to_dict,
     check_certificate,
     equivalence_verdict,
     eval_word,
@@ -25,6 +22,10 @@ from kleinverify import builtin
 from helpers import (
     SEED,
     build_reverse_certificate,
+    cert_concat,
+    cert_conjugate,
+    cert_invert,
+    certificate_to_dict,
     check_expand_matches_fold,
     rand_valid_certificate,
     rand_word,
@@ -117,7 +118,7 @@ def test_source_compatibility():
 def test_soundness_targets_die_in_group():
     for cert, src in ((CERT1, P), (CERT2, P), (REVERSE, Q)):
         assert check_certificate(src, cert)
-        assert eval_word(cert.target).is_identity()
+        assert eval_word(cert.target) == GroupElem(0, 0)
 
 
 def test_equivalence_verdict():

@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from kleinverify.cli import run
-from kleinverify import builtin, certificate_to_dict
+from kleinverify import builtin
+
+from helpers import certificate_to_dict
 
 
 def test_verify_paper_text(capsys):
@@ -48,6 +50,9 @@ def test_normal_form(capsys):
 def test_fox(capsys):
     assert run(["fox", "x y", "y"]) == 0
     assert capsys.readouterr().out.strip() == "1*(x)"
+    # the derivative by a generator the word does not use is 0
+    assert run(["fox", "x y", "z"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
 
 
 def test_member(capsys):
@@ -70,6 +75,17 @@ def test_parse_error_exit_code(capsys):
     assert "error:" in err
     assert run(["normal-form", "x^"]) == 2
     assert run(["member", "y^2*(1"]) == 2
+    # digits split by whitespace are not joined into one number
+    assert run(["divides", "x^1 0 - 1", "x^10 - 1"]) == 2
+    assert run(["divides", "1 0", "x"]) == 2
+    assert run(["member", "y*(x^1 0)"]) == 2
+    # fox differentiates by one letter with exponent 1
+    for generator in ("", "x^2", "x y", "1", "x^-1"):
+        assert run(["fox", "x y", generator]) == 2, generator
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 10, captured.err
+    assert all(line.startswith("error: ") for line in lines), captured.err
 
 
 def test_missing_file_exit_code():

@@ -9,8 +9,6 @@ from kleinverify import (
     StaffordInstance,
     divide,
     in_V,
-    in_right_ideal,
-    lift_kernel,
     monic_witness,
     no_monic_degree_one,
     parse_rpoly,
@@ -26,6 +24,7 @@ from helpers import (
     check_division_recomposition,
     check_single_degree_span,
     check_v_right_module,
+    lift_kernel,
     rand_rpoly,
     rand_spoly,
 )
@@ -65,7 +64,7 @@ def test_divide_jumps_cancelled_gap():
     start = time.perf_counter()
     res = divide(f, parse_rpoly("-x^-1"))
     assert time.perf_counter() - start < 0.5
-    assert res == (SPoly.y(1000000), 0, RPoly.one())
+    assert res == (parse_spoly("y^1000000"), 0, RPoly.one())
     assert not in_V(f, StaffordInstance(RPoly.one(), S))
 
 
@@ -74,15 +73,15 @@ def test_single_degree_span():
 
 
 def test_in_right_ideal():
-    assert in_right_ideal(parse_spoly("y^2 - 1"), S)
-    assert in_right_ideal(SPoly.zero(), S)
+    assert divide(parse_spoly("y^2 - 1"), S).remainder.is_zero()
+    assert divide(SPoly.zero(), S).remainder.is_zero()
     # single-degree elements are never in the ideal: nonzero products
     # (y+s)*q span at least two y-degrees
     rng = random.Random(SEED)
     for _ in range(100):
         c = rand_rpoly(rng, nonzero=True)
         m = rng.randint(-3, 3)
-        assert not in_right_ideal(SPoly({m: c}), S)
+        assert not divide(SPoly({m: c}), S).remainder.is_zero()
 
 
 def test_in_V_examples():

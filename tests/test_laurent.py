@@ -42,11 +42,14 @@ def test_sigma_involution():
 
 
 def test_length_examples():
-    assert parse_rpoly("x^2 + x").length() == 1
-    assert R.length() == 3
-    assert parse_rpoly("5").length() == 0
+    a, five = parse_rpoly("x^2 + x"), parse_rpoly("5")
+    assert a.max_exp - a.min_exp == 1
+    assert R.max_exp - R.min_exp == 3
+    assert five.max_exp - five.min_exp == 0
     with pytest.raises(ValueError):
-        RPoly.zero().length()
+        RPoly.zero().max_exp
+    with pytest.raises(ValueError):
+        RPoly.zero().min_exp
 
 
 def test_divides_obstruction():
@@ -200,10 +203,13 @@ def test_parse_forms():
     assert parse_rpoly("-x^-1") == RPoly({-1: -1})
     assert parse_rpoly("0") == RPoly.zero()
     assert parse_rpoly("x - x") == RPoly.zero()
+    # blanks between a digit and anything but a digit are still dropped
+    assert parse_rpoly("2 x - 3") == RPoly({1: 2, 0: -3})
+    assert parse_rpoly("x ^ -1 + 2 * x") == RPoly({-1: 1, 1: 2})
 
 
 def test_parse_errors():
-    for bad in ("", "x^", "x^^2", "x + ", "x*y", "3.5"):
+    for bad in ("", "x^", "x^^2", "x + ", "x*y", "3.5", "x^1 0", "1 0", "x^1\t0 - 1", "2 3*x"):
         with pytest.raises(PolySyntaxError):
             parse_rpoly(bad)
 

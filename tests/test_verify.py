@@ -10,7 +10,6 @@ from kleinverify import (
     chain_composites_vanish,
     default_witness,
     full_report,
-    lift_kernel,
     parse_rpoly,
     parse_spoly,
     psi,
@@ -24,7 +23,7 @@ from kleinverify import builtin, division, verify
 from kleinverify.certificates import CertFactor, ConjugacyCertificate
 from kleinverify.cli import run
 
-from helpers import SEED, check_splitting_matches_bezout, counting, rand_spoly
+from helpers import SEED, check_splitting_matches_bezout, counting, lift_kernel, rand_spoly
 
 INST = builtin.stafford_instance()
 WITNESS = default_witness()

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from kleinverify import Word, WordSyntaxError, conjugate, parse_word
+from kleinverify import Word, WordSyntaxError, parse_word
 
 from helpers import (
     SEED,
     check_free_group_axioms,
+    conjugate,
     check_reduction_canonical,
     check_word_mul_matches_fold,
     check_word_pow_matches_fold,

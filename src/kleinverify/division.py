@@ -10,10 +10,9 @@ nonzero q the product (y + s) * q occupies at least two y-degrees (top and
 bottom coefficients survive because the coefficient ring is a domain), so
 a nonzero single-row remainder can never be absorbed into the ideal.
 
-The engine touches coefficients only through their ring methods
-(add, mul, neg, sigma, is_zero); any coefficient domain with a decidable
-divisibility and an involution would do.  It is instantiated at
-Z[x, x^-1] only.
+Each step updates one row in place with laurent._mul_into, the multiply
+kernel under RPoly and SPoly products, so the coefficient domain is
+Z[x, x^-1].
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .klein import SPoly, _sigma_pow
-from .laurent import RPoly, divides, quotient
+from .klein import SPoly
+from .laurent import RPoly, _mul_into, divides, quotient
 
 
 @dataclass(frozen=True)
@@ -49,14 +48,15 @@ def divide(f: SPoly, s: RPoly) -> DivisionResult:
     """Split f as (y + s) * q + y^rem_degree * rem, exactly.
 
     For f = 0 all three parts are zero; otherwise rem_degree is the
-    minimal y-degree of f.
+    minimal y-degree of f.  Each step subtracts sigma^k(s) * c from a copy
+    of the row below through laurent._mul_into (flip for sigma^k, sign -1),
+    and only the RPoly constructor of the result drops zeros.
     """
     if f.is_zero():
         return DivisionResult(SPoly.zero(), 0, RPoly.zero())
     rows = dict(f._rows)
     keys = sorted(rows)
     d, top, i = keys[0], keys[-1], len(keys) - 1
-    s_pow = (s, s.sigma())  # sigma^k(s) by the parity of k
     q_rows = {}
     # One step per y-degree.  Each step writes only the row just below
     # top, and that row is nonzero unless it cancels exactly (S is a
@@ -66,7 +66,11 @@ def divide(f: SPoly, s: RPoly) -> DivisionResult:
         c = rows.pop(top)
         top -= 1
         q_rows[top] = c
-        row = rows.get(top, RPoly.zero()) - s_pow[top % 2] * c
+        # rows[top] -= sigma^top(s) * c; f's row is copied, as values are immutable
+        below = rows.get(top)
+        row = RPoly(_mul_into(
+            dict(below._coeffs) if below else {}, s._coeffs, c._coeffs, -1 if top % 2 else 1, -1
+        ))
         if row:
             rows[top] = row
         else:
@@ -86,12 +90,13 @@ def in_V(v: SPoly, inst: StaffordInstance) -> bool:
 def _reduction_scalars(inst: StaffordInstance, top: int) -> list[RPoly]:
     # t_i = (-1)^i (prod_{j<i} sigma^j(s)) sigma^i(r): the coefficient that
     # y^i sigma^i(r) contributes after full reduction to y-degree 0.
+    r_pow, s_pow = (inst.r, inst.r.sigma()), (inst.s, inst.s.sigma())
     ts: list[RPoly] = []
     prod = RPoly.one()
     for i in range(top + 1):
-        t = prod * _sigma_pow(inst.r, i)
+        t = prod * r_pow[i % 2]
         ts.append(t if i % 2 == 0 else -t)
-        prod = prod * _sigma_pow(inst.s, i)
+        prod = prod * s_pow[i % 2]
     return ts
 
 

@@ -10,10 +10,12 @@ y^-1 x y = x^-1.
 
 The verification path gets its boundary data from boundary_data, which
 evaluates Fox derivatives straight into S in one pass per relator.
-eval_combo evaluates a FreeCombo term by term; with
-presentations.boundary_matrices it is the slower reference the tests hold
-boundary_data to.  GroupElem has the group law and the conversion back to
-a word, which is all that eval_word and the normal-form command use.
+eval_combo evaluates a FreeCombo term by term into one dict per y-degree;
+with presentations.boundary_matrices it is the slower reference the tests
+hold boundary_data to.  GroupElem has the group law, which eval_word
+applies letter by letter on the integer pair, and the conversion back to a
+word for the normal-form command.  SPoly products sum every row pair into
+one coefficient dict per y-degree through laurent._mul_into.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .laurent import PolySyntaxError, RPoly, parse_rpoly
+from .laurent import PolySyntaxError, RPoly, _mul_into, parse_rpoly
 from .presentations import FreeCombo, Presentation
 from .words import Word
 
@@ -43,21 +45,22 @@ class GroupElem:
 
 
 def eval_word(w: Word) -> GroupElem:
-    """Image of a free word on x, y in the Klein bottle group."""
-    acc = GroupElem(0, 0)
+    """Image of a free word on x, y in the Klein bottle group.
+
+    The group law of GroupElem, letter by letter on the pair (m, n): x^k
+    adds k to n, and y^k adds k to m and negates n when k is odd.
+    """
+    m = n = 0
     for name, exp in w.letters:
         if name == "x":
-            step = GroupElem(0, exp)
+            n += exp
         elif name == "y":
-            step = GroupElem(exp, 0)
+            m += exp
+            if exp % 2:
+                n = -n
         else:
             raise ValueError(f"foreign generator {name!r}; only x and y are defined")
-        acc = acc * step
-    return acc
-
-
-def _sigma_pow(a: RPoly, k: int) -> RPoly:
-    return a if k % 2 == 0 else a.sigma()
+    return GroupElem(m, n)
 
 
 class SPoly:
@@ -128,14 +131,15 @@ class SPoly:
         return self + (-other)
 
     def __mul__(self, other: "SPoly") -> "SPoly":
-        # (y^m a)(y^p b) = y^(m+p) sigma^p(a) b
-        out: dict[int, RPoly] = {}
+        """(y^m a)(y^p b) = y^(m+p) sigma^p(a) b, summed in one coefficient
+        dict per y-degree by laurent._mul_into, which applies sigma as
+        flip -1; the constructors then drop zeros."""
+        out: dict[int, dict[int, int]] = {}
         for m, a in self._rows.items():
             for p, b in other._rows.items():
-                piece = _sigma_pow(a, p) * b
                 key = m + p
-                out[key] = out[key] + piece if key in out else piece
-        return SPoly(out)
+                out[key] = _mul_into(out.get(key, {}), a._coeffs, b._coeffs, -1 if p % 2 else 1)
+        return SPoly({key: RPoly(row) for key, row in out.items()})
 
     def __str__(self) -> str:
         if not self._rows:
@@ -155,10 +159,12 @@ class SPoly:
 
 def eval_combo(c: FreeCombo) -> SPoly:
     """Linear extension of eval_word followed by the group-to-ring embedding."""
-    acc = SPoly.zero()
-    for w, coeff in c.items():
-        acc = acc + SPoly.from_group(eval_word(w), coeff)
-    return acc
+    rows: dict[int, dict[int, int]] = {}
+    for w, coeff in c._terms.items():
+        g = eval_word(w)
+        row = rows.setdefault(g.m, {})
+        row[g.n] = row.get(g.n, 0) + coeff
+    return SPoly({m: RPoly(row) for m, row in rows.items()})
 
 
 def boundary_data(p: Presentation) -> tuple[list[list[SPoly]], list[SPoly]]:
@@ -258,7 +264,7 @@ def parse_spoly(text: str) -> SPoly:
         raise PolySyntaxError("empty input")
     if "y" not in s and "(" not in s:
         return SPoly.from_rpoly(parse_rpoly(s))
-    acc = SPoly.zero()
+    rows: dict[int, dict[int, int]] = {}
     for sign, chunk in _split_terms(s):
         if not chunk:
             raise PolySyntaxError(f"empty term in {text!r}")
@@ -279,5 +285,7 @@ def parse_spoly(text: str) -> SPoly:
         else:
             degree = 0
             coeff = parse_rpoly(chunk)
-        acc = acc + SPoly.from_rpoly(coeff.scale(sign), degree)
-    return acc
+        row = rows.setdefault(degree, {})
+        for e, c in coeff._coeffs.items():
+            row[e] = row.get(e, 0) + sign * c
+    return SPoly({m: RPoly(row) for m, row in rows.items()})

@@ -10,6 +10,13 @@ each polynomial is read as one integer p(N), N = 2^(8*width), with balanced
 digits wide enough that no digit carries, and Python's exact big-int
 product or division does the work.
 
+Every product runs through one kernel, _mul_into(out, a, b, flip, sign),
+which adds sign * a(x^flip) * b into the coefficient dict out with either
+method.  RPoly.__mul__ calls it with an empty out, klein.SPoly.__mul__
+with flip -1 for sigma, and division.divide with sign -1 for each row
+update, so no product, negation or sum is built only to be added.  The
+kernel keeps zero coefficients; the RPoly and SPoly constructors drop them.
+
 Divisibility is decided exactly, with no rational arithmetic: units x^k are
 divided out first.  On the Kronecker path a None is sound, because a | b in
 Z[x] implies a(N) | b(N), and a(N) != 0 since its top digit outweighs the
@@ -76,9 +83,6 @@ class RPoly:
         """The involution x -> x^-1 (negates every exponent)."""
         return RPoly({-e: c for e, c in self._coeffs.items()})
 
-    def scale(self, k: int) -> "RPoly":
-        return RPoly({e: k * c for e, c in self._coeffs.items()})
-
     def shift(self, k: int) -> "RPoly":
         """Multiply by the unit x^k."""
         return RPoly({e + k: c for e, c in self._coeffs.items()})
@@ -102,15 +106,7 @@ class RPoly:
         return self + (-other)
 
     def __mul__(self, other: "RPoly") -> "RPoly":
-        a, b = self._coeffs, other._coeffs
-        if len(a) >= _KRONECKER_TERMS and len(b) >= _KRONECKER_TERMS and _dense(a) and _dense(b):
-            return RPoly(_kronecker_mul(a, b))
-        out: dict[int, int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return RPoly(out)
+        return RPoly(_mul_into({}, self._coeffs, other._coeffs))
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -203,11 +199,12 @@ def _bias(width: int, n: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
 
 
-def _pack(coeffs: dict[int, int], lo: int, n: int, width: int) -> int:
-    """sum coeffs[lo + i] * 2^(8*width*i) over 0 <= i < n, in linear time."""
+def _pack(coeffs: dict[int, int], start: int, n: int, width: int, step: int = 1) -> int:
+    """sum coeffs[start + step*i] * 2^(8*width*i) over 0 <= i < n, in linear time."""
     half = 1 << (8 * width - 1)
     get = coeffs.get
-    raw = b"".join((get(e, 0) + half).to_bytes(width, "little") for e in range(lo, lo + n))
+    exps = range(start, start + step * n, step)
+    raw = b"".join((get(e, 0) + half).to_bytes(width, "little") for e in exps)
     return int.from_bytes(raw, "little") - _bias(width, n)
 
 
@@ -221,14 +218,50 @@ def _unpack(value: int, width: int, n: int) -> list[int] | None:
     return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * n, width)]
 
 
-def _kronecker_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+def _mul_into(
+    out: dict[int, int], a: dict[int, int], b: dict[int, int], flip: int = 1, sign: int = 1
+) -> dict[int, int]:
+    """Add sign * a(x^flip) * b into out and return the sum, for flip and
+    sign in {1, -1}.
+
+    The one multiply kernel: RPoly products, SPoly row products (flip -1
+    is sigma) and division's row updates all run through it.  out may be
+    updated in place or replaced, so callers keep the returned dict.
+    Zeros are kept; the RPoly constructor drops them.
+    """
+    if len(a) >= _KRONECKER_TERMS and len(b) >= _KRONECKER_TERMS and _dense(a) and _dense(b):
+        lo, digits = _kronecker_mul(a, b, flip, sign)
+        if not out:
+            return dict(enumerate(digits, lo))
+        get = out.get
+        for e, c in enumerate(digits, lo):
+            out[e] = get(e, 0) + c
+        return out
+    get = out.get
+    for e1, c1 in a.items():
+        e1 *= flip
+        c1 *= sign
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
+    return out
+
+
+def _kronecker_mul(
+    a: dict[int, int], b: dict[int, int], flip: int, sign: int
+) -> tuple[int, list[int]]:
+    """The lowest exponent and the coefficients of sign * a(x^flip) * b."""
     # No product coefficient exceeds max|a| * max|b| * min(terms), since
     # each exponent pairs at most that many terms; so no digit carries.
-    a_lo, b_lo = min(a), min(b)
-    a_n, b_n = max(a) - a_lo + 1, max(b) - b_lo + 1
+    # a(x^-1) is packed by reading a from its top exponent down.
+    a_lo, a_hi, b_lo = min(a), max(a), min(b)
+    a_n, b_n = a_hi - a_lo + 1, max(b) - b_lo + 1
+    a_start = a_lo if flip > 0 else a_hi
     width = _width(_max_abs(a) * _max_abs(b) * min(len(a), len(b)))
-    product = _pack(a, a_lo, a_n, width) * _pack(b, b_lo, b_n, width)
-    return dict(enumerate(_unpack(product, width, a_n + b_n - 1), a_lo + b_lo))
+    product = _pack(a, a_start, a_n, width, flip) * _pack(b, b_lo, b_n, width)
+    if sign < 0:
+        product = -product
+    return flip * a_start + b_lo, _unpack(product, width, a_n + b_n - 1)
 
 
 def _exact_poly_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, int] | None:

@@ -264,18 +264,21 @@ def spoly_terms(f: SPoly) -> List[Tuple[int, GroupElem]]:
 
 
 def spoly_from_terms(terms) -> SPoly:
-    acc = SPoly.zero()
+    """Sum of c * g over (c, g) pairs, collected in one dict per y-degree."""
+    rows: Dict[int, Dict[int, int]] = {}
     for c, g in terms:
-        acc = acc + SPoly.from_group(g, c)
-    return acc
+        row = rows.setdefault(g.m, {})
+        row[g.n] = row.get(g.n, 0) + c
+    return SPoly({m: RPoly(row) for m, row in rows.items()})
 
 
 def spoly_mul_oracle(f: SPoly, g: SPoly) -> SPoly:
     """Group-algebra product: expand both operands into group elements,
     multiply pairwise with the group law, recollect."""
+    g_terms = spoly_terms(g)
     out = []
     for c1, g1 in spoly_terms(f):
-        for c2, g2 in spoly_terms(g):
+        for c2, g2 in g_terms:
             out.append((c1 * c2, g1 * g2))
     return spoly_from_terms(out)
 
@@ -579,6 +582,67 @@ def check_rpoly_mul_matches_oracle(cases: int, seed: int = SEED) -> None:
             assert b * a == got
             assert_normalised(got)
     assert 0 < calls["_kronecker_mul"] < 2 * cases
+
+
+def _rand_dense_row(rng: random.Random) -> RPoly:
+    """A row of 0-40 terms, so on either side of the Kronecker crossover:
+    consecutive exponents, or a random fill that may or may not be dense."""
+    terms = rng.randint(0, 40)
+    if terms and rng.random() < 0.7:
+        return _dense_rpoly(rng, terms)
+    lo = rng.randint(-20, 20)
+    return rand_rpoly(rng, max_terms=terms, exp_range=(lo, lo + 3 * terms), coeff_range=(-9, 9))
+
+
+def _rand_dense_spoly(rng: random.Random, degrees: Tuple[int, ...]) -> SPoly:
+    """Up to two rows from _rand_dense_row, at y-degrees drawn from degrees."""
+    return SPoly({rng.choice(degrees): _rand_dense_row(rng) for _ in range(rng.randint(0, 2))})
+
+
+_EVEN, _ODD, _ANY = (-2, 0, 2), (-3, -1, 1, 3), tuple(range(-3, 4))
+
+
+def check_spoly_dense_mul_matches_oracle(cases: int, seed: int = SEED) -> None:
+    """SPoly products of rows with 0-40 terms against the group-algebra
+    oracle.  The right operand's rows sit at even y-degrees (no row pair is
+    twisted), at odd ones (every pair is) or anywhere, and the Kronecker
+    branch must run both with and without sigma's flip.  Every fourth case
+    cancels: (f - f) f, and (y + a)(y - sigma(a)) b = y^2 b - a sigma(a) b,
+    whose y-row sums a plain and a flipped product of a and b to zero."""
+    rng = random.Random(seed)
+    zero = SPoly.zero()
+    kronecker: Counter = Counter()
+    for i in range(cases):
+        kind = i % 4
+        f = _rand_dense_spoly(rng, _ANY)
+        if kind < 3:
+            g = _rand_dense_spoly(rng, (_EVEN, _ODD, _ANY)[kind])
+            with counting(laurent, "_kronecker_mul") as calls:
+                got = f * g
+            kronecker[kind] += calls["_kronecker_mul"]
+            assert got == spoly_mul_oracle(f, g), (i, str(f), str(g))
+        else:
+            a, b = _rand_dense_row(rng), _rand_dense_row(rng)
+            sa_b = rpoly_mul_oracle(a.sigma(), b)
+            got = SPoly({1: RPoly.one(), 0: a}) * SPoly({1: b, 0: -sa_b})
+            assert got == SPoly({2: b, 0: -rpoly_mul_oracle(a, sa_b)}), (i, str(a), str(b))
+            assert_cancelled(((f - f) * f, f * (f - f)), zero)
+        assert_normalised(got)
+    assert kronecker[0] and kronecker[1], kronecker
+
+
+def check_divide_dense_twists(cases: int, seed: int = SEED) -> None:
+    """divide by twists of 1-40 terms recomposes, with the product taken by
+    the group-algebra oracle; the Kronecker branch must run."""
+    rng = random.Random(seed)
+    with counting(laurent, "_kronecker_mul") as calls:
+        for i in range(cases):
+            twist = _rand_dense_row(rng) or RPoly.monomial(rng.randint(-5, 5), rng.choice((1, -1)))
+            f = _rand_dense_spoly(rng, _ANY)
+            q, d, rem = divide(f, twist)
+            assert spoly_mul_oracle(y_plus_s(twist), q) + SPoly({d: rem}) == f, (i, str(f), str(twist))
+            assert_normalised(q)
+    assert calls["_kronecker_mul"]
 
 
 def _outgrown_quotient(rng: random.Random) -> Tuple[RPoly, RPoly]:

@@ -21,6 +21,7 @@ from kleinverify import builtin
 
 from helpers import (
     SEED,
+    check_divide_dense_twists,
     check_division_recomposition,
     check_single_degree_span,
     check_v_right_module,
@@ -55,6 +56,10 @@ def test_divide_zero():
 
 def test_divide_recomposition():
     check_division_recomposition(1000)
+
+
+def test_divide_by_dense_twists():
+    check_divide_dense_twists(500)
 
 
 def test_divide_jumps_cancelled_gap():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,7 +13,7 @@ from kleinverify import (
     parse_spoly,
     parse_word,
 )
-from kleinverify import Presentation, boundary_data, boundary_matrices
+from kleinverify import FreeCombo, Presentation, boundary_data, boundary_matrices, fox_derivative
 from kleinverify.klein import PolySyntaxError
 
 from helpers import (
@@ -20,8 +21,10 @@ from helpers import (
     Combo,
     check_boundary_data_matches_oracle,
     check_eval_homomorphism,
+    check_spoly_dense_mul_matches_oracle,
     check_spoly_ring_axioms,
     normal_form_oracle,
+    rand_rpoly,
     rand_spoly,
     rand_word,
     spoly_mul_oracle,
@@ -92,6 +95,10 @@ def test_mul_against_group_algebra_oracle():
         assert f * g == spoly_mul_oracle(f, g)
 
 
+def test_mul_dense_rows_against_oracle():
+    check_spoly_dense_mul_matches_oracle(500)
+
+
 def test_eval_combo_examples():
     c = Combo.term(parse_word("y^-1")) + Combo.term(parse_word("x"), -1)
     assert eval_combo(c) == parse_spoly("y^-1*(1) + (-x)")
@@ -115,6 +122,18 @@ def test_eval_combo_linearity():
         assert eval_combo(combo) == expected
 
 
+def test_eval_combo_is_linear_time():
+    # Summing term by term copies every row so far, which is quadratic.
+    w = parse_word(" ".join(["x y x^2 y^-1"] * 500))
+    combo = FreeCombo({~u: c for u, c in fox_derivative(w, "x")._terms.items()})
+    assert len(combo._terms) == 1500
+    start = time.perf_counter()
+    got = eval_combo(combo)
+    assert time.perf_counter() - start < 0.5
+    d2, _ = boundary_data(Presentation(("x", "y"), (w,)))
+    assert got == d2[0][0]
+
+
 def test_spoly_parse_print_roundtrip():
     rng = random.Random(SEED + 5)
     for _ in range(200):
@@ -129,6 +148,36 @@ def test_spoly_parse_forms():
     assert parse_spoly("y^-1*(x^-1 + x^-2 - x^-4)").row(-1) == parse_rpoly(
         "x^-1 + x^-2 - x^-4"
     )
+
+
+def test_spoly_parse_is_linear_time():
+    # 8000 terms, some sharing a y-degree, in all four term forms.
+    rng = random.Random(SEED + 6)
+    terms, chunks = [], []
+    for _ in range(8000):
+        m, coeff, sign = rng.randint(-3000, 3000), rand_rpoly(rng, nonzero=True), rng.choice("+-")
+        form = rng.randrange(4)
+        if form == 0:
+            chunks.append(f"{sign} y^{m}*({coeff})")
+        elif form == 1:
+            coeff = RPoly.one()
+            chunks.append(f"{sign} y^{m}")
+        elif form == 2:
+            m = 0
+            chunks.append(f"{sign} ({coeff})")
+        else:
+            # unparenthesized, the sign covers one monomial only
+            m, coeff = 0, RPoly.monomial(rng.randint(-4, 4), rng.randint(1, 9))
+            chunks.append(f"{sign} {coeff}")
+        terms.append((m, coeff if sign == "+" else -coeff))
+    text = " ".join(chunks)
+    start = time.perf_counter()
+    got = parse_spoly(text)
+    assert time.perf_counter() - start < 1.0
+    rows = {}
+    for m, coeff in terms:
+        rows[m] = rows[m] + coeff if m in rows else coeff
+    assert got == SPoly(rows)
 
 
 def test_spoly_parse_errors():

@@ -18,7 +18,6 @@ from .presentations import (
     load_presentation,
 )
 from .klein import (
-    GroupElem,
     SPoly,
     boundary_data,
     eval_combo,
@@ -81,7 +80,6 @@ __all__ = [
     "euler_characteristic",
     "fox_derivative",
     "load_presentation",
-    "GroupElem",
     "SPoly",
     "boundary_data",
     "eval_combo",

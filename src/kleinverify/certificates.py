@@ -14,35 +14,41 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
 from .klein import SPoly, eval_word
 from .presentations import Presentation
 from .words import Word, parse_word
 
 
-@dataclass(frozen=True)
 class CertFactor:
-    conjugator: Word
-    relator: int
-    sign: int
+    """The factor  conjugator * R_relator^sign * conjugator^-1."""
 
-    def __post_init__(self):
+    __slots__ = ("conjugator", "relator", "sign")
+
+    def __init__(self, conjugator: Word, relator: int, sign: int):
         # JSON may hold 0.9, "0" or true here; type() also rejects bool.
-        if type(self.relator) is not int or type(self.sign) is not int:
-            raise ValueError(f"rel and sign must be integers: {self.relator!r}, {self.sign!r}")
-        if self.sign not in (1, -1):
+        if type(relator) is not int or type(sign) is not int:
+            raise ValueError(f"rel and sign must be integers: {relator!r}, {sign!r}")
+        if sign not in (1, -1):
             raise ValueError("factor sign must be +1 or -1")
+        self.conjugator, self.relator, self.sign = conjugator, relator, sign
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CertFactor) and all(
+            getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
 
-@dataclass(frozen=True)
 class ConjugacyCertificate:
-    target: Word
-    factors: tuple[CertFactor, ...]
-    source: str | None = None
+    """target = the product of factors, over the presentation named by source."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+    __slots__ = ("target", "factors", "source")
+
+    def __init__(self, target: Word, factors: Iterable[CertFactor], source: str | None = None):
+        self.target, self.factors, self.source = target, tuple(factors), source
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ConjugacyCertificate) and all(
+            getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
 
 def expand_certificate(src: Presentation, cert: ConjugacyCertificate) -> Word:
@@ -123,8 +129,9 @@ def certificate_from_dict(data: Mapping) -> ConjugacyCertificate:
         raise ValueError("certificate JSON needs an object with 'target' and 'factors'")
     if not isinstance(data["factors"], list):
         raise ValueError(f"certificate 'factors' must be a list, not {data['factors']!r}")
-    if any(not isinstance(f, Mapping) for f in data["factors"]):
-        raise ValueError("each certificate factor must be an object with 'w', 'rel' and 'sign'")
+    for f in data["factors"]:
+        if not (isinstance(f, Mapping) and "w" in f and "rel" in f and "sign" in f):
+            raise ValueError("each certificate factor must be an object with 'w', 'rel' and 'sign'")
     # A number would reach open() as a file descriptor: 0 reads stdin.
     source = data.get("source")
     if source is not None and not isinstance(source, str):

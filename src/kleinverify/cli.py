@@ -17,7 +17,7 @@ from .klein import eval_word, parse_spoly
 from .laurent import divides, parse_rpoly
 from .presentations import euler_characteristic, fox_derivative, load_presentation
 from .verify import default_witness, full_report, stafford_verdict
-from .words import parse_word
+from .words import Word, parse_word
 
 
 def _resolve_presentation(name_or_path: str):
@@ -57,7 +57,8 @@ def cmd_chi(args) -> int:
 
 def cmd_normal_form(args) -> int:
     w = parse_word(args.word, ("x", "y"))
-    nf = str(eval_word(w).to_word())
+    m, n = eval_word(w)
+    nf = str(Word((("y", m), ("x", n))))
     _emit(args, {"command": "normal-form", "word": args.word, "value": nf}, nf)
     return 0
 

@@ -18,22 +18,23 @@ Z[x, x^-1].
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .klein import SPoly
 from .laurent import RPoly, _mul_into, divides, quotient
 
 
-@dataclass(frozen=True)
 class StaffordInstance:
     """The pair (r, s) defining V = {v : r*v in (y+s)*S}."""
 
-    r: RPoly
-    s: RPoly
+    __slots__ = ("r", "s")
 
-    def __post_init__(self):
-        if self.r.is_zero() or self.s.is_zero():
+    def __init__(self, r: RPoly, s: RPoly):
+        if r.is_zero() or s.is_zero():
             raise ValueError("instance requires nonzero r and s")
+        self.r, self.s = r, s
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, StaffordInstance) and (self.r, self.s) == (other.r, other.s)
 
 
 # What divide returns: quotient (SPoly), rem_degree (int), remainder (RPoly).

@@ -12,43 +12,27 @@ The verification path gets its boundary data from boundary_data, which
 evaluates Fox derivatives straight into S in one pass per relator.
 eval_combo evaluates a FreeCombo term by term into one dict per y-degree;
 with presentations.boundary_matrices it is the slower reference the tests
-hold boundary_data to.  GroupElem has the group law, which eval_word
-applies letter by letter on the integer pair, and the conversion back to a
-word for the normal-form command.  SPoly products sum every row pair into
-one coefficient dict per y-degree through laurent._mul_into.
+hold boundary_data to.  eval_word returns the normal form as the pair
+(m, n), applying the group law letter by letter.  SPoly products sum every
+row pair into one coefficient dict per y-degree through laurent._mul_into.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .laurent import PolySyntaxError, RPoly, _mul_into, parse_rpoly
 from .presentations import FreeCombo, Presentation
 from .words import Word
 
 
-@dataclass(frozen=True)
-class GroupElem:
-    """Normal form y^m x^n of a Klein bottle group element."""
+def eval_word(w: Word) -> tuple[int, int]:
+    """Image of a free word on x, y in the Klein bottle group, as the pair
+    (m, n) of its normal form y^m x^n.
 
-    m: int
-    n: int
-
-    def __mul__(self, other: "GroupElem") -> "GroupElem":
-        """(m, n) * (p, q) = (m + p, (-1)^p n + q)."""
-        n = self.n if other.m % 2 == 0 else -self.n
-        return GroupElem(self.m + other.m, n + other.n)
-
-    def to_word(self) -> Word:
-        return Word((("y", self.m), ("x", self.n)))
-
-
-def eval_word(w: Word) -> GroupElem:
-    """Image of a free word on x, y in the Klein bottle group.
-
-    The group law of GroupElem, letter by letter on the pair (m, n): x^k
-    adds k to n, and y^k adds k to m and negates n when k is odd.
+    The group law (m, n) * (p, q) = (m + p, (-1)^p n + q), letter by
+    letter: x^k adds k to n, and y^k adds k to m and negates n when k is
+    odd.
     """
     m = n = 0
     for name, exp in w.letters:
@@ -60,7 +44,7 @@ def eval_word(w: Word) -> GroupElem:
                 n = -n
         else:
             raise ValueError(f"foreign generator {name!r}; only x and y are defined")
-    return GroupElem(m, n)
+    return m, n
 
 
 class SPoly:
@@ -84,8 +68,9 @@ class SPoly:
         return cls({degree: a})
 
     @classmethod
-    def from_group(cls, e: GroupElem, coeff: int = 1) -> "SPoly":
-        return cls({e.m: RPoly.monomial(e.n, coeff)})
+    def from_group(cls, e: tuple[int, int], coeff: int = 1) -> "SPoly":
+        """coeff * y^m x^n for the normal-form pair e = (m, n)."""
+        return cls({e[0]: RPoly.monomial(e[1], coeff)})
 
     def rows(self) -> list[tuple[int, RPoly]]:
         """(y-degree, coefficient) pairs in descending degree order."""
@@ -161,9 +146,9 @@ def eval_combo(c: FreeCombo) -> SPoly:
     """Linear extension of eval_word followed by the group-to-ring embedding."""
     rows: dict[int, dict[int, int]] = {}
     for w, coeff in c._terms.items():
-        g = eval_word(w)
-        row = rows.setdefault(g.m, {})
-        row[g.n] = row.get(g.n, 0) + coeff
+        m, n = eval_word(w)
+        row = rows.setdefault(m, {})
+        row[n] = row.get(n, 0) + coeff
     return SPoly({m: RPoly(row) for m, row in rows.items()})
 
 

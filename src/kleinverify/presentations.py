@@ -22,21 +22,17 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
 
 from .words import Word, parse_word
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Ordered generators plus relator words over those generators."""
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    __slots__ = ("generators", "relators")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "relators", tuple(self.relators))
+    def __init__(self, generators: Iterable[str], relators: Iterable[Word]):
+        self.generators, self.relators = tuple(generators), tuple(relators)
         declared = set(self.generators)
         if len(declared) != len(self.generators):
             raise ValueError("duplicate generator name")
@@ -46,6 +42,10 @@ class Presentation:
                 raise ValueError(
                     f"relator {i} uses undeclared generator(s) {sorted(foreign)}"
                 )
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Presentation) and all(
+            getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     @classmethod
     def from_strings(cls, generators: Iterable[str], relators: Iterable[str]) -> "Presentation":

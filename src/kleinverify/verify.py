@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from . import builtin
 from .certificates import ConjugacyCertificate, equivalence_verdict
@@ -26,26 +25,27 @@ from .klein import SPoly, boundary_data
 from .presentations import Presentation, euler_characteristic
 
 
-@dataclass(frozen=True)
 class BezoutWitness:
     """Pair with r * alpha + (y + s) * beta = 1, i.e. psi(beta, alpha) = 1."""
 
-    alpha: SPoly
-    beta: SPoly
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: SPoly, beta: SPoly):
+        self.alpha, self.beta = alpha, beta
 
 
-@dataclass(frozen=True)
 class ChainData:
     """Boundary rows for the one- and two-relator complexes.
 
     d2_p is the single row of the one-relator boundary, d2_q the two rows
-    of the two-relator boundary, d1 the edge boundary column; all indexed
-    by the (x, y) edge order.
+    of the two-relator boundary, d1 the edge boundary column; all are
+    tuples indexed by the (x, y) edge order.
     """
 
-    d2_p: tuple[SPoly, ...]
-    d2_q: tuple[tuple[SPoly, ...], ...]
-    d1: tuple[SPoly, ...]
+    __slots__ = ("d2_p", "d2_q", "d1")
+
+    def __init__(self, d2_p: tuple, d2_q: tuple, d1: tuple):
+        self.d2_p, self.d2_q, self.d1 = d2_p, d2_q, d1
 
 
 def build_chain_data(p: Presentation, q: Presentation) -> ChainData:
@@ -116,13 +116,13 @@ def splitting_check(w: BezoutWitness, inst: StaffordInstance) -> bool:
     return psi(p00, p10, inst).is_zero() and psi(p01, p11, inst).is_zero()
 
 
-@dataclass(frozen=True)
 class StaffordVerdict:
-    condition_i: bool
-    condition_ii: bool
-    witnesses_ok: bool
-    degree_one: SPoly | None
-    monic: SPoly | None
+    __slots__ = ("condition_i", "condition_ii", "witnesses_ok", "degree_one", "monic")
+
+    def __init__(self, condition_i: bool, condition_ii: bool, witnesses_ok: bool,
+                 degree_one: SPoly | None, monic: SPoly | None):
+        self.condition_i, self.condition_ii = condition_i, condition_ii
+        self.witnesses_ok, self.degree_one, self.monic = witnesses_ok, degree_one, monic
 
 
 def stafford_verdict(
@@ -186,19 +186,16 @@ def _flag_descriptions(r: str, s: str) -> tuple[str, ...]:
     )
 
 
-@dataclass(frozen=True)
 class NonFreenessReport:
-    """Flag per checked identity; all_ok is their conjunction."""
+    """Flag per checked identity, one keyword each named in _FLAGS, and the
+    inputs they were checked on; all_ok is their conjunction."""
 
-    chi_ok: bool
-    pi1_ok: bool
-    factorization_ok: bool
-    bezout_ok: bool
-    splitting_ok: bool
-    condition_i: bool
-    condition_ii: bool
-    witnesses_ok: bool
-    inputs: dict[str, object]
+    __slots__ = _FLAGS + ("inputs",)
+
+    def __init__(self, *, inputs: dict[str, object], **flags: bool):
+        for name in _FLAGS:
+            setattr(self, name, flags[name])
+        self.inputs = inputs
 
     @property
     def all_ok(self) -> bool:

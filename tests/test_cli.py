@@ -111,12 +111,14 @@ def test_stafford_default(capsys):
     out = capsys.readouterr().out
     assert "condition_i   ok" in out
     assert "condition_ii  ok" in out
+    assert "no unit-combination witness" not in out
 
 
 def test_stafford_custom_instance(capsys):
     # r = 1: condition (ii) fails, and no witness is known for condition (i)
     assert run(["stafford", "--r", "1"]) == 1
     out = capsys.readouterr().out
+    assert "condition_i   FAIL  (no unit-combination witness for this instance)\n" in out
     assert "condition_ii  FAIL" in out
 
 
@@ -214,6 +216,9 @@ def _factor(rel=0, sign=1) -> dict:
     return {"target": "y^-1 x y x", "factors": [factor], "source": "P"}
 
 
+FACTOR_SHAPE = "each certificate factor must be an object with 'w', 'rel' and 'sign'"
+
+
 # Valid JSON whose fields have the wrong type is bad input (exit 2), not a
 # failed check and not a traceback.  A numeric source must not reach open(),
 # which would read file descriptor 0, stdin.
@@ -229,6 +234,8 @@ def _factor(rel=0, sign=1) -> dict:
         ("certificate", _factor(rel="0"), "must be integers: '0', 1"),
         ("certificate", _factor(rel=True), "must be integers: True, 1"),
         ("certificate", _factor(rel=[0]), "must be integers: [0], 1"),
+        ("certificate", {"target": "1", "factors": [{"rel": 0, "sign": 1}]}, FACTOR_SHAPE),
+        ("certificate", {"target": "1", "factors": [{"w": "1", "rel": 0}]}, FACTOR_SHAPE),
         ("certificate", 5, "needs an object"),
         ("certificate", {"target": "1", "factors": 5}, "'factors' must be a list, not 5"),
         ("chi", {"generators": ["x", "y"], "relators": 7}, "must be lists of strings"),
@@ -237,6 +244,7 @@ def _factor(rel=0, sign=1) -> dict:
     ids=[
         "factor-not-object", "target-not-string", "source-not-string", "relator-not-string",
         "rel-float", "sign-float", "rel-string", "rel-bool", "rel-list",
+        "w-missing", "sign-missing",
         "certificate-not-object", "factors-not-list", "relators-not-list", "generators-not-list",
     ],
 )

@@ -4,7 +4,6 @@ import time
 import pytest
 
 from kleinverify import (
-    GroupElem,
     RPoly,
     SPoly,
     eval_combo,
@@ -23,6 +22,7 @@ from helpers import (
     check_eval_homomorphism,
     check_spoly_dense_mul_matches_oracle,
     check_spoly_ring_axioms,
+    group_mul,
     normal_form_oracle,
     rand_rpoly,
     rand_spoly,
@@ -32,26 +32,25 @@ from helpers import (
 
 
 def test_group_mul_examples():
-    assert GroupElem(1, 1) * GroupElem(1, 1) == GroupElem(2, 0)
-    assert GroupElem(0, 0) * GroupElem(5, -3) == GroupElem(5, -3)
+    assert group_mul((1, 1), (1, 1)) == (2, 0)
+    assert group_mul((0, 0), (5, -3)) == (5, -3)
     # x * y and y * x^-1 agree: the defining relation
-    assert GroupElem(0, 1) * GroupElem(1, 0) == GroupElem(1, 0) * GroupElem(0, -1)
+    assert group_mul((0, 1), (1, 0)) == group_mul((1, 0), (0, -1))
 
 
 def test_group_mul_matches_rewriting_oracle():
     rng = random.Random(SEED + 1)
     for _ in range(1000):
         w = rand_word(rng)
-        got = eval_word(w)
-        assert (got.m, got.n) == normal_form_oracle(w)
+        assert eval_word(w) == normal_form_oracle(w)
 
 
 def test_eval_word_examples():
-    assert eval_word(parse_word("y^-1 x y")) == GroupElem(0, -1)
-    assert eval_word(parse_word("y^-2 x y^2 x^-1")) == GroupElem(0, 0)
-    assert eval_word(parse_word("x^-3 y^-1 x y x^2 y^-1 x^-2 y")) == GroupElem(0, 0)
-    assert eval_word(parse_word("y^-1 x y x")) == GroupElem(0, 0)
-    assert eval_word(parse_word("1")) == GroupElem(0, 0)
+    assert eval_word(parse_word("y^-1 x y")) == (0, -1)
+    assert eval_word(parse_word("y^-2 x y^2 x^-1")) == (0, 0)
+    assert eval_word(parse_word("x^-3 y^-1 x y x^2 y^-1 x^-2 y")) == (0, 0)
+    assert eval_word(parse_word("y^-1 x y x")) == (0, 0)
+    assert eval_word(parse_word("1")) == (0, 0)
 
 
 def test_eval_word_foreign_generator():

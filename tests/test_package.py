@@ -20,7 +20,10 @@ def test_all_names_bound():
 def test_cli_imports_no_heavy_stdlib():
     # -S keeps site-packages .pth files out: one may import these modules
     # itself at every start, whatever the library imports.
-    heavy = ("typing", "importlib.resources", "pathlib", "tempfile", "zipfile")
+    heavy = (
+        "typing", "importlib.resources", "pathlib", "tempfile", "zipfile",
+        "dataclasses", "inspect", "ast", "dis",
+    )
     code = f"import sys, kleinverify.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(

@@ -7,15 +7,19 @@ pure free-group reduction, in one pass over all the factors.
 
 Each factor also has a chain-level shadow: once the relators bound disks,
 the factor (w, j, e) moves disk j by the group image of w^-1 with sign e,
-which is where the boundary factorization identities come from.
+which is where the boundary factorization identities come from.  When w
+maps to y^m x^n, w^-1 maps to y^-m x^(-(-1)^m n), and the terms are summed
+in one coefficient dict per (relator, y-degree): no per-factor Word or SPoly.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping
 
 from .klein import SPoly, eval_word
+from .laurent import RPoly
 from .presentations import Presentation
 from .words import Word, parse_word
 
@@ -54,19 +58,23 @@ class ConjugacyCertificate:
 def expand_certificate(src: Presentation, cert: ConjugacyCertificate) -> Word:
     """The freely reduced product the certificate claims equals its target.
 
-    Every factor's conjugator, relator piece and inverse conjugator go
-    onto one free-reduction pass, so the cost is linear in the total
-    letter count rather than reducing the accumulated product per factor.
+    Every factor's conjugator, relator piece and inverse conjugator go onto
+    one free-reduction pass, so the cost is linear in the letter count.
+    Each relator piece is range-checked and inverted at most once per call.
     """
     letters: list[tuple[str, int]] = []
+    pieces: dict[tuple[int, int], tuple[tuple[str, int], ...]] = {}
     for f in cert.factors:
-        if not 0 <= f.relator < len(src.relators):
-            raise IndexError(f"relator index {f.relator} out of range")
-        rel = src.relators[f.relator]
-        piece = rel if f.sign == 1 else ~rel
-        letters += f.conjugator.letters
-        letters += piece.letters
-        letters += (~f.conjugator).letters
+        key = (f.relator, f.sign)
+        if key not in pieces:
+            if not 0 <= f.relator < len(src.relators):
+                raise IndexError(f"relator index {f.relator} out of range")
+            rel = src.relators[f.relator]
+            pieces[key] = (rel if f.sign == 1 else ~rel).letters
+        w = f.conjugator.letters
+        letters += w
+        letters += pieces[key]
+        letters += [(name, -exp) for name, exp in reversed(w)]
     return Word(letters)
 
 
@@ -77,18 +85,25 @@ def check_certificate(src: Presentation, cert: ConjugacyCertificate) -> bool:
 def boundary_factor(src: Presentation, cert: ConjugacyCertificate) -> dict[int, SPoly]:
     """Chain-level factor carried by each source relator.
 
-    For a valid certificate, relator j maps to
-    sum over its factors of  sign * (group image of conjugator^-1),
-    as an element of the group ring; a relator with no factor is absent.
-    Raises ValueError for an invalid certificate.
+    For a valid certificate, relator j maps to the group ring element
+    sum over its factors of  sign * (group image of conjugator^-1);
+    a relator with no factor is absent, one whose terms cancel maps to the
+    zero SPoly.  The image of conjugator^-1 is (-m, -(-1)^m n) for the
+    conjugator's image (m, n); the terms go into one coefficient dict per
+    (relator, y-degree).  Raises ValueError for an invalid certificate or a
+    generator other than x and y, and IndexError for an out-of-range relator.
     """
     if not check_certificate(src, cert):
         raise ValueError("invalid certificate: product does not reduce to target")
-    out: dict[int, SPoly] = {}
+    shadow = defaultdict(lambda: defaultdict(Counter))
     for f in cert.factors:
-        term = SPoly.from_group(eval_word(~f.conjugator), f.sign)
-        out[f.relator] = out.get(f.relator, SPoly.zero()) + term
-    return out
+        try:
+            m, n = eval_word(f.conjugator)
+        except ValueError:
+            eval_word(~f.conjugator)  # raise naming the foreign letter ~w meets first
+            raise
+        shadow[f.relator][-m][n if m % 2 else -n] += f.sign
+    return {j: SPoly({d: RPoly(row) for d, row in rows.items()}) for j, rows in shadow.items()}
 
 
 def equivalence_verdict(

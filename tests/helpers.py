@@ -6,7 +6,8 @@ normal_form_oracle sorts single letters with the rewriting rules instead
 of using the closed-form group law, and spoly_mul_oracle multiplies group
 ring elements term by term through the group law group_mul on normal-form
 pairs (m, n) instead of the twisted row convolution.  The fold oracles re-reduce the whole concatenation at
-every step, as Word products once did, and boundary_matrices with
+every step, as Word products once did, and boundary_factor_oracle adds
+one SPoly per certificate factor to a running sum.  boundary_matrices with
 eval_combo goes through FreeCombo instead of klein.boundary_data.
 rpoly_mul_oracle and poly_quotient_oracle are the dict double loop and the
 dict long division, with no Kronecker substitution.
@@ -35,6 +36,7 @@ from kleinverify import (
     StaffordInstance,
     Word,
     boundary_data,
+    boundary_factor,
     boundary_matrices,
     default_witness,
     divide,
@@ -369,6 +371,19 @@ def fold_expand(src: Presentation, cert: ConjugacyCertificate) -> Word:
         conj = fold_mul(fold_mul(f.conjugator, piece), fold_pow(f.conjugator, -1))
         acc = fold_mul(acc, conj)
     return acc
+
+
+def boundary_factor_oracle(src: Presentation, cert: ConjugacyCertificate) -> Dict[int, SPoly]:
+    """The chain shadow as a running SPoly sum: one term per factor, the
+    group image of the inverse conjugator built as a Word, checked by the
+    fold instead of expand_certificate."""
+    if fold_expand(src, cert) != cert.target:
+        raise ValueError("invalid certificate: product does not reduce to target")
+    out: Dict[int, SPoly] = {}
+    for f in cert.factors:
+        term = SPoly.from_group(eval_word(~f.conjugator), f.sign)
+        out[f.relator] = out.get(f.relator, SPoly.zero()) + term
+    return out
 
 
 def assert_normalised(value) -> None:
@@ -970,3 +985,26 @@ def check_expand_matches_fold(cases: int, seed: int = SEED) -> None:
         letters_in += sum(2 * len(f.conjugator) + len(src.relators[f.relator]) for f in cert.factors)
         letters_out += len(got)
     assert 2 * letters_out < letters_in  # most letters cancel between factors
+
+
+def check_boundary_factor_matches_oracle(cases: int, seed: int = SEED) -> None:
+    """boundary_factor against the running SPoly sum, on valid certificates
+    whose factors often cancel, keys and their order included."""
+    rng = random.Random(seed)
+    sources = (
+        builtin.presentation_p(),
+        builtin.presentation_q(),
+        Presentation(("x", "y"), (rand_word(rng), rand_word(rng, max_exp=6))),
+    )
+    seen: Counter = Counter()
+    for i in range(cases):
+        src = sources[i % len(sources)]
+        factors = _rand_cancelling_factors(rng, src)
+        cert = ConjugacyCertificate(expand_certificate(src, ConjugacyCertificate(Word(), factors)), factors)
+        got, want = boundary_factor(src, cert), boundary_factor_oracle(src, cert)
+        assert got == want and list(got) == list(want), (src.to_dict(), factors)
+        seen["sign -1"] += any(f.sign == -1 for f in factors)
+        seen["odd y"] += any(eval_word(f.conjugator)[0] % 2 for f in factors)
+        seen["two relators"] += len(got) > 1
+        seen["zero"] += any(v.is_zero() for v in got.values())
+    assert len(seen) == 4 and min(seen.values()) >= cases // 20, seen

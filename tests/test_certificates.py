@@ -1,17 +1,21 @@
 import json
 import random
+import time
 
 import pytest
 
 from kleinverify import (
     CertFactor,
     ConjugacyCertificate,
+    RPoly,
+    SPoly,
     Word,
     boundary_factor,
     certificate_from_dict,
     check_certificate,
     equivalence_verdict,
     eval_word,
+    expand_certificate,
     load_certificate,
     parse_spoly,
     parse_word,
@@ -20,11 +24,13 @@ from kleinverify import builtin
 
 from helpers import (
     SEED,
+    boundary_factor_oracle,
     build_reverse_certificate,
     cert_concat,
     cert_conjugate,
     cert_invert,
     certificate_to_dict,
+    check_boundary_factor_matches_oracle,
     check_expand_matches_fold,
     rand_valid_certificate,
     rand_word,
@@ -56,9 +62,13 @@ def test_empty_certificate():
 
 
 def test_index_out_of_range():
-    bad = ConjugacyCertificate(Word(), (CertFactor(Word(), 7, 1),))
-    with pytest.raises(IndexError):
-        check_certificate(P, bad)
+    # A negative index must not wrap round to the last relator, as a Python
+    # index would.
+    for rel in (7, 1, -1):
+        bad = ConjugacyCertificate(Word(), (CertFactor(Word(), rel, 1),))
+        for call in (expand_certificate, check_certificate, boundary_factor):
+            with pytest.raises(IndexError, match=f"^relator index {rel} out of range$"):
+                call(P, bad)
 
 
 def test_boundary_factor_values():
@@ -71,6 +81,34 @@ def test_boundary_factor_rejects_invalid():
     bad = ConjugacyCertificate(parse_word("x"), CERT1.factors)
     with pytest.raises(ValueError):
         boundary_factor(P, bad)
+
+
+def _valid(src, factors) -> ConjugacyCertificate:
+    return ConjugacyCertificate(expand_certificate(src, ConjugacyCertificate(Word(), factors)), factors)
+
+
+def test_boundary_factor_matches_oracle():
+    check_boundary_factor_matches_oracle(600)
+
+
+def test_boundary_factor_is_linear_time():
+    # 8000 distinct conjugators y x^i: a running SPoly sum copies the whole
+    # sum at every factor and takes seconds here.
+    n = 8000
+    cert = _valid(P, tuple(CertFactor(Word((("y", 1), ("x", i))), 0, (-1) ** i) for i in range(n)))
+    start = time.perf_counter()
+    got = boundary_factor(P, cert)
+    elapsed = time.perf_counter() - start
+    assert got == {0: SPoly({-1: RPoly({i: (-1) ** i for i in range(n)})})}
+    assert elapsed < 0.5, elapsed
+
+
+def test_boundary_factor_foreign_generator():
+    # The error names t, the first foreign letter of the inverse conjugator.
+    cert = _valid(P, (CertFactor(parse_word("z t"), 0, 1),))
+    for call in (boundary_factor, boundary_factor_oracle):
+        with pytest.raises(ValueError, match="^foreign generator 't'; only x and y are defined$"):
+            call(P, cert)
 
 
 def test_boundary_factor_unaggregated():

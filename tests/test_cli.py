@@ -234,6 +234,7 @@ FACTOR_SHAPE = "each certificate factor must be an object with 'w', 'rel' and 's
         ("certificate", _factor(rel="0"), "must be integers: '0', 1"),
         ("certificate", _factor(rel=True), "must be integers: True, 1"),
         ("certificate", _factor(rel=[0]), "must be integers: [0], 1"),
+        ("certificate", _factor(rel=-1), "relator index -1 out of range"),
         ("certificate", {"target": "1", "factors": [{"rel": 0, "sign": 1}]}, FACTOR_SHAPE),
         ("certificate", {"target": "1", "factors": [{"w": "1", "rel": 0}]}, FACTOR_SHAPE),
         ("certificate", 5, "needs an object"),
@@ -243,7 +244,7 @@ FACTOR_SHAPE = "each certificate factor must be an object with 'w', 'rel' and 's
     ],
     ids=[
         "factor-not-object", "target-not-string", "source-not-string", "relator-not-string",
-        "rel-float", "sign-float", "rel-string", "rel-bool", "rel-list",
+        "rel-float", "sign-float", "rel-string", "rel-bool", "rel-list", "rel-negative",
         "w-missing", "sign-missing",
         "certificate-not-object", "factors-not-list", "relators-not-list", "generators-not-list",
     ],

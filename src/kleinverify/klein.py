@@ -19,9 +19,7 @@ row pair into one coefficient dict per y-degree through laurent._mul_into.
 
 from __future__ import annotations
 
-import re
-
-from .laurent import PolySyntaxError, RPoly, _mul_into, parse_rpoly
+from .laurent import _SPOLY, RPoly, _mul_into, _parse
 from .presentations import FreeCombo, Presentation
 from .words import Word
 
@@ -201,76 +199,13 @@ def boundary_data(p: Presentation) -> tuple[list[list[SPoly]], list[SPoly]]:
     return d2, d1
 
 
-_TERM = re.compile(r"^y(?:\^(?P<m>-?\d+))?\s*(?:\*\s*(?P<paren>\(.*\))\s*)?$", re.S)
-
-
-def _split_terms(s: str) -> list[tuple[int, str]]:
-    chunks: list[tuple[int, str]] = []
-    cur: list[str] = []
-    sign = 1
-    depth = 0
-    prev = ""
-    i = 0
-    if s and s[0] in "+-":
-        sign = 1 if s[0] == "+" else -1
-        i = 1
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise PolySyntaxError(f"unbalanced ')' at position {i}")
-        if ch in "+-" and depth == 0 and prev not in ("", "^", "*", "+", "-"):
-            chunks.append((sign, "".join(cur).strip()))
-            cur = []
-            sign = 1 if ch == "+" else -1
-        else:
-            cur.append(ch)
-        if not ch.isspace():
-            prev = ch
-        i += 1
-    if depth != 0:
-        raise PolySyntaxError("unbalanced '(' in input")
-    chunks.append((sign, "".join(cur).strip()))
-    return chunks
-
-
 def parse_spoly(text: str) -> SPoly:
     """Parse the printed form, e.g. "y^2*(1) + (-1)" or "y - x^-1".
 
     Terms are y^m*(coefficient), a bare y^m (coefficient 1), a
-    parenthesized coefficient, or a plain Laurent polynomial in x for the
-    y-degree-0 row.
+    coefficient in parentheses or one monomial in x, the last two in the
+    y-degree-0 row; they may come in any order and share a y-degree.
+    Signs and blanks follow parse_rpoly, and laurent holds the grammar.
+    Each row becomes an RPoly once.
     """
-    s = text.replace("−", "-").strip()
-    if not s:
-        raise PolySyntaxError("empty input")
-    if "y" not in s and "(" not in s:
-        return SPoly.from_rpoly(parse_rpoly(s))
-    rows: dict[int, dict[int, int]] = {}
-    for sign, chunk in _split_terms(s):
-        if not chunk:
-            raise PolySyntaxError(f"empty term in {text!r}")
-        if chunk.startswith("y"):
-            m = _TERM.match(chunk)
-            if m is None:
-                raise PolySyntaxError(f"malformed term {chunk!r} in {text!r}")
-            degree = int(m.group("m")) if m.group("m") else 1
-            if m.group("paren"):
-                coeff = parse_rpoly(m.group("paren")[1:-1])
-            else:
-                coeff = RPoly.one()
-        elif chunk.startswith("("):
-            if not chunk.endswith(")"):
-                raise PolySyntaxError(f"malformed term {chunk!r} in {text!r}")
-            degree = 0
-            coeff = parse_rpoly(chunk[1:-1])
-        else:
-            degree = 0
-            coeff = parse_rpoly(chunk)
-        row = rows.setdefault(degree, {})
-        for e, c in coeff._coeffs.items():
-            row[e] = row.get(e, 0) + sign * c
-    return SPoly({m: RPoly(row) for m, row in rows.items()})
+    return SPoly({m: RPoly(coeffs) for m, coeffs in _parse(text, _SPOLY).items()})

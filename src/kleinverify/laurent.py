@@ -129,47 +129,110 @@ class RPoly:
         return f"RPoly({str(self)!r})"
 
 
-_MONO = re.compile(r"(?:(?P<coeff>\d+)\*?)?(?P<var>x(?:\^(?P<exp>-?\d+))?)?")
-# Blanks are dropped before the scan, which would join "x^1 0" into x^10.
-_SPLIT_DIGITS = re.compile(r"\d[ \t]+\d")
+# The text grammar of Laurent polynomials and of klein's twisted ring
+# elements.  The patterns stay strings, compiled on first use through re's
+# cache, so importing the package compiles none of them.  Tabs read as
+# spaces and "−" as "-", which keeps every position.  Blanks may stand
+# between tokens; a number is one token, so "x^1 0" is an error, not x^10.
+# A number has at most _MAX_DIGITS digits, CPython's default int() limit.
+_MAX_DIGITS = 4300
+_NUM = rf"\d{{1,{_MAX_DIGITS}}}"
+# c, x^k or c*x^k: a "*" stands only before x.
+_MONO = rf"(?:(?:{_NUM} *(?:\* *)?)?x(?: *\^ *(?:- *)?{_NUM})?|{_NUM})"
+_MONO_PREFIX = rf"(?:{_NUM}(?: *(?:\* *)?)?)?(?:x(?: *(?:\^ *(?:- *)?(?:{_NUM})?)?)?)?"
+
+
+def _tiling(term: str, term_prefix: str) -> tuple[str, str]:
+    """A tile, one term with the sign before it (optional at the start or
+    after "(") and the blanks after it, and the pattern of its starts."""
+    return (
+        rf"(?:(?<![^(]) *(?:[+-] *)?|(?<=[^(]) *[+-] *){term} *",
+        rf"(?:(?<![^(]) *(?:[+-] *)?{term_prefix}|(?<=[^(]) *(?:[+-] *{term_prefix})?)",
+    )
+
+
+_RPOLY = (_tiling(_MONO, _MONO_PREFIX),)
+# A twisted ring element is tiled by its terms, y^m*(coefficient), a bare
+# y^m, a coefficient in parentheses or a monomial, each coefficient read as
+# any text free of parentheses; and by the monomials inside parentheses,
+# everything else read as any text.  No blank stands inside y^m.
+_Y = rf"y(?:\^-?{_NUM})?"
+_SPOLY = (
+    _tiling(
+        rf"(?:(?:{_Y} *\* *)?\([^()]*\)|{_Y}|{_MONO})",
+        rf"(?:(?:{_Y} *\* *)?\([^()]*(?:\) *)?"
+        rf"|y(?:\^-?{_NUM}(?: *(?:\* *)?)?|\^-?| *(?:\* *)?)|{_MONO_PREFIX})",
+    ),
+    (rf"(?<![^)])[^(]*\(?|{_RPOLY[0][0]}\)?", _RPOLY[0][1]),
+)
+# One match per monomial of a valid text with its blanks removed: a row
+# opener (sign, y-degree, "(" and the sign after it) if any, the sign,
+# coefficient, x and exponent, and a ")" if any.  (?=.) keeps the scan from
+# an empty match at the end.
+_SCAN = r"(?=.)([+-]?)(?:(y)(?:\^(-?\d+))?)?(?:\*?(\()([+-]?))?(\d*)\*?(x?)(?:\^(-?\d+))?(\)?)"
+
+
+def _parse(text: str, tilings: tuple[tuple[str, str], ...]) -> dict[int, dict[int, int]]:
+    """One coefficient dict per y-degree for a text that every tile of
+    tilings covers, in one scan.  Matching a tile at a time, rather than
+    the whole grammar, keeps the regex engine's stack small on long texts."""
+    s = text.replace("\t", " ").replace("−", "-")
+    if not s.strip(" "):
+        raise PolySyntaxError("empty polynomial string")
+    if any(re.sub(tile, "", s) for tile, _ in tilings):
+        raise _syntax_error(text, s, tilings)
+    # The next monomial goes into row, negated inside "-(...)" or "-y^m*(...)".
+    top: dict[int, int] = {}
+    rows = {0: top}
+    row, negated = top, False
+    # No blank stands inside a token, so dropping them keeps the meaning.
+    for sign, y, degree, paren, first, digits, x, exp, close in re.findall(_SCAN, s.replace(" ", "")):
+        if y or paren:
+            opened = rows.setdefault((int(degree) if degree else 1) if y else 0, {})
+            if not paren:
+                opened[0] = opened.get(0, 0) + (-1 if sign == "-" else 1)
+                continue
+            row, negated, sign = opened, sign == "-", first
+        c = int(digits) if digits else 1
+        if (sign == "-") != negated:
+            c = -c
+        e = (int(exp) if exp else 1) if x else 0
+        row[e] = row.get(e, 0) + c
+        if close:
+            row, negated = top, False
+    return rows
+
+
+def _syntax_error(text: str, s: str, tilings: tuple[tuple[str, str], ...]) -> PolySyntaxError:
+    """The error at the end of the longest start of s that a valid text
+    shares: per tiling, the complete tiles, then the start of one more."""
+    at = len(s)
+    for tile, tile_prefix in tilings:
+        last = end = 0
+        for m in re.finditer(tile, s):
+            if m.start() != end:
+                break
+            last, end = end, m.end()
+        viable = re.compile(tile_prefix)
+        at = min(at, max(viable.match(s, last).end(), viable.match(s, end).end()))
+    if at == len(s):
+        return PolySyntaxError(f"unexpected end of input in {text!r}")
+    # A valid start stops inside a run of digits only at a number too long.
+    start = at - _MAX_DIGITS
+    if start >= 0 and s[start:at + 1].isdecimal():
+        return PolySyntaxError(f"number longer than {_MAX_DIGITS} digits at position {start} in {text!r}")
+    return PolySyntaxError(f"unexpected character {text[at]!r} at position {at} in {text!r}")
 
 
 def parse_rpoly(text: str) -> RPoly:
-    """Parse text such as "x^3 - x - 1", "-x^-1", "2*x^2 + 5"."""
-    s = text.replace("−", "-")
-    split = _SPLIT_DIGITS.search(s)
-    if split:
-        raise PolySyntaxError(f"digits split by whitespace at position {split.start()} in {text!r}")
-    s = s.replace(" ", "").replace("\t", "")
-    if not s:
-        raise PolySyntaxError("empty polynomial string")
-    coeffs: dict[int, int] = {}
-    i = 0
-    n = len(s)
-    while i < n:
-        sign = 1
-        if s[i] == "+":
-            i += 1
-        elif s[i] == "-":
-            sign = -1
-            i += 1
-        if i >= n:
-            raise PolySyntaxError(f"dangling sign at position {i - 1} in {text!r}")
-        m = _MONO.match(s, i)
-        if m is None or m.end() == i:
-            raise PolySyntaxError(f"unexpected character {s[i]!r} at position {i} in {text!r}")
-        if m.group("coeff") is None and m.group("var") is None:
-            raise PolySyntaxError(f"expected a monomial at position {i} in {text!r}")
-        coeff = int(m.group("coeff")) if m.group("coeff") else 1
-        if m.group("var"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
-        else:
-            exp = 0
-        coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
-        i = m.end()
-        if i < n and s[i] not in "+-":
-            raise PolySyntaxError(f"unexpected character {s[i]!r} at position {i} in {text!r}")
-    return RPoly(coeffs)
+    """Parse text such as "x^3 - x - 1", "-x^-1" or "2*x^2 + 5".
+
+    Terms are c, x^k or c*x^k, with "2x" for "2*x"; the first may carry a
+    sign, the others must.  One regex pass checks the text, one more adds
+    every monomial into one coefficient dict.  An error gives the position
+    in text and quotes it.
+    """
+    return RPoly(_parse(text, _RPOLY)[0])
 
 
 # Kronecker substitution pays off once both operands have about this many

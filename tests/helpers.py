@@ -10,7 +10,9 @@ every step, as Word products once did, and boundary_factor_oracle adds
 one SPoly per certificate factor to a running sum.  boundary_matrices with
 eval_combo goes through FreeCombo instead of klein.boundary_data.
 rpoly_mul_oracle and poly_quotient_oracle are the dict double loop and the
-dict long division, with no Kronecker substitution.
+dict long division, with no Kronecker substitution.  parse_rpoly_oracle and
+parse_spoly_oracle are the hand-written parsers that the one-pass grammar
+replaced: character by character, one coefficient parse per term.
 
 The algebra that only the tests need lives here too: Combo adds sums,
 one-sided products and the anti-involution to the library's FreeCombo,
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import random
+import re
 from collections import Counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -30,6 +33,7 @@ from kleinverify import (
     CertFactor,
     ConjugacyCertificate,
     FreeCombo,
+    PolySyntaxError,
     Presentation,
     RPoly,
     SPoly,
@@ -46,6 +50,8 @@ from kleinverify import (
     fox_derivative,
     in_V,
     laurent,
+    parse_rpoly,
+    parse_spoly,
     quotient,
     splitting_check,
     splitting_projector,
@@ -323,6 +329,257 @@ def poly_quotient_oracle(a: RPoly, b: RPoly) -> Optional[RPoly]:
             else:
                 rem.pop(e + rmax - dmax, None)
     return RPoly(quot).shift(b.min_exp - a.min_exp)
+
+
+# The parsers the library had before the one-pass grammar, kept as oracles:
+# parse_rpoly_oracle drops blanks and scans monomial by monomial, and
+# parse_spoly_oracle splits the text into terms by hand and parses each
+# coefficient with parse_rpoly_oracle.
+_ORACLE_MONO = re.compile(r"(?:(?P<coeff>\d+)\*?)?(?P<var>x(?:\^(?P<exp>-?\d+))?)?")
+# Blanks are dropped before the scan, which would join "x^1 0" into x^10.
+_ORACLE_SPLIT_DIGITS = re.compile(r"\d[ \t]+\d")
+
+
+def parse_rpoly_oracle(text: str) -> RPoly:
+    s = text.replace("−", "-")
+    split = _ORACLE_SPLIT_DIGITS.search(s)
+    if split:
+        raise PolySyntaxError(f"digits split by whitespace at position {split.start()} in {text!r}")
+    s = s.replace(" ", "").replace("\t", "")
+    if not s:
+        raise PolySyntaxError("empty polynomial string")
+    coeffs: Dict[int, int] = {}
+    i = 0
+    n = len(s)
+    while i < n:
+        sign = 1
+        if s[i] == "+":
+            i += 1
+        elif s[i] == "-":
+            sign = -1
+            i += 1
+        if i >= n:
+            raise PolySyntaxError(f"dangling sign at position {i - 1} in {text!r}")
+        m = _ORACLE_MONO.match(s, i)
+        if m is None or m.end() == i:
+            raise PolySyntaxError(f"unexpected character {s[i]!r} at position {i} in {text!r}")
+        if m.group("coeff") is None and m.group("var") is None:
+            raise PolySyntaxError(f"expected a monomial at position {i} in {text!r}")
+        coeff = int(m.group("coeff")) if m.group("coeff") else 1
+        if m.group("var"):
+            exp = int(m.group("exp")) if m.group("exp") else 1
+        else:
+            exp = 0
+        coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
+        i = m.end()
+        if i < n and s[i] not in "+-":
+            raise PolySyntaxError(f"unexpected character {s[i]!r} at position {i} in {text!r}")
+    return RPoly(coeffs)
+
+
+_ORACLE_TERM = re.compile(r"^y(?:\^(?P<m>-?\d+))?\s*(?:\*\s*(?P<paren>\(.*\))\s*)?$", re.S)
+
+
+def _oracle_split_terms(s: str) -> List[Tuple[int, str]]:
+    chunks: List[Tuple[int, str]] = []
+    cur: List[str] = []
+    sign = 1
+    depth = 0
+    prev = ""
+    i = 0
+    if s and s[0] in "+-":
+        sign = 1 if s[0] == "+" else -1
+        i = 1
+    while i < len(s):
+        ch = s[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise PolySyntaxError(f"unbalanced ')' at position {i}")
+        if ch in "+-" and depth == 0 and prev not in ("", "^", "*", "+", "-"):
+            chunks.append((sign, "".join(cur).strip()))
+            cur = []
+            sign = 1 if ch == "+" else -1
+        else:
+            cur.append(ch)
+        if not ch.isspace():
+            prev = ch
+        i += 1
+    if depth != 0:
+        raise PolySyntaxError("unbalanced '(' in input")
+    chunks.append((sign, "".join(cur).strip()))
+    return chunks
+
+
+def parse_spoly_oracle(text: str) -> SPoly:
+    s = text.replace("−", "-").strip()
+    if not s:
+        raise PolySyntaxError("empty input")
+    if "y" not in s and "(" not in s:
+        return SPoly.from_rpoly(parse_rpoly_oracle(s))
+    rows: Dict[int, Dict[int, int]] = {}
+    for sign, chunk in _oracle_split_terms(s):
+        if not chunk:
+            raise PolySyntaxError(f"empty term in {text!r}")
+        if chunk.startswith("y"):
+            m = _ORACLE_TERM.match(chunk)
+            if m is None:
+                raise PolySyntaxError(f"malformed term {chunk!r} in {text!r}")
+            degree = int(m.group("m")) if m.group("m") else 1
+            if m.group("paren"):
+                coeff = parse_rpoly_oracle(m.group("paren")[1:-1])
+            else:
+                coeff = RPoly.one()
+        elif chunk.startswith("("):
+            if not chunk.endswith(")"):
+                raise PolySyntaxError(f"malformed term {chunk!r} in {text!r}")
+            degree = 0
+            coeff = parse_rpoly_oracle(chunk[1:-1])
+        else:
+            degree = 0
+            coeff = parse_rpoly_oracle(chunk)
+        row = rows.setdefault(degree, {})
+        for e, c in coeff.items():
+            row[e] = row.get(e, 0) + sign * c
+    return SPoly({m: RPoly(row) for m, row in rows.items()})
+
+
+
+# The only inputs on which the library's parsers may differ from the
+# oracles.  Each is a syntax error in the library, which the oracles
+# accepted: a "*" not followed by x (or by "(" after y^m), and, in twisted
+# ring text, a doubled sign or a newline.  Numbers longer than 4300 digits
+# also differ, but the differential inputs are short.
+_DANGLING_STAR = re.compile(r"\*[ \t\n]*(?![ \t\n]|[x(])")
+_DOUBLED_SIGN = re.compile(r"[+\-−][ \t\n]*[+\-−]")
+_PARSE_ALPHABET = "0123456789xy^*+-() \t\n−"
+# Every text that some valid input starts with becomes valid with one of these.
+_COMPLETIONS = ("", "1", "x", ")", "1)", "x)", "(1)")
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except PolySyntaxError as exc:
+        return exc
+
+
+def _viable(parse, text: str) -> bool:
+    return any(not isinstance(_parse_outcome(parse, text + c), PolySyntaxError) for c in _COMPLETIONS)
+
+
+def _respace(rng: random.Random, text: str) -> str:
+    """text with random blanks between tokens, never inside a number or y^m."""
+    tokens = re.findall(r"y\^-?\d+|\d+|\S", text)
+    pad = ("", "", "", " ", "  ", "\t")
+    return rng.choice(pad) + "".join(t + rng.choice(pad) for t in tokens)
+
+
+def _rand_rpoly_text(rng: random.Random) -> str:
+    kind = rng.randrange(3)
+    if kind == 0:
+        a = rand_rpoly(rng)
+    elif kind == 1:  # dense
+        lo = rng.randint(-20, 5)
+        a = RPoly({e: rng.randint(-30, 30) for e in range(lo, lo + rng.randint(1, 25))})
+    else:  # sparse, with large exponents and coefficients
+        a = RPoly({
+            rng.randint(-10**9, 10**9): rng.choice((1, -1)) * rng.randint(1, 10**12)
+            for _ in range(rng.randint(1, 4))
+        })
+    text = str(a)
+    if rng.random() < 0.3:
+        text = text.replace("*x", "x")
+    return text
+
+
+def _rand_spoly_text(rng: random.Random) -> str:
+    """The rows of a random SPoly in all four term forms, in random order."""
+    f = rand_spoly(rng, max_rows=rng.choice((3, 8)), deg_range=rng.choice(((-3, 3), (-500, 500))))
+    terms = []
+    for m, a in f.rows():
+        ym = "y" if m == 1 else f"y^{m}"
+        form = rng.randrange(4)
+        if m == 0 and form == 3 and len(a.items()) == 1:
+            terms.append(str(a))
+        elif m != 0 and a == RPoly.one() and form >= 2:
+            terms.append(ym)
+        elif m == 0 and form >= 1:
+            terms.append(f"({a})")
+        else:
+            terms.append(f"{ym}*({a})")
+    rng.shuffle(terms)
+    return " + ".join(terms) or "0"
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """text with one to three characters inserted, deleted or replaced."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(chars))
+        op = rng.randrange(3) if chars else 0
+        if op == 0:
+            chars.insert(i, rng.choice(_PARSE_ALPHABET))
+        elif op == 1:
+            del chars[min(i, len(chars) - 1)]
+        else:
+            chars[min(i, len(chars) - 1)] = rng.choice(_PARSE_ALPHABET)
+    return "".join(chars)
+
+
+def _rand_parse_input(rng: random.Random, twisted: bool) -> str:
+    """A valid text, a near-valid one or a short random one."""
+    draw = rng.random()
+    if draw < 0.85:
+        text = _respace(rng, _rand_spoly_text(rng) if twisted else _rand_rpoly_text(rng))
+        if rng.random() < 0.2:
+            text = text.replace("-", "−")
+        return text if draw < 0.3 else _mutate(rng, text)
+    return "".join(rng.choice(_PARSE_ALPHABET) for _ in range(rng.randint(0, 12)))
+
+
+def check_parser_matches_oracle(cases: int, twisted: bool, seed: int = SEED) -> Counter:
+    """parse_spoly (twisted) or parse_rpoly against its oracle on fixed-seed
+    inputs: both give the same value, both raise PolySyntaxError, or the
+    input is one of the fixed bugs above and only the library raises.
+
+    Each error must name the first character past the longest start of the
+    input that some valid input shares, or the end when the input is such
+    a start.  Returns how many cases fell in each class.
+    """
+    parse, oracle = (parse_spoly, parse_spoly_oracle) if twisted else (parse_rpoly, parse_rpoly_oracle)
+    rng = random.Random(seed)
+    seen: Counter = Counter()
+    for _ in range(cases):
+        text = _rand_parse_input(rng, twisted)
+        new, old = _parse_outcome(parse, text), _parse_outcome(oracle, text)
+        if not isinstance(new, PolySyntaxError):
+            assert new == old, (text, new, old)
+            seen["equal"] += 1
+            continue
+        if isinstance(old, PolySyntaxError):
+            seen["both rejected"] += 1
+        else:
+            bugs = [name for name, hit in (
+                ("dangling *", _DANGLING_STAR.search(text)),
+                ("doubled sign", twisted and _DOUBLED_SIGN.search(text)),
+                ("newline", twisted and "\n" in text),
+            ) if hit]
+            assert bugs, ("only the library rejects", text, new, old)
+            seen.update(bugs)
+        message = str(new)
+        at = re.search(r"at position (\d+) in ", message)
+        if message == "empty polynomial string":
+            assert not text.strip(" \t"), text
+        elif at is None:
+            assert message.startswith("unexpected end") and _viable(parse, text), (text, message)
+        else:
+            k = int(at.group(1))
+            assert _viable(parse, text[:k]) and not _viable(parse, text[:k + 1]), (text, message)
+            assert message.endswith(f" in {text!r}"), (text, message)
+    return seen
 
 
 @contextlib.contextmanager

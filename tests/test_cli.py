@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -208,6 +209,51 @@ def test_readme_commands(tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         assert line in [out.strip() for out in captured.out.splitlines()], command
         assert captured.err == "", command
+
+
+def _readme_input_examples():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Input formats", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return re.findall(r"^ *\| `(.+?)` \| (Laurent|twisted) \| (.+?) \|$", section, re.M)
+
+
+def test_readme_input_formats(capsys):
+    # Each example of the table runs through the command that reads that
+    # kind of input, which echoes what it parsed in its JSON output.
+    examples = _readme_input_examples()
+    assert len(examples) >= 12 and {kind for _, kind, _ in examples} == {"Laurent", "twisted"}
+    for text, kind, printed in examples:
+        if kind == "Laurent":
+            argv, key = ["divides", text, "1", "--format", "json"], "a"
+        else:
+            argv, key = ["member", text, "--format", "json"], "element"
+        status = run(argv)
+        captured = capsys.readouterr()
+        if printed.startswith("error"):
+            assert status == 2 and captured.out == "", text
+            at = re.fullmatch(r"error at position (\d+)", printed)
+            expected = f"at position {at.group(1)} in {text!r}" if at else "unexpected end of input"
+            assert expected in captured.err, (text, captured.err)
+        else:
+            assert status in (0, 1) and captured.err == "", text
+            assert json.loads(captured.out)[key] == printed.strip("`"), text
+
+
+def test_parse_bugfix_exit_codes(capsys):
+    # Inputs the parsers once accepted or let escape as a bare ValueError.
+    for argv in (
+        ["divides", "2*", "x"],
+        ["divides", "2*+x", "x"],
+        ["member", "y^2 - - 1"],
+        ["member", "y\n*(x)"],
+        ["divides", "x^" + "1" * 5000, "x"],
+        ["member", "y^" + "1" * 5000],
+    ):
+        assert run(argv) == 2, argv[:2]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 6 and all(line.startswith("error: ") for line in lines)
+    assert "number longer than 4300 digits at position 2" in lines[4]
 
 
 def _factor(rel=0, sign=1) -> dict:

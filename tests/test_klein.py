@@ -13,17 +13,19 @@ from kleinverify import (
     parse_word,
 )
 from kleinverify import FreeCombo, Presentation, boundary_data, boundary_matrices, fox_derivative
-from kleinverify.klein import PolySyntaxError
+from kleinverify import PolySyntaxError
 
 from helpers import (
     SEED,
     Combo,
     check_boundary_data_matches_oracle,
     check_eval_homomorphism,
+    check_parser_matches_oracle,
     check_spoly_dense_mul_matches_oracle,
     check_spoly_ring_axioms,
     group_mul,
     normal_form_oracle,
+    parse_spoly_oracle,
     rand_rpoly,
     rand_spoly,
     rand_word,
@@ -179,10 +181,69 @@ def test_spoly_parse_is_linear_time():
     assert got == SPoly(rows)
 
 
+def test_rpoly_parse_is_linear_time():
+    # 30000 terms with repeated exponents, in random order and all forms.
+    rng = random.Random(SEED + 7)
+    terms, chunks = {}, []
+    for _ in range(30000):
+        e, c = rng.randint(-5000, 5000), rng.randint(1, 10**6)
+        c = c if rng.random() < 0.5 else -c
+        body = rng.choice((f"{abs(c)}*x^{e}", f"{abs(c)}x^{e}", f"{abs(c)} * x ^ {e}"))
+        if e == 0 and rng.random() < 0.5:
+            body = str(abs(c))
+        chunks.append(("- " if c < 0 else "+ ") + body)
+        terms[e] = terms.get(e, 0) + c
+    text = " ".join(chunks)
+    start = time.perf_counter()
+    got = parse_rpoly(text)
+    assert time.perf_counter() - start < 1.0
+    assert got == RPoly(terms)
+
+
 def test_spoly_parse_errors():
     for bad in ("", "y^*(1)", "y^2*(1", "q + 1"):
         with pytest.raises(PolySyntaxError):
             parse_spoly(bad)
+
+
+def test_spoly_parse_matches_oracle():
+    seen = check_parser_matches_oracle(1000, twisted=True)
+    assert seen["equal"] >= 300 and seen["both rejected"] >= 300, seen
+
+
+def test_spoly_parse_doubled_signs_and_newlines():
+    # The oracle folded a doubled sign into the term after it and took
+    # newlines for blanks; parse_rpoly already rejected both.
+    assert parse_spoly_oracle("y^2 - - 1") == parse_spoly("y^2 + 1")
+    assert parse_spoly_oracle("y^2*(1) - - x") == parse_spoly("y^2 + x")
+    assert parse_spoly_oracle("y\n*(x)") == parse_spoly("y*(x)")
+    for bad in ("y^2 - - 1", "y^2*(1) - - x", "y + -x", "- - 1 + y", "y\n*(x)", "y +\n1", "y\n"):
+        with pytest.raises(PolySyntaxError):
+            parse_spoly(bad)
+    for bad in ("x - - 1", "x\n+1"):
+        with pytest.raises(PolySyntaxError):
+            parse_rpoly(bad)
+
+
+def test_spoly_parse_dangling_star():
+    assert parse_spoly_oracle("y + 2*") == parse_spoly("y + 2")
+    for bad in ("y + 2*", "y*", "y^2 *", "y*x", "2*(x)", "y + 2*-x"):
+        with pytest.raises(PolySyntaxError):
+            parse_spoly(bad)
+
+
+def test_spoly_parse_error_positions():
+    cases = {
+        "(x)(1)": "unexpected character '(' at position 3 in '(x)(1)'",
+        "y^2 - - 1": "unexpected character '-' at position 6 in 'y^2 - - 1'",
+        "y*(x^1 0)": "unexpected character '0' at position 7 in 'y*(x^1 0)'",
+        "y^2*(x) + y^": "unexpected end of input in 'y^2*(x) + y^'",
+        "y^" + "1" * 4301: "number longer than 4300 digits at position 2 in ",
+    }
+    for text, message in cases.items():
+        with pytest.raises(PolySyntaxError) as err:
+            parse_spoly(text)
+        assert str(err.value).startswith(message)
 
 
 def test_boundary_data_matches_oracle():

@@ -10,10 +10,12 @@ from kleinverify.laurent import PolySyntaxError
 from helpers import (
     SEED,
     check_domain_property,
+    check_parser_matches_oracle,
     check_quotient_matches_oracle,
     check_rpoly_ring_axioms,
     check_rpoly_mul_matches_oracle,
     check_sigma_involution,
+    parse_rpoly_oracle,
     rand_rpoly,
 )
 
@@ -212,6 +214,47 @@ def test_parse_errors():
     for bad in ("", "x^", "x^^2", "x + ", "x*y", "3.5", "x^1 0", "1 0", "x^1\t0 - 1", "2 3*x"):
         with pytest.raises(PolySyntaxError):
             parse_rpoly(bad)
+
+
+def test_parse_matches_oracle():
+    seen = check_parser_matches_oracle(1000, twisted=False)
+    assert seen["equal"] >= 300 and seen["both rejected"] >= 300, seen
+
+
+def test_parse_dangling_star():
+    # The oracle read a "*" that no x follows as nothing.
+    assert parse_rpoly_oracle("2*") == RPoly({0: 2})
+    assert parse_rpoly_oracle("2*+x") == RPoly({0: 2, 1: 1})
+    for bad in ("2*", "2*+x", "2 * ", "2*-x", "x + 3*", "2**x"):
+        with pytest.raises(PolySyntaxError):
+            parse_rpoly(bad)
+
+
+def test_parse_error_positions():
+    # Offsets count in the text as given, blanks included, and the whole
+    # text is quoted.
+    cases = {
+        "x - - 1": "unexpected character '-' at position 4 in 'x - - 1'",
+        "x^1 0": "unexpected character '0' at position 4 in 'x^1 0'",
+        "x\n+1": "unexpected character '\\n' at position 1 in 'x\\n+1'",
+        "3 − x −": "unexpected end of input in '3 − x −'",
+        "x −− 1": "unexpected character '−' at position 3 in 'x −− 1'",
+        " \t": "empty polynomial string",
+    }
+    for text, message in cases.items():
+        with pytest.raises(PolySyntaxError) as err:
+            parse_rpoly(text)
+        assert str(err.value) == message
+
+
+def test_parse_long_numbers():
+    # At most 4300 digits, CPython's default int() limit, on every version.
+    big = "9" * 4300
+    assert parse_rpoly(f"{big}*x^-{big}") == RPoly({-int(big): int(big)})
+    for text, at in (("1" * 4301, 0), ("x^" + "1" * 5000, 2), ("x - 2" + "0" * 4300 + "*x", 4)):
+        with pytest.raises(PolySyntaxError) as err:
+            parse_rpoly(text)
+        assert str(err.value).startswith(f"number longer than 4300 digits at position {at} in ")
 
 
 def test_is_unit():

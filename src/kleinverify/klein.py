@@ -51,7 +51,7 @@ class SPoly:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: dict[int, RPoly] | None = None):
-        self._rows = {m: a for m, a in (rows or {}).items() if not a.is_zero()}
+        self._rows = {m: a for m, a in (rows or {}).items() if a._coeffs}
 
     @classmethod
     def zero(cls) -> "SPoly":

@@ -8,14 +8,20 @@ operands use the schoolbook double loop and integer long division.  Dense
 operands with at least _KRONECKER_TERMS terms use Kronecker substitution:
 each polynomial is read as one integer p(N), N = 2^(8*width), with balanced
 digits wide enough that no digit carries, and Python's exact big-int
-product or division does the work.
+product or division does the work.  Widths round up to 1, 2, 4 or 8
+bytes, so the digits pass through one array.array of signed items, put in
+little-endian order whatever sys.byteorder is; wider digits take one
+int.to_bytes or int.from_bytes call each.
 
 Every product runs through one kernel, _mul_into(out, a, b, flip, sign),
-which adds sign * a(x^flip) * b into the coefficient dict out with either
-method.  RPoly.__mul__ calls it with an empty out, klein.SPoly.__mul__
-with flip -1 for sigma, and division.divide with sign -1 for each row
-update, so no product, negation or sum is built only to be added.  The
-kernel keeps zero coefficients; the RPoly and SPoly constructors drop them.
+which adds sign * a(x^flip) * b into the coefficient dict out.
+RPoly.__mul__ calls it with an empty out, klein.SPoly.__mul__ with flip
+-1 for sigma, and division.divide with sign -1 for each row update, so no
+product, negation or sum is built only to be added.  A one-term a times
+b, most calls on the verify path, is written into a fresh dict in one
+pass over b, with no lookup per term, when out is smaller than b.  The kernel keeps zero coefficients; the RPoly
+constructor drops them, filtering in Python only when a C-level scan
+finds one, and the SPoly constructor drops zero rows.
 
 Divisibility is decided exactly, with no rational arithmetic: units x^k are
 divided out first.  On the Kronecker path a None is sound, because a | b in
@@ -28,6 +34,7 @@ coincidence), long division decides.
 from __future__ import annotations
 
 import re
+import sys
 
 
 class PolySyntaxError(ValueError):
@@ -40,7 +47,9 @@ class RPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: dict[int, int] | None = None):
-        self._coeffs = {e: c for e, c in (coeffs or {}).items() if c}
+        # A copy; only a dict that the C-level scan finds a zero in is filtered.
+        coeffs = coeffs or {}
+        self._coeffs = {e: c for e, c in coeffs.items() if c} if 0 in coeffs.values() else dict(coeffs)
 
     @classmethod
     def zero(cls) -> "RPoly":
@@ -134,9 +143,10 @@ class RPoly:
 # cache, so importing the package compiles none of them.  Tabs read as
 # spaces and "−" as "-", which keeps every position.  Blanks may stand
 # between tokens; a number is one token, so "x^1 0" is an error, not x^10.
-# A number has at most _MAX_DIGITS digits, CPython's default int() limit.
+# A number has at most _MAX_DIGITS digits, CPython's default int() limit;
+# digits are ASCII 0-9 only, as "\d" would also take other scripts' digits.
 _MAX_DIGITS = 4300
-_NUM = rf"\d{{1,{_MAX_DIGITS}}}"
+_NUM = rf"[0-9]{{1,{_MAX_DIGITS}}}"
 # c, x^k or c*x^k: a "*" stands only before x.
 _MONO = rf"(?:(?:{_NUM} *(?:\* *)?)?x(?: *\^ *(?:- *)?{_NUM})?|{_NUM})"
 _MONO_PREFIX = rf"(?:{_NUM}(?: *(?:\* *)?)?)?(?:x(?: *(?:\^ *(?:- *)?(?:{_NUM})?)?)?)?"
@@ -169,7 +179,7 @@ _SPOLY = (
 # opener (sign, y-degree, "(" and the sign after it) if any, the sign,
 # coefficient, x and exponent, and a ")" if any.  (?=.) keeps the scan from
 # an empty match at the end.
-_SCAN = r"(?=.)([+-]?)(?:(y)(?:\^(-?\d+))?)?(?:\*?(\()([+-]?))?(\d*)\*?(x?)(?:\^(-?\d+))?(\)?)"
+_SCAN = r"(?=.)([+-]?)(?:(y)(?:\^(-?[0-9]+))?)?(?:\*?(\()([+-]?))?([0-9]*)\*?(x?)(?:\^(-?[0-9]+))?(\)?)"
 
 
 def _parse(text: str, tilings: tuple[tuple[str, str], ...]) -> dict[int, dict[int, int]]:
@@ -203,6 +213,20 @@ def _parse(text: str, tilings: tuple[tuple[str, str], ...]) -> dict[int, dict[in
     return rows
 
 
+# An error quotes a text of up to _QUOTE_LIMIT characters whole; a longer
+# one by its length and the _QUOTE_SPAN characters on either side of the
+# error, so a huge malformed argument gives a short message.
+_QUOTE_LIMIT = 1000
+_QUOTE_SPAN = 40
+
+
+def _quote(text: str, at: int) -> str:
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    lo = max(at - _QUOTE_SPAN, 0)
+    return f"a text of {len(text)} characters, near {text[lo:at + _QUOTE_SPAN]!r} from position {lo}"
+
+
 def _syntax_error(text: str, s: str, tilings: tuple[tuple[str, str], ...]) -> PolySyntaxError:
     """The error at the end of the longest start of s that a valid text
     shares: per tiling, the complete tiles, then the start of one more."""
@@ -216,12 +240,14 @@ def _syntax_error(text: str, s: str, tilings: tuple[tuple[str, str], ...]) -> Po
         viable = re.compile(tile_prefix)
         at = min(at, max(viable.match(s, last).end(), viable.match(s, end).end()))
     if at == len(s):
-        return PolySyntaxError(f"unexpected end of input in {text!r}")
-    # A valid start stops inside a run of digits only at a number too long.
+        return PolySyntaxError(f"unexpected end of input in {_quote(text, at)}")
+    # A valid start stops inside a run of ASCII digits only at a number too long.
     start = at - _MAX_DIGITS
-    if start >= 0 and s[start:at + 1].isdecimal():
-        return PolySyntaxError(f"number longer than {_MAX_DIGITS} digits at position {start} in {text!r}")
-    return PolySyntaxError(f"unexpected character {text[at]!r} at position {at} in {text!r}")
+    if start >= 0 and s[start:at + 1].isascii() and s[start:at + 1].isdecimal():
+        return PolySyntaxError(
+            f"number longer than {_MAX_DIGITS} digits at position {start} in {_quote(text, start)}"
+        )
+    return PolySyntaxError(f"unexpected character {text[at]!r} at position {at} in {_quote(text, at)}")
 
 
 def parse_rpoly(text: str) -> RPoly:
@@ -230,7 +256,8 @@ def parse_rpoly(text: str) -> RPoly:
     Terms are c, x^k or c*x^k, with "2x" for "2*x"; the first may carry a
     sign, the others must.  One regex pass checks the text, one more adds
     every monomial into one coefficient dict.  An error gives the position
-    in text and quotes it.
+    in text and quotes the text, or a window around the position when the
+    text is over _QUOTE_LIMIT characters.
     """
     return RPoly(_parse(text, _RPOLY)[0])
 
@@ -257,28 +284,69 @@ def _width(bound: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
+# Signed array item codes by size in bytes: C's char, short, int and long
+# long, 1, 2, 4 and 8 bytes wherever CPython builds.
+_ITEM_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _item_width(width: int) -> int:
+    """width rounded up to the next array item size: 1, 2, 4 or 8 bytes;
+    a width over 8 bytes stays as it is."""
+    return next((size for size in _ITEM_CODES if width <= size), width)
+
+
+def _array(code: str, data: list[int] | bytes):
+    """array(code, data), byte-swapped on a big-endian host: ints become
+    little-endian bytes and little-endian bytes become ints.  The module
+    loads at the first call, so a start-up that packs no digits skips it."""
+    from array import array
+
+    items = array(code, data)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return items
+
+
 def _bias(width: int, n: int) -> int:
     """2^(8*width - 1) in each of n digits: the offset that makes balanced digits nonnegative."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
 
 
 def _pack(coeffs: dict[int, int], start: int, n: int, width: int, step: int = 1) -> int:
-    """sum coeffs[start + step*i] * 2^(8*width*i) over 0 <= i < n, in linear time."""
-    half = 1 << (8 * width - 1)
+    """sum coeffs[start + step*i] * 2^(8*width*i) over 0 <= i < n, in linear time.
+
+    Each coefficient must fit a balanced digit of width bytes.  The digits
+    are written in two's complement, by one array of signed items at an
+    item width, else one int.to_bytes call each.  XOR with the bias flips
+    each digit's top bit, adding 2^(8*width - 1) to it with no carry.
+    """
     get = coeffs.get
     exps = range(start, start + step * n, step)
-    raw = b"".join((get(e, 0) + half).to_bytes(width, "little") for e in exps)
-    return int.from_bytes(raw, "little") - _bias(width, n)
+    code = _ITEM_CODES.get(width)
+    if code is None:
+        raw = b"".join(get(e, 0).to_bytes(width, "little", signed=True) for e in exps)
+    else:
+        raw = _array(code, [get(e, 0) for e in exps]).tobytes()
+    bias = _bias(width, n)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
 def _unpack(value: int, width: int, n: int) -> list[int] | None:
-    """The n balanced digits of value, lowest first, or None when it has none."""
-    half = 1 << (8 * width - 1)
-    value += _bias(width, n)
+    """The n balanced digits of value, lowest first, or None when it has none.
+
+    The inverse of _pack: XOR with the bias gives two's complement digits,
+    read by one array of signed items at an item width.
+    """
+    bias = _bias(width, n)
+    value += bias
     if value < 0 or value.bit_length() > 8 * width * n:
         return None
-    raw = value.to_bytes(width * n, "little")
-    return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * n, width)]
+    raw = (value ^ bias).to_bytes(width * n, "little")
+    code = _ITEM_CODES.get(width)
+    if code is None:
+        return [int.from_bytes(raw[i:i + width], "little", signed=True) for i in range(0, width * n, width)]
+    return _array(code, raw).tolist()
 
 
 def _mul_into(
@@ -290,9 +358,26 @@ def _mul_into(
     The one multiply kernel: RPoly products, SPoly row products (flip -1
     is sigma) and division's row updates all run through it.  out may be
     updated in place or replaced, so callers keep the returned dict.
-    Zeros are kept; the RPoly constructor drops them.
+    Zeros are kept; the RPoly constructor drops them.  A one-term a (a
+    unit s, or a row of y + s) scales b into a fresh dict when out has
+    fewer terms than b, and out is added into that.  A plain loop, not a
+    comprehension: on CPython 3.11 a comprehension is a function call,
+    which costs more than it saves on the one- to three-term rows of the
+    paper's instance.
     """
-    if len(a) >= _KRONECKER_TERMS and len(b) >= _KRONECKER_TERMS and _dense(a) and _dense(b):
+    if len(a) == 1:
+        if len(out) < len(b):
+            [(e1, c1)] = a.items()
+            e1 *= flip
+            c1 *= sign
+            res = {}
+            for e2, c2 in b.items():
+                res[e1 + e2] = c1 * c2
+            get = res.get
+            for e, c in out.items():
+                res[e] = get(e, 0) + c
+            return res
+    elif len(a) >= _KRONECKER_TERMS and len(b) >= _KRONECKER_TERMS and _dense(a) and _dense(b):
         lo, digits = _kronecker_mul(a, b, flip, sign)
         if not out:
             return dict(enumerate(digits, lo))
@@ -320,7 +405,7 @@ def _kronecker_mul(
     a_lo, a_hi, b_lo = min(a), max(a), min(b)
     a_n, b_n = a_hi - a_lo + 1, max(b) - b_lo + 1
     a_start = a_lo if flip > 0 else a_hi
-    width = _width(_max_abs(a) * _max_abs(b) * min(len(a), len(b)))
+    width = _item_width(_width(_max_abs(a) * _max_abs(b) * min(len(a), len(b))))
     product = _pack(a, a_start, a_n, width, flip) * _pack(b, b_lo, b_n, width)
     if sign < 0:
         product = -product
@@ -374,7 +459,7 @@ def _kronecker_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, i
     # both operands; that it also fits the quotient is a guess, and a
     # candidate that fails the check goes to long division.
     num_n, den_n = max(num) + 1, max(den) + 1
-    width = _width(max(_max_abs(num) * len(num), _max_abs(den)))
+    width = _item_width(_width(max(_max_abs(num) * len(num), _max_abs(den))))
     big_q, big_rem = divmod(_pack(num, 0, num_n, width), _pack(den, 0, den_n, width))
     if big_rem:
         return None

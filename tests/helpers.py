@@ -10,7 +10,8 @@ every step, as Word products once did, and boundary_factor_oracle adds
 one SPoly per certificate factor to a running sum.  boundary_matrices with
 eval_combo goes through FreeCombo instead of klein.boundary_data.
 rpoly_mul_oracle and poly_quotient_oracle are the dict double loop and the
-dict long division, with no Kronecker substitution.  parse_rpoly_oracle and
+dict long division, with no Kronecker substitution; mul_into_oracle is the
+double loop for the kernel's out + sign * a(x^flip) * b.  parse_rpoly_oracle and
 parse_spoly_oracle are the hand-written parsers that the one-pass grammar
 replaced: character by character, one coefficient parse per term.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import random
 import re
+import sys
 from collections import Counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -984,6 +986,114 @@ def check_quotient_matches_oracle(cases: int, seed: int = SEED) -> None:
         else:
             paths["integer" if got is None else "checked"] += 1
     assert all(paths[p] for p in ("long", "integer", "checked", "fallback")), paths
+
+
+def mul_into_oracle(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int], flip: int, sign: int) -> Dict[int, int]:
+    """out + sign * a(x^flip) * b by the dict double loop, zeros dropped."""
+    res = dict(out)
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = flip * e1 + e2
+            res[e] = res.get(e, 0) + sign * c1 * c2
+    return {e: c for e, c in res.items() if c}
+
+
+def _dense_bits(rng: random.Random, terms: int, bits: int, shift: Optional[int] = None) -> Dict[int, int]:
+    """A _dense_rpoly of terms terms with coefficients of up to bits bits, as a dict."""
+    return _dense_rpoly(rng, terms, lambda r: r.choice((1, -1)) * r.randint(1, 1 << bits), shift)._coeffs
+
+
+def _rand_one_term(rng: random.Random) -> Dict[int, int]:
+    coeff = rng.choice((1, -1, rng.randint(-9, 9) or 2, rng.randint(-(1 << 70), 1 << 70) or 3))
+    return {rng.randint(-30, 30): coeff}
+
+
+def _rand_kernel_case(rng: random.Random, kind: int):
+    """(out, a, b) for check_mul_into_matches_oracle, by kind: a one-term a
+    with 0 an empty out, 1 one smaller than b, 2 one at least as large;
+    3 small operands; 4 dense operands whose digit width is drawn from 1 to
+    13 bytes, with an empty or a dense out."""
+    if kind < 3:
+        a, b = _rand_one_term(rng), rand_rpoly(rng, max_terms=30, coeff_range=(-50, 50))._coeffs
+        size = (0, rng.randint(1, max(len(b) - 1, 1)), len(b) + rng.randint(0, 5))[kind]
+        out = {rng.randint(-40, 40): rng.randint(-9, 9) for _ in range(size)}
+        return (out if kind != 1 or len(out) < len(b) else {}), a, b
+    if kind == 3:
+        a = rand_rpoly(rng, max_terms=laurent._KRONECKER_TERMS - 1)._coeffs
+        return rand_rpoly(rng)._coeffs, a, rand_rpoly(rng, max_terms=30)._coeffs
+    a = _dense_bits(rng, rng.randint(laurent._KRONECKER_TERMS, 40), rng.randint(0, 90))
+    b = _dense_bits(rng, rng.randint(laurent._KRONECKER_TERMS, 40), rng.randint(0, 6))
+    out = _dense_bits(rng, rng.randint(1, 80), rng.randint(0, 90), rng.randint(-60, 0)) if rng.random() < 0.3 else {}
+    return out, a, b
+
+
+@contextlib.contextmanager
+def recording_widths() -> Iterator[Counter]:
+    """Count the (caller, digit width, rounded width) triples of the
+    laurent._item_width calls made while the block runs: one per Kronecker
+    product (_kronecker_mul) or quotient (_kronecker_quotient)."""
+    calls: Counter = Counter()
+    item_width = laurent._item_width
+
+    def record(width: int) -> int:
+        calls[sys._getframe(1).f_code.co_name, width, item_width(width)] += 1
+        return item_width(width)
+
+    laurent._item_width = record
+    try:
+        yield calls
+    finally:
+        laurent._item_width = item_width
+
+
+def _roundings(calls: Counter, caller: str) -> set:
+    """Which roundings caller made: 3 to 4 bytes, 5-7 to 8, over 8 kept."""
+    return {cls for (name, w, used) in calls if name == caller for cls, hit in (
+        ("3->4", (w, used) == (3, 4)), ("5-7->8", 5 <= w <= 7 and used == 8), (">8 kept", w > 8 and used == w),
+    ) if hit}
+
+
+def check_mul_into_matches_oracle(cases: int, seed: int = SEED) -> Counter:
+    """laurent._mul_into against mul_into_oracle for flip and sign +-1.
+    Every third case sets out to minus the product, or minus a part of it,
+    so the sum cancels to zero wholly or partly.  Every fifth case is a
+    dense pair whose digit width rounds up to an array item size or
+    exceeds 8 bytes, with coefficients up to 2^90.  Then, in the same
+    widths, exact quotients a * c / a and products plus a monomial, whose
+    quotient is None, against poly_quotient_oracle.  The Kronecker product
+    and quotient must each round 3 bytes to 4 and 5-7 to 8, and keep a
+    width over 8.  Returns how many cases fell in each class."""
+    rng = random.Random(seed)
+    seen: Counter = Counter()
+    with recording_widths() as calls:
+        for i in range(cases):
+            kind = i % 5
+            out, a, b = _rand_kernel_case(rng, kind)
+            flip, sign = rng.choice((1, -1)), rng.choice((1, -1))
+            if i % 3 == 0:
+                product = mul_into_oracle({}, a, b, flip, -sign)
+                part = rng.random() < 0.5
+                out = {e: c for e, c in product.items() if not part or rng.random() < 0.5}
+                seen["cancel"] += 1
+            want = mul_into_oracle(out, a, b, flip, sign)
+            before = dict(out)
+            got = laurent._mul_into(out, a, b, flip, sign)
+            assert {e: c for e, c in got.items() if c} == want, (i, before, a, b, flip, sign)
+            seen["zero" if not want else "kind %d" % kind] += 1
+            seen["kind 4, a coefficient >= 2^63"] += kind == 4 and max(map(abs, a.values())) >= 1 << 63
+        for i in range(cases // 5):
+            a = RPoly(_dense_bits(rng, rng.randint(laurent._KRONECKER_TERMS, 40), rng.randint(0, 90)))
+            c = RPoly(_dense_bits(rng, rng.randint(laurent._KRONECKER_TERMS, 40), rng.randint(0, 6)))
+            seen["quotient, a coefficient >= 2^63"] += max(map(abs, a._coeffs.values())) >= 1 << 63
+            b = rpoly_mul_oracle(a, c)
+            if i % 2:
+                b = b + RPoly.monomial(rng.randint(b.min_exp, b.max_exp + 1))
+            got = quotient(a, b)
+            assert got == poly_quotient_oracle(a, b), (i, str(a), str(b))
+            seen["quotient" if got is not None else "quotient None"] += 1
+    for caller in ("_kronecker_mul", "_kronecker_quotient"):
+        assert _roundings(calls, caller) == {"3->4", "5-7->8", ">8 kept"}, (caller, calls)
+    return seen
 
 
 def check_single_degree_span(cases: int, seed: int = SEED) -> None:

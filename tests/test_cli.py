@@ -256,6 +256,26 @@ def test_parse_bugfix_exit_codes(capsys):
     assert "number longer than 4300 digits at position 2" in lines[4]
 
 
+def test_non_ascii_digits_exit_2(capsys):
+    for argv in (["divides", "٣x + ３", "x"], ["divides", "x", "x^٣"], ["member", "y^٣"], ["member", "y*(３)"]):
+        assert run(argv) == 2, argv
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 4 and all(line.startswith("error: unexpected character ") for line in lines)
+
+
+def test_huge_malformed_argument_bounded_error(capsys):
+    # 1 MB of valid terms, then one bad character: the message quotes a
+    # window around it and the length, not the whole argument.
+    text = "y*(x) + " * 131072 + "q"
+    assert run(["member", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: unexpected character 'q' at position 1048576 in a text of 1048577 characters, near "
+    )
+    assert len(captured.err) < 200 and captured.err.count("\n") == 1
+
+
 def _factor(rel=0, sign=1) -> dict:
     """The certificate of P's relator over P, with rel and sign replaced."""
     factor = {"w": "1", "rel": rel, "sign": sign}

@@ -246,6 +246,22 @@ def test_spoly_parse_error_positions():
         assert str(err.value).startswith(message)
 
 
+def test_spoly_constructor_copies_and_drops_zero_rows():
+    rows = {0: RPoly({0: 1}), 1: RPoly.zero(), 2: RPoly({0: 0, 1: False})}
+    f = SPoly(rows)
+    assert f._rows == {0: RPoly({0: 1})}
+    rows[0], rows[3] = RPoly({0: 2}), RPoly({1: 1})
+    assert f._rows == {0: RPoly({0: 1})} and str(f) == "(1)"
+    assert SPoly({4: RPoly({2: False})}).is_zero()
+
+
+def test_spoly_parse_ascii_digits_only():
+    for text, at in (("y^٣", 2), ("y*(٣x)", 3), ("(x) + y^2*(３)", 11), ("٣", 0)):
+        with pytest.raises(PolySyntaxError) as err:
+            parse_spoly(text)
+        assert str(err.value) == f"unexpected character {text[at]!r} at position {at} in {text!r}"
+
+
 def test_boundary_data_matches_oracle():
     check_boundary_data_matches_oracle(500)
 

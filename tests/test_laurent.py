@@ -1,5 +1,6 @@
 import random
 import time
+from array import array
 
 import pytest
 
@@ -10,6 +11,7 @@ from kleinverify.laurent import PolySyntaxError
 from helpers import (
     SEED,
     check_domain_property,
+    check_mul_into_matches_oracle,
     check_parser_matches_oracle,
     check_quotient_matches_oracle,
     check_rpoly_ring_axioms,
@@ -86,8 +88,31 @@ def test_quotient_matches_oracle():
     check_quotient_matches_oracle(700)
 
 
+def test_mul_into_matches_oracle():
+    seen = check_mul_into_matches_oracle(600)
+    assert all(seen[k] >= 50 for k in ("cancel", "zero", "kind 0", "kind 1", "kind 2", "kind 4")), seen
+    assert seen["quotient"] and seen["quotient None"], seen
+    assert seen["kind 4, a coefficient >= 2^63"] and seen["quotient, a coefficient >= 2^63"], seen
+
+
+def test_constructor_copies_and_drops_zeros():
+    coeffs = {0: 1, 1: 2}
+    a = RPoly(coeffs)
+    coeffs[0], coeffs[2] = 5, 7
+    del coeffs[1]
+    assert a._coeffs == {0: 1, 1: 2} and str(a) == "2*x + 1"
+    # zeros are dropped, False as 0, and the argument is left as it was
+    with_zeros = {0: 0, 1: 3, 2: False, 3: -1}
+    b = RPoly(with_zeros)
+    assert b._coeffs == {1: 3, 3: -1} and b == RPoly({1: 3, 3: -1})
+    assert with_zeros == {0: 0, 1: 3, 2: False, 3: -1}
+    with_zeros[1] = 4
+    assert b._coeffs == {1: 3, 3: -1}
+    assert RPoly({5: False}) == RPoly({0: 0}) == RPoly.zero() and RPoly({5: False}).is_zero()
+
+
 def test_balanced_digits_roundtrip():
-    for width in (1, 2, 3):
+    for width in (1, 2, 3, 4, 8, 9):
         half = 1 << (8 * width - 1)
         digits = [half - 1, -(half - 1), 0, -1, 1, half - 1]
         packed = laurent._pack(dict(enumerate(digits)), 0, len(digits), width)
@@ -99,6 +124,20 @@ def test_balanced_digits_roundtrip():
         assert laurent._unpack(-packed - top, width, len(digits)) is None
     assert laurent._width(127) == 1 and laurent._width(128) == 2
     assert laurent._width(2**15 - 1) == 2 and laurent._width(2**15) == 3
+    # Array item widths and the wider int.to_bytes digits: the lowest and
+    # highest balanced digit of each width, and 2^63 at 9 bytes and over.
+    for width in (1, 2, 4, 8, 9, 12):
+        half = 1 << (8 * width - 1)
+        digits = [-half, half - 1, 0, -1, 1, -half, half - 1]
+        packed = laurent._pack(dict(enumerate(digits)), 0, len(digits), width)
+        assert packed == sum(c << (8 * width * i) for i, c in enumerate(digits))
+        assert laurent._unpack(packed, width, len(digits)) == digits
+        # the n-digit range ends at all digits -half and all half - 1
+        low, high = (laurent._pack(dict.fromkeys(range(7), c), 0, 7, width) for c in (-half, half - 1))
+        assert laurent._unpack(low, width, 7) == [-half] * 7 and laurent._unpack(high, width, 7) == [half - 1] * 7
+        assert laurent._unpack(low - 1, width, 7) is None and laurent._unpack(high + 1, width, 7) is None
+    assert [laurent._item_width(w) for w in range(1, 11)] == [1, 2, 4, 4, 8, 8, 8, 8, 9, 10]
+    assert {array(code).itemsize: code for code in laurent._ITEM_CODES.values()} == laurent._ITEM_CODES
 
 
 def _residue(a: RPoly, t: int, p: int) -> int:
@@ -255,6 +294,37 @@ def test_parse_long_numbers():
         with pytest.raises(PolySyntaxError) as err:
             parse_rpoly(text)
         assert str(err.value).startswith(f"number longer than 4300 digits at position {at} in ")
+
+
+def test_parse_ascii_digits_only():
+    # "\d" once read any script's decimal digits: "٣x + ３" parsed as 3*x + 3.
+    cases = {
+        "٣x + ３": 0,
+        "x + ３": 4,
+        "x^٣": 2,
+        "1" * 4300 + "٣": 4300,
+    }
+    for text, at in cases.items():
+        with pytest.raises(PolySyntaxError) as err:
+            parse_rpoly(text)
+        assert str(err.value).startswith(f"unexpected character {text[at]!r} at position {at} in "), text
+
+
+def test_parse_error_quotes_a_window_of_long_texts():
+    limit = laurent._QUOTE_LIMIT
+    text = "x + " * (limit // 4)
+    assert len(text) == limit
+    with pytest.raises(PolySyntaxError) as err:
+        parse_rpoly(text)
+    assert str(err.value) == f"unexpected end of input in {text!r}"
+    text = "x + " * 250_000 + "q" + " + x" * 10
+    with pytest.raises(PolySyntaxError) as err:
+        parse_rpoly(text)
+    window = text[1_000_000 - 40:1_000_040]
+    assert str(err.value) == (
+        f"unexpected character 'q' at position 1000000 in a text of {len(text)} characters, "
+        f"near {window!r} from position 999960"
+    )
 
 
 def test_is_unit():

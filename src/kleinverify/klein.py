@@ -14,12 +14,14 @@ eval_combo evaluates a FreeCombo term by term into one dict per y-degree;
 with presentations.boundary_matrices it is the slower reference the tests
 hold boundary_data to.  eval_word returns the normal form as the pair
 (m, n), applying the group law letter by letter.  SPoly products sum every
-row pair into one coefficient dict per y-degree through laurent._mul_into.
+row pair into one coefficient dict per y-degree, through laurent._scaled
+for a one-term row and laurent._mul_into for any other, and wrap each row
+once, with no copy.
 """
 
 from __future__ import annotations
 
-from .laurent import _SPOLY, RPoly, _mul_into, _parse
+from .laurent import _SPOLY, RPoly, _mul_into, _nonzero, _parse, _scaled
 from .presentations import FreeCombo, Presentation
 from .words import Word
 
@@ -52,6 +54,14 @@ class SPoly:
 
     def __init__(self, rows: dict[int, RPoly] | None = None):
         self._rows = {m: a for m, a in (rows or {}).items() if a._coeffs}
+
+    @classmethod
+    def _of_rows(cls, rows: dict[int, RPoly]) -> "SPoly":
+        """Wrap rows, nonzero RPolys in a dict that the library built and
+        that nothing writes again, without filtering or copying it."""
+        f = object.__new__(cls)
+        f._rows = rows
+        return f
 
     @classmethod
     def zero(cls) -> "SPoly":
@@ -103,26 +113,41 @@ class SPoly:
 
     def __add__(self, other: "SPoly") -> "SPoly":
         out = dict(self._rows)
-        for m, a in other._rows.items():
-            out[m] = out[m] + a if m in out else a
-        return SPoly(out)
+        for m, b in other._rows.items():
+            if m not in out:
+                out[m] = b
+            elif total := out[m] + b:
+                out[m] = total
+            else:
+                del out[m]
+        return SPoly._of_rows(out)
 
     def __neg__(self) -> "SPoly":
-        return SPoly({m: -a for m, a in self._rows.items()})
+        return SPoly._of_rows({m: -a for m, a in self._rows.items()})
 
     def __sub__(self, other: "SPoly") -> "SPoly":
         return self + (-other)
 
     def __mul__(self, other: "SPoly") -> "SPoly":
         """(y^m a)(y^p b) = y^(m+p) sigma^p(a) b, summed in one coefficient
-        dict per y-degree by laurent._mul_into, which applies sigma as
-        flip -1; the constructors then drop zeros."""
+        dict per y-degree; sigma is the flip x -> x^-1.  A one-term a (a
+        row of y + s, say) scales b by laurent._scaled, with no kernel
+        call, where the y-degree has no row yet; every other pair goes
+        through laurent._mul_into."""
         out: dict[int, dict[int, int]] = {}
         for m, a in self._rows.items():
+            a = a._coeffs
+            one_term = len(a) == 1
+            if one_term:
+                [(e, c)] = a.items()
             for p, b in other._rows.items():
                 key = m + p
-                out[key] = _mul_into(out.get(key, {}), a._coeffs, b._coeffs, -1 if p % 2 else 1)
-        return SPoly({key: RPoly(row) for key, row in out.items()})
+                row = out.get(key)
+                if row is None and one_term:
+                    out[key] = _scaled(b._coeffs, -e if p % 2 else e, c)
+                else:
+                    out[key] = _mul_into(row or {}, a, b._coeffs, -1 if p % 2 else 1)
+        return _spoly(out)
 
     def __str__(self) -> str:
         if not self._rows:
@@ -140,6 +165,18 @@ class SPoly:
         return f"SPoly({str(self)!r})"
 
 
+def _spoly(rows: dict[int, dict[int, int]]) -> SPoly:
+    """The element with these coefficient dicts, one per y-degree, which
+    the caller built and hands over: each row's zeros are dropped by
+    laurent's C-level scan, empty rows are dropped, and no row is copied."""
+    out = {}
+    for m, row in rows.items():
+        row = _nonzero(row)
+        if row:
+            out[m] = RPoly._of_nonzero(row)
+    return SPoly._of_rows(out)
+
+
 def eval_combo(c: FreeCombo) -> SPoly:
     """Linear extension of eval_word followed by the group-to-ring embedding."""
     rows: dict[int, dict[int, int]] = {}
@@ -147,7 +184,7 @@ def eval_combo(c: FreeCombo) -> SPoly:
         m, n = eval_word(w)
         row = rows.setdefault(m, {})
         row[n] = row.get(n, 0) + coeff
-    return SPoly({m: RPoly(row) for m, row in rows.items()})
+    return _spoly(rows)
 
 
 def boundary_data(p: Presentation) -> tuple[list[list[SPoly]], list[SPoly]]:
@@ -194,7 +231,7 @@ def boundary_data(p: Presentation) -> tuple[list[list[SPoly]], list[SPoly]]:
                 if k % 2:
                     n = -n
         d2.append([
-            SPoly({d: RPoly(coeffs) for d, coeffs in rows[g].items()}) for g in gens
+            _spoly(rows[g]) for g in gens
         ])
     return d2, d1
 
@@ -206,6 +243,6 @@ def parse_spoly(text: str) -> SPoly:
     coefficient in parentheses or one monomial in x, the last two in the
     y-degree-0 row; they may come in any order and share a y-degree.
     Signs and blanks follow parse_rpoly, and laurent holds the grammar.
-    Each row becomes an RPoly once.
+    Each row is wrapped once, without a copy.
     """
-    return SPoly({m: RPoly(coeffs) for m, coeffs in _parse(text, _SPOLY).items()})
+    return _spoly(_parse(text, _SPOLY))

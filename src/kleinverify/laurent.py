@@ -14,14 +14,23 @@ little-endian order whatever sys.byteorder is; wider digits take one
 int.to_bytes or int.from_bytes call each.
 
 Every product runs through one kernel, _mul_into(out, a, b, flip, sign),
-which adds sign * a(x^flip) * b into the coefficient dict out.
-RPoly.__mul__ calls it with an empty out, klein.SPoly.__mul__ with flip
--1 for sigma, and division.divide with sign -1 for each row update, so no
-product, negation or sum is built only to be added.  A one-term a times
-b, most calls on the verify path, is written into a fresh dict in one
-pass over b, with no lookup per term, when out is smaller than b.  The kernel keeps zero coefficients; the RPoly
-constructor drops them, filtering in Python only when a C-level scan
-finds one, and the SPoly constructor drops zero rows.
+which adds sign * a(x^flip) * b into the coefficient dict out, and its
+signed-shift multiply _scaled(b, e, c, add), which writes c * x^e * b +
+add into a fresh dict in one pass over b, with no lookup per term; the
+constant 1 times b is one C-level dict(b).  RPoly.__mul__ calls the
+kernel with an empty out, klein.SPoly.__mul__ with flip -1 for sigma.
+A one-term factor, most products on the verify path (a row of y + s, or
+a unit s), goes to _scaled: the kernel sends it there when out has fewer
+terms than b, SPoly.__mul__ calls _scaled directly where a product
+starts a y-degree, and division.divide on every step, so those rows make
+no kernel call.  No product, negation or sum is built only to be added.
+
+The kernel writes only out, a dict its caller built: a dict reachable
+from an RPoly is never passed as out, because values share their dicts
+and never copy them.  Each value is built once from a dict the library
+owns: _nonzero drops its zeros, filtering in Python only when a C-level
+scan finds one, and RPoly._of_nonzero wraps it with no copy.  The public
+RPoly(...) copies its argument.
 
 Divisibility is decided exactly, with no rational arithmetic: units x^k are
 divided out first.  On the Kronecker path a None is sound, because a | b in
@@ -47,9 +56,16 @@ class RPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: dict[int, int] | None = None):
-        # A copy; only a dict that the C-level scan finds a zero in is filtered.
-        coeffs = coeffs or {}
-        self._coeffs = {e: c for e, c in coeffs.items() if c} if 0 in coeffs.values() else dict(coeffs)
+        # A copy, so the caller keeps its dict; zeros are dropped.
+        self._coeffs = _nonzero(dict(coeffs)) if coeffs else {}
+
+    @classmethod
+    def _of_nonzero(cls, coeffs: dict[int, int]) -> "RPoly":
+        """Wrap coeffs without copying it: a zero-free dict that the
+        library built and that nothing writes again."""
+        p = object.__new__(cls)
+        p._coeffs = coeffs
+        return p
 
     @classmethod
     def zero(cls) -> "RPoly":
@@ -90,11 +106,11 @@ class RPoly:
 
     def sigma(self) -> "RPoly":
         """The involution x -> x^-1 (negates every exponent)."""
-        return RPoly({-e: c for e, c in self._coeffs.items()})
+        return RPoly._of_nonzero({-e: c for e, c in self._coeffs.items()})
 
     def shift(self, k: int) -> "RPoly":
         """Multiply by the unit x^k."""
-        return RPoly({e + k: c for e, c in self._coeffs.items()})
+        return RPoly._of_nonzero({e + k: c for e, c in self._coeffs.items()})
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -106,16 +122,16 @@ class RPoly:
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
             out[e] = out.get(e, 0) + c
-        return RPoly(out)
+        return RPoly._of_nonzero(_nonzero(out))
 
     def __neg__(self) -> "RPoly":
-        return RPoly({e: -c for e, c in self._coeffs.items()})
+        return RPoly._of_nonzero({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: "RPoly") -> "RPoly":
         return self + (-other)
 
     def __mul__(self, other: "RPoly") -> "RPoly":
-        return RPoly(_mul_into({}, self._coeffs, other._coeffs))
+        return RPoly._of_nonzero(_nonzero(_mul_into({}, self._coeffs, other._coeffs)))
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -259,7 +275,7 @@ def parse_rpoly(text: str) -> RPoly:
     in text and quotes the text, or a window around the position when the
     text is over _QUOTE_LIMIT characters.
     """
-    return RPoly(_parse(text, _RPOLY)[0])
+    return RPoly._of_nonzero(_nonzero(_parse(text, _RPOLY)[0]))
 
 
 # Kronecker substitution pays off once both operands have about this many
@@ -349,6 +365,12 @@ def _unpack(value: int, width: int, n: int) -> list[int] | None:
     return _array(code, raw).tolist()
 
 
+def _nonzero(coeffs: dict[int, int]) -> dict[int, int]:
+    """coeffs without its zero coefficients: coeffs itself when a C-level
+    scan finds none, else a filtered copy."""
+    return {e: c for e, c in coeffs.items() if c} if 0 in coeffs.values() else coeffs
+
+
 def _mul_into(
     out: dict[int, int], a: dict[int, int], b: dict[int, int], flip: int = 1, sign: int = 1
 ) -> dict[int, int]:
@@ -356,27 +378,25 @@ def _mul_into(
     sign in {1, -1}.
 
     The one multiply kernel: RPoly products, SPoly row products (flip -1
-    is sigma) and division's row updates all run through it.  out may be
-    updated in place or replaced, so callers keep the returned dict.
-    Zeros are kept; the RPoly constructor drops them.  A one-term a (a
-    unit s, or a row of y + s) scales b into a fresh dict when out has
-    fewer terms than b, and out is added into that.  A plain loop, not a
-    comprehension: on CPython 3.11 a comprehension is a function call,
-    which costs more than it saves on the one- to three-term rows of the
-    paper's instance.
+    is sigma), quotient checks and division's steps by a several-term s
+    run through it.  out may be updated in place or replaced, so callers
+    keep the returned dict.  a and b are only read, hold no zero
+    coefficient, and are never returned.
+
+    Invariant: a dict reachable from an RPoly is never passed as out.
+    RPolys share their dicts and never copy them, so out is a dict the
+    caller built, or one that this kernel or _scaled returned.
+
+    A one-term a (a unit s, or a row of y + s) goes to _scaled when out
+    has fewer terms than b.  The in-place loop deletes a coefficient that
+    cancels, so a product that cancels down to a few terms, as (y + s) * q
+    does when it recomposes f, leaves no zeros to filter; Kronecker digits
+    and _scaled keep theirs, and _nonzero drops them.
     """
     if len(a) == 1:
         if len(out) < len(b):
             [(e1, c1)] = a.items()
-            e1 *= flip
-            c1 *= sign
-            res = {}
-            for e2, c2 in b.items():
-                res[e1 + e2] = c1 * c2
-            get = res.get
-            for e, c in out.items():
-                res[e] = get(e, 0) + c
-            return res
+            return _scaled(b, e1 * flip, c1 * sign, out)
     elif len(a) >= _KRONECKER_TERMS and len(b) >= _KRONECKER_TERMS and _dense(a) and _dense(b):
         lo, digits = _kronecker_mul(a, b, flip, sign)
         if not out:
@@ -391,8 +411,36 @@ def _mul_into(
         c1 *= sign
         for e2, c2 in b.items():
             e = e1 + e2
-            out[e] = get(e, 0) + c1 * c2
+            v = get(e, 0) + c1 * c2
+            if v:
+                out[e] = v
+            else:
+                del out[e]
     return out
+
+
+def _scaled(b: dict[int, int], e1: int, c1: int, add: dict[int, int] | None = None) -> dict[int, int]:
+    """c1 * x^e1 * b + add as a fresh dict, reading b and add only.
+
+    The signed-shift multiply of _mul_into's one-term path, of
+    SPoly.__mul__ where a one-term row starts a y-degree, and of
+    division's steps by a one-term s.  For c1 * x^e1 = 1 (the y row of
+    y + s, or SPoly.one()) b is copied by one C-level dict(b).  Plain
+    loops, not comprehensions: on CPython 3.11 a comprehension is a
+    function call, which costs more than it saves on the one- to
+    three-term rows of the paper's instance.
+    """
+    if e1 or c1 != 1:
+        res = {}
+        for e2, c2 in b.items():
+            res[e1 + e2] = c1 * c2
+    else:
+        res = dict(b)
+    if add:
+        get = res.get
+        for e, c in add.items():
+            res[e] = get(e, 0) + c
+    return res
 
 
 def _kronecker_mul(
@@ -465,9 +513,9 @@ def _kronecker_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, i
         return None
     digits = _unpack(big_q, width, num_n - den_n + 1)
     if digits is not None:
-        quot = RPoly(dict(enumerate(digits)))
-        if (RPoly(den) * quot)._coeffs == num:
-            return quot._coeffs
+        quot = _nonzero(dict(enumerate(digits)))
+        if _nonzero(_mul_into({}, den, quot)) == num:
+            return quot
     return _long_quotient(num, den)
 
 
@@ -488,7 +536,8 @@ def quotient(a: RPoly, b: RPoly) -> RPoly | None:
     q = _exact_poly_quotient(b0, a0)
     if q is None:
         return None
-    return RPoly(q).shift(b_shift - a_shift)
+    k = b_shift - a_shift
+    return RPoly._of_nonzero({e + k: c for e, c in q.items()} if k else q)
 
 
 def divides(a: RPoly, b: RPoly) -> bool:

@@ -17,7 +17,7 @@ from . import builtin
 from .certificates import ConjugacyCertificate, equivalence_verdict
 from .division import (
     StaffordInstance,
-    no_monic_degree_one,
+    _degree_one_cofactor,
     witnesses,
     y_plus_s,
 )
@@ -136,12 +136,15 @@ def stafford_verdict(
     element spans exactly one y-degree with a non-unit top coefficient,
     the monic element has a unit top coefficient, and no monic degree-1
     element exists at all.  Membership is not checked again here.
+    Whether r divides s*sigma(r) is asked once, for condition_ii and for
+    the degree-1 step of the monic search.
     """
     condition_i = bool(w is not None and verify_bezout(w, inst))
-    condition_ii = no_monic_degree_one(inst)
+    cofactor = _degree_one_cofactor(inst)
+    condition_ii = cofactor is None
     degree_one = monic = None
     try:
-        degree_one, monic = witnesses(inst)
+        degree_one, monic = witnesses(inst, cofactor)
     except ValueError:
         witnesses_ok = False
     else:

@@ -6,8 +6,9 @@ Word in the system is canonical: two words represent the same free-group
 element exactly when they compare equal here.
 
 Text syntax: whitespace-separated letters of the form ``g`` or ``g^k``
-with integer ``k``; the bare token ``1`` denotes the identity.  Printing
-uses the same syntax with exponent 1 omitted.
+with integer ``k``, written in ASCII digits 0-9, at most 4300 of them
+(CPython's default int() limit); the bare token ``1`` denotes the
+identity.  Printing uses the same syntax with exponent 1 omitted.
 """
 
 from __future__ import annotations
@@ -15,9 +16,14 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 
+from .laurent import _MAX_DIGITS
+
 Letter = tuple[str, int]
 
-_TOKEN = re.compile(r"^(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>[+-]?\d+))?$")
+# "[0-9]", as "\d" would also take other scripts' digits.
+_TOKEN = re.compile(r"^(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>[+-]?[0-9]+))?$")
+# An over-long token is quoted by its first _QUOTE_CHARS characters.
+_QUOTE_CHARS = 20
 
 
 class WordSyntaxError(ValueError):
@@ -133,9 +139,13 @@ def parse_word(text: str, generators: Iterable[str] | None = None) -> Word:
         m = _TOKEN.match(tok)
         if m is None:
             raise WordSyntaxError(f"malformed token {tok!r} at position {i}")
-        name = m.group("name")
+        name, exp = m.group("name", "exp")
         if declared is not None and name not in declared:
             raise WordSyntaxError(f"undeclared generator {name!r} at position {i}")
-        exp = int(m.group("exp")) if m.group("exp") else 1
-        letters.append((name, exp))
+        if exp and len(exp.lstrip("+-")) > _MAX_DIGITS:
+            raise WordSyntaxError(
+                f"exponent longer than {_MAX_DIGITS} digits in token"
+                f" {tok[:_QUOTE_CHARS]!r}... at position {i}"
+            )
+        letters.append((name, int(exp) if exp else 1))
     return Word(letters)

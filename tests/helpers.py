@@ -24,6 +24,7 @@ builds kernel elements, and certificate_to_dict writes certificate files.
 from __future__ import annotations
 
 import contextlib
+import copy
 import random
 import re
 import sys
@@ -924,6 +925,94 @@ def check_divide_dense_twists(cases: int, seed: int = SEED) -> None:
     assert calls["_kronecker_mul"]
 
 
+def _rand_safety_row(rng: random.Random) -> RPoly:
+    """A nonzero row for check_operands_unchanged: the constant 1, a unit,
+    a one-term non-unit, a few terms, or a dense row on the Kronecker path."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return RPoly.one()
+    if kind < 3:
+        return RPoly.monomial(rng.randint(-6, 6), rng.choice((1, -1)) * (1 if kind == 1 else rng.randint(2, 9)))
+    if kind == 3:
+        return rand_rpoly(rng, nonzero=True, max_terms=5)
+    return _dense_rpoly(rng, rng.randint(laurent._KRONECKER_TERMS, 30))
+
+
+def _rand_safety_spoly(rng: random.Random) -> SPoly:
+    return SPoly({rng.randint(-3, 3): _rand_safety_row(rng) for _ in range(rng.randint(1, 3))})
+
+
+# Results larger than this are not fed back, so operands stay small.
+_SAFETY_MAX_TERMS = 400
+
+
+def _safety_terms(value) -> int:
+    if isinstance(value, SPoly):
+        return sum(len(a._coeffs) for a in value._rows.values())
+    return len(value._coeffs)
+
+
+def check_operands_unchanged(cases: int, seed: int = SEED) -> Counter:
+    """SPoly products and sums, divide, in_V, quotient, parse_spoly and
+    the RPoly operators leave their operands as they were.
+
+    Operands are drawn from two pools, of SPolys and of RPolys, which
+    start with y + s for unit and non-unit s, SPoly.one() and random
+    elements, and which every result joins, so results come back as
+    operands: a result that shares a dict with an operand, or a call
+    that writes a dict it only reads, shows up.  After each call every
+    operand equals the deep copy taken before it, and every result passes
+    assert_normalised; at the end every value ever pooled equals the deep
+    copy taken when it joined.  Returns how many calls each operation made.
+    """
+    rng = random.Random(seed)
+    spolys: List[SPoly] = [SPoly.one(), y_plus_s(RPoly.monomial(-1, -1)), y_plus_s(rand_rpoly(rng, nonzero=True))]
+    rpolys: List[RPoly] = [RPoly.one(), RPoly.monomial(2, -1)]
+    pooled = []
+
+    def join(*values) -> None:
+        # Zero RPolys stay out: divide, in_V and quotient take nonzero ones.
+        for v in values:
+            assert_normalised(v)
+            if (v or isinstance(v, SPoly)) and _safety_terms(v) <= _SAFETY_MAX_TERMS:
+                (spolys if isinstance(v, SPoly) else rpolys).append(v)
+                pooled.append((v, copy.deepcopy(v)))
+
+    join(*(_rand_safety_spoly(rng) for _ in range(6)), *(_rand_safety_row(rng) for _ in range(6)))
+    ops: Counter = Counter()
+    for i in range(cases):
+        op = ("spoly_mul", "spoly_add", "divide", "in_V", "quotient", "parse_spoly", "rpoly_ops")[i % 7]
+        f, g = rng.choice(spolys), rng.choice(spolys)
+        a, b = rng.choice(rpolys), rng.choice(rpolys)
+        if rng.random() < 0.2:
+            f, g = _rand_safety_spoly(rng), _rand_safety_spoly(rng)
+        operands = (f, g, a, b)
+        before = copy.deepcopy(operands)
+        if op == "spoly_mul":
+            results = (f * g, g * f, y_plus_s(a) * f)
+        elif op == "spoly_add":
+            results = (f + g, f - g, f - f)
+        elif op == "divide":
+            q, _, rem = divide(f, a)
+            results = (q, rem)
+        elif op == "in_V":
+            in_V(f, StaffordInstance(a, b))
+            results = ()
+        elif op == "quotient":
+            results = tuple(r for r in (quotient(a, b), quotient(a, a * b)) if r is not None)
+        elif op == "parse_spoly":
+            results = (parse_spoly(str(f)),)
+            assert results[0] == f, (i, str(f))
+        else:
+            results = (a * b, a + b, a - b, -a, a.sigma(), a.shift(3))
+        assert operands == before, (i, op, [str(v) for v in before])
+        join(*results)
+        ops[op] += 1
+    for v, snapshot in pooled:
+        assert v == snapshot, str(snapshot)
+    return ops
+
+
 def _outgrown_quotient(rng: random.Random) -> Tuple[RPoly, RPoly]:
     """a = (1 - x)^4 g and b = (1 - x^M)^4 g, so b / a is
     (1 + x + ... + x^(M-1))^4.  b's coefficients stay within 6 max|g|,
@@ -1004,6 +1093,10 @@ def _dense_bits(rng: random.Random, terms: int, bits: int, shift: Optional[int] 
 
 
 def _rand_one_term(rng: random.Random) -> Dict[int, int]:
+    """A one-term operand; one in four is the constant 1, which the kernel
+    copies with dict(b) when it scales b into a fresh dict."""
+    if rng.random() < 0.25:
+        return {0: 1}
     coeff = rng.choice((1, -1, rng.randint(-9, 9) or 2, rng.randint(-(1 << 70), 1 << 70) or 3))
     return {rng.randint(-30, 30): coeff}
 
@@ -1055,8 +1148,10 @@ def _roundings(calls: Counter, caller: str) -> set:
 
 def check_mul_into_matches_oracle(cases: int, seed: int = SEED) -> Counter:
     """laurent._mul_into against mul_into_oracle for flip and sign +-1.
-    Every third case sets out to minus the product, or minus a part of it,
-    so the sum cancels to zero wholly or partly.  Every fifth case is a
+    The returned dict is never a or b, and a or b is never written.  Every
+    third case sets out to minus the product, or minus a part of it,
+    so the sum cancels to zero wholly or partly.  a = {0: 1} is counted by
+    flip, sign and whether out has fewer terms than b.  Every fifth case is a
     dense pair whose digit width rounds up to an array item size or
     exceeds 8 bytes, with coefficients up to 2^90.  Then, in the same
     widths, exact quotients a * c / a and products plus a monomial, whose
@@ -1076,10 +1171,14 @@ def check_mul_into_matches_oracle(cases: int, seed: int = SEED) -> Counter:
                 out = {e: c for e, c in product.items() if not part or rng.random() < 0.5}
                 seen["cancel"] += 1
             want = mul_into_oracle(out, a, b, flip, sign)
-            before = dict(out)
+            before, a_before, b_before = dict(out), dict(a), dict(b)
             got = laurent._mul_into(out, a, b, flip, sign)
+            assert got is not a and got is not b, (i, before, a, b, flip, sign)
+            assert a == a_before and b == b_before, (i, before, a_before, b_before, flip, sign)
             assert {e: c for e, c in got.items() if c} == want, (i, before, a, b, flip, sign)
             seen["zero" if not want else "kind %d" % kind] += 1
+            if a == {0: 1}:
+                seen["a = 1, flip %+d, sign %+d, out %s b" % (flip, sign, "<" if len(before) < len(b) else ">=")] += 1
             seen["kind 4, a coefficient >= 2^63"] += kind == 4 and max(map(abs, a.values())) >= 1 << 63
         for i in range(cases // 5):
             a = RPoly(_dense_bits(rng, rng.randint(laurent._KRONECKER_TERMS, 40), rng.randint(0, 90)))

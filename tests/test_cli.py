@@ -263,6 +263,23 @@ def test_non_ascii_digits_exit_2(capsys):
     assert len(lines) == 4 and all(line.startswith("error: unexpected character ") for line in lines)
 
 
+def test_word_exponent_bugfix_exit_2(capsys):
+    # A word exponent takes ASCII digits only, at most 4300 of them.
+    for argv in (
+        ["normal-form", "x^٣"],
+        ["normal-form", "y x^" + "1" * 4301],
+        ["fox", "x^-" + "7" * 5000, "x"],
+    ):
+        assert run(argv) == 2, argv[:1]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: malformed token 'x^٣' at position 0",
+        "error: exponent longer than 4300 digits in token 'x^111111111111111111'... at position 1",
+        "error: exponent longer than 4300 digits in token 'x^-77777777777777777'... at position 0",
+    ]
+
+
 def test_huge_malformed_argument_bounded_error(capsys):
     # 1 MB of valid terms, then one bad character: the message quotes a
     # window around it and the length, not the whole argument.

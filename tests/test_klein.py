@@ -20,6 +20,7 @@ from helpers import (
     Combo,
     check_boundary_data_matches_oracle,
     check_eval_homomorphism,
+    check_operands_unchanged,
     check_parser_matches_oracle,
     check_spoly_dense_mul_matches_oracle,
     check_spoly_ring_axioms,
@@ -276,3 +277,8 @@ def test_boundary_data_foreign_generator():
         with pytest.raises(ValueError) as old:
             boundary_matrices(p, eval_combo)
         assert str(new.value) == str(old.value)
+
+
+def test_operands_unchanged():
+    ops = check_operands_unchanged(700)
+    assert sum(ops.values()) == 700 and all(n >= 100 for n in ops.values()), ops

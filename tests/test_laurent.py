@@ -93,6 +93,11 @@ def test_mul_into_matches_oracle():
     assert all(seen[k] >= 50 for k in ("cancel", "zero", "kind 0", "kind 1", "kind 2", "kind 4")), seen
     assert seen["quotient"] and seen["quotient None"], seen
     assert seen["kind 4, a coefficient >= 2^63"] and seen["quotient, a coefficient >= 2^63"], seen
+    # a = 1 with both flips, both signs, and out smaller or not smaller than b
+    assert all(
+        seen["a = 1, flip %+d, sign %+d, out %s b" % (flip, sign, size)]
+        for flip in (1, -1) for sign in (1, -1) for size in ("<", ">=")
+    ), seen
 
 
 def test_constructor_copies_and_drops_zeros():

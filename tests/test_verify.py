@@ -19,7 +19,7 @@ from kleinverify import (
     verify_bezout,
     verify_factorization,
 )
-from kleinverify import builtin, division, verify
+from kleinverify import builtin, division, laurent, verify
 from kleinverify.certificates import CertFactor, ConjugacyCertificate
 from kleinverify.cli import run
 
@@ -308,6 +308,31 @@ def test_stafford_verdict_checks_each_witness_once():
     assert verdict.condition_i and verdict.condition_ii and verdict.witnesses_ok
     # one membership check per witness, one table of reduction scalars
     assert counts == {"in_V": 2, "_reduction_scalars": 1}
+
+
+def test_stafford_verdict_asks_degree_one_divisibility_once():
+    # condition_ii and the degree-1 step of the monic search both ask
+    # whether r divides s*sigma(r); the verdict asks it once.  A dense r
+    # of 301 terms takes the Kronecker path; a palindromic one is
+    # reciprocal, so y + s*sigma(r)/r is the monic witness.
+    rng = random.Random(SEED)
+    coeffs = [rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(301)]
+    palindrome = coeffs[:151] + coeffs[:150][::-1]
+    s = parse_rpoly("-x^-5")
+    dense, reciprocal = (StaffordInstance(RPoly(dict(enumerate(cs, -3))), s) for cs in (coeffs, palindrome))
+    # instance, quotient calls, condition_ii, witnesses_ok
+    for inst, calls, condition_ii, witnesses_ok in (
+        (INST, 2, True, True),
+        (dense, 2, True, True),
+        (reciprocal, 1, False, False),
+    ):
+        # laurent.divides would call laurent.quotient, not division's name for it
+        with counting(division, "quotient") as counts, counting(laurent, "quotient") as inner:
+            verdict = stafford_verdict(inst, None)
+        assert counts["quotient"] + inner["quotient"] == calls
+        assert (verdict.condition_ii, verdict.witnesses_ok) == (condition_ii, witnesses_ok)
+    # sigma(r) = x^-294 r, so s*sigma(r)/r = -x^-299
+    assert verdict.monic == parse_spoly("y - x^-299")
 
 
 def test_splitting_matches_bezout():

@@ -106,3 +106,22 @@ def test_long_pow_is_reduced():
     assert (parse_word("x y") ** 5000).letters == (("x", 1), ("y", 1)) * 5000
     w = parse_word("y x^2 y^-1")
     assert w ** 5000 == parse_word("y x^10000 y^-1")
+
+
+def test_parse_ascii_digits_only():
+    # "\d" once let other scripts' digits through: "x^٣" read as x^3.
+    for text in ("x^٣", "y^-２", "x^1٣", "x y^٣"):
+        with pytest.raises(WordSyntaxError, match="malformed token"):
+            parse_word(text)
+
+
+def test_parse_exponent_digit_limit():
+    big = int("9" * 4300)
+    assert parse_word("x^" + "9" * 4300).letters == (("x", big),)
+    assert parse_word("x^-" + "9" * 4300).letters == (("x", -big),)
+    for text in ("y x^" + "1" * 4301, "y x^-" + "1" * 4301, "y x^+" + "1" * 10**5):
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(text)
+        sign = text[4] if text[4] in "+-" else ""
+        quoted = repr(("x^" + sign + "1" * 20)[:20])
+        assert str(err.value) == f"exponent longer than 4300 digits in token {quoted}... at position 1"

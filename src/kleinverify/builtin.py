@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .certificates import ConjugacyCertificate, certificate_from_dict
+from .certificates import ConjugacyCertificate, _row_factors, certificate_from_dict
 from .division import StaffordInstance
 from .klein import SPoly, parse_spoly
 from .laurent import parse_rpoly
@@ -25,7 +25,7 @@ Q_RELATOR_STRINGS = ("y^-2 x y^2 x^-1", "x^-3 y^-1 x y x^2 y^-1 x^-2 y")
 # Each relator of Q as a product of conjugates of P's relator.
 _FORWARD_CERTIFICATES = (
     {
-        "target": "y^-2 x y^2 x^-1",
+        "target": Q_RELATOR_STRINGS[0],
         "source": "P",
         "factors": [
             {"w": "y^-1", "rel": 0, "sign": 1},
@@ -33,7 +33,7 @@ _FORWARD_CERTIFICATES = (
         ],
     },
     {
-        "target": "x^-3 y^-1 x y x^2 y^-1 x^-2 y",
+        "target": Q_RELATOR_STRINGS[1],
         "source": "P",
         "factors": [
             {"w": "x^-3", "rel": 0, "sign": 1},
@@ -47,7 +47,7 @@ _FORWARD_CERTIFICATES = (
 # replaying the a = y^-1 x y, b = x manipulation with the certificate
 # algebra; the test suite re-derives it and compares with this literal.
 _REVERSE_CERTIFICATE = {
-    "target": "y^-1 x y x",
+    "target": P_RELATOR_STRINGS[0],
     "source": "Q",
     "factors": [
         {"w": "y^-1 x y", "rel": 0, "sign": -1},
@@ -119,11 +119,6 @@ def bezout_beta() -> SPoly:
     return parse_spoly(BEZOUT_BETA_STRING)
 
 
-# Row factors of the two-relator boundary over the one-relator boundary.
-FIRST_FACTOR_STRING = "y - x^-1"
-SECOND_FACTOR_STRING = "x^3 - x - 1"
-
-
 @lru_cache(maxsize=None)
-def boundary_row_factors() -> tuple[SPoly, SPoly]:
-    return parse_spoly(FIRST_FACTOR_STRING), parse_spoly(SECOND_FACTOR_STRING)
+def boundary_row_factors() -> tuple[SPoly, ...]:
+    return tuple(_row_factors(presentation_p(), forward_certificates()))

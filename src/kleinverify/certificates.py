@@ -106,6 +106,11 @@ def boundary_factor(src: Presentation, cert: ConjugacyCertificate) -> dict[int, 
     return {j: SPoly({d: RPoly(row) for d, row in rows.items()}) for j, rows in shadow.items()}
 
 
+def _row_factors(src: Presentation, certs: Iterable[ConjugacyCertificate]) -> list[SPoly]:
+    """Each certificate's chain shadow on src's relator 0: by Fox calculus, its row factor."""
+    return [boundary_factor(src, c).get(0, SPoly.zero()) for c in certs]
+
+
 def equivalence_verdict(
     p: Presentation,
     q: Presentation,

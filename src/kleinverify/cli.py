@@ -41,10 +41,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def cmd_verify_paper(args) -> int:
     report = full_report()
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
+    _emit(args, report.to_json_dict(), report.to_text())
     return 0 if report.all_ok else 1
 
 

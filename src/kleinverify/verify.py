@@ -14,7 +14,7 @@ import json
 from collections.abc import Sequence
 
 from . import builtin
-from .certificates import ConjugacyCertificate, equivalence_verdict
+from .certificates import ConjugacyCertificate, _row_factors, equivalence_verdict
 from .division import (
     StaffordInstance,
     _degree_one_cofactor,
@@ -169,18 +169,18 @@ _FLAGS = (
 )
 
 
-def _flag_descriptions(r: str, s: str) -> tuple[str, ...]:
-    """One line per flag, in _FLAGS order, for the instance (r, s).
-
-    The row factors are the built-in ones whatever the instance, because
-    verify_factorization checks those.
-    """
+def _flag_descriptions(inputs: dict[str, object]) -> tuple[str, ...]:
+    """One line per flag, in _FLAGS order, read from the report's inputs."""
+    k_q, g_q, k_p, g_p = (
+        len(inputs[f"presentation_{n}"][key]) for n in "QP" for key in ("relators", "generators"))
+    rows = [f"d2'(D{i}) = d2(D)*[{f}]" for i, f in enumerate(inputs["row_factors"] or (), 1)]
+    r, s = inputs["r"], inputs["s"]
     y_plus_s_text = f"y - {s[1:]}" if s.startswith("-") else f"y + {s}"
     return (
-        "Euler characteristics: chi(Q) = 2 - 2 + 1 = 1 and chi(P) = 1 - 2 + 1 = 0",
+        f"Euler characteristics: chi(Q) = {k_q} - {g_q} + 1 = {k_q - g_q + 1}"
+        f" and chi(P) = {k_p} - {g_p} + 1 = {k_p - g_p + 1}",
         "presentation equivalence: every relator certified over the other presentation",
-        f"boundary rows: d2'(D1) = d2(D)*({builtin.FIRST_FACTOR_STRING})"
-        f" and d2'(D2) = d2(D)*({builtin.SECOND_FACTOR_STRING})",
+        f"boundary rows: {' and '.join(rows) or 'no row factors derived'}",
         f"unit combination: ({r.replace(' ', '')})*alpha + ({y_plus_s_text})*beta = 1",
         "explicit splitting: psi.t = id, pi^2 = pi, psi.pi = 0",
         "r*S + (y+s)*S = S, witnessed by the unit combination",
@@ -217,9 +217,8 @@ class NonFreenessReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
     def to_text(self) -> str:
-        descriptions = _flag_descriptions(self.inputs["r"], self.inputs["s"])
         lines = []
-        for name, desc in zip(_FLAGS, descriptions):
+        for name, desc in zip(_FLAGS, _flag_descriptions(self.inputs)):
             mark = "ok  " if getattr(self, name) else "FAIL"
             lines.append(f"[{mark}] {name:<16} {desc}")
         verdict = (
@@ -256,17 +255,18 @@ def full_report(
     inst = instance if instance is not None else builtin.stafford_instance()
     w = witness if witness is not None else default_witness()
 
-    def attempt(thunk) -> bool:
+    def attempt(thunk, failed=False):
         try:
-            return bool(thunk())
+            return thunk()
         except (ValueError, IndexError, KeyError):
-            return False
+            return failed
 
     chi_ok = attempt(lambda: euler_characteristic(q) == 1 and euler_characteristic(p) == 0)
     pi1_ok = attempt(lambda: equivalence_verdict(p, q, fwd, rev))
-    factorization_ok = attempt(
-        lambda: verify_factorization(build_chain_data(p, q), builtin.boundary_row_factors())
-    )
+    derive = builtin.boundary_row_factors if forward_certs is None else lambda: _row_factors(p, fwd)
+    factors = attempt(derive, None)  # None when a forward certificate does not check
+    factorization_ok = factors is not None and attempt(
+        lambda: verify_factorization(build_chain_data(p, q), factors))
     bezout_ok = attempt(lambda: verify_bezout(w, inst))
     # splitting_check passes only where bezout_ok holds, so it is skipped
     # when bezout_ok is false.
@@ -279,6 +279,7 @@ def full_report(
         "presentation_P": p.to_dict(),
         "presentation_Q": q.to_dict(),
         "certificates_Q_over_P": [str(c.target) for c in fwd],
+        "row_factors": None if factors is None else [str(f) for f in factors],
         "certificates_P_over_Q": [str(c.target) for c in rev],
         "r": str(inst.r),
         "s": str(inst.s),

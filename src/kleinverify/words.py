@@ -16,13 +16,14 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 
-from .laurent import _MAX_DIGITS
+from .laurent import _MAX_DIGITS, _quote
 
 Letter = tuple[str, int]
 
-# "[0-9]", as "\d" would also take other scripts' digits.
-_TOKEN = re.compile(r"^(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>[+-]?[0-9]+))?$")
-# An over-long token is quoted by its first _QUOTE_CHARS characters.
+# "[0-9]", as "\d" would also take other scripts' digits.  A token is valid
+# when the match takes all of it; else it is quoted around the match's end.
+_TOKEN = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>[+-]?[0-9]+))?")
+# An over-long exponent is quoted by its token's first _QUOTE_CHARS characters.
 _QUOTE_CHARS = 20
 
 
@@ -137,8 +138,8 @@ def parse_word(text: str, generators: Iterable[str] | None = None) -> Word:
     letters = []
     for i, tok in enumerate(tokens):
         m = _TOKEN.match(tok)
-        if m is None:
-            raise WordSyntaxError(f"malformed token {tok!r} at position {i}")
+        if m is None or m.end() < len(tok):
+            raise WordSyntaxError(f"malformed token {_quote(tok, m.end() if m else 0)} at position {i}")
         name, exp = m.group("name", "exp")
         if declared is not None and name not in declared:
             raise WordSyntaxError(f"undeclared generator {name!r} at position {i}")

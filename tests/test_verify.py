@@ -2,6 +2,7 @@ import random
 
 from kleinverify import (
     BezoutWitness,
+    Presentation,
     RPoly,
     SPoly,
     StaffordInstance,
@@ -9,9 +10,11 @@ from kleinverify import (
     build_chain_data,
     chain_composites_vanish,
     default_witness,
+    expand_certificate,
     full_report,
     parse_rpoly,
     parse_spoly,
+    parse_word,
     psi,
     splitting_check,
     splitting_projector,
@@ -63,8 +66,6 @@ def test_verify_factorization():
 
 
 def test_factorization_negative_control_swapped_relators():
-    from kleinverify import Presentation
-
     swapped = Presentation(Q.generators, (Q.relators[1], Q.relators[0]))
     chains = build_chain_data(P, swapped)
     assert not verify_factorization(chains, FACTORS)
@@ -166,8 +167,43 @@ def test_full_report_negative_control_bad_certificate():
     )
     report = full_report(forward_certs=[corrupted, cert2])
     assert not report.pi1_ok
+    # the corrupted certificate has no chain shadow, so no row factors
+    assert not report.factorization_ok
+    assert report.inputs["row_factors"] is None
+    assert report.to_text().splitlines()[2] == "[FAIL] factorization_ok boundary rows: no row factors derived"
     assert not report.all_ok
     assert report.chi_ok and report.bezout_ok
+
+
+def test_full_report_derives_row_factors_from_given_certificates():
+    # Q' = <x, y | R, C> with R = P's relator and C a product of three
+    # conjugates of R: its row factors are the certificates' chain shadows,
+    # 1 and x^-1 - y + y^-1 x^-2, not the built-in Q's.
+    (rel,) = P.relators
+    factors = [CertFactor(parse_word(w), 0, e) for w, e in (("x", 1), ("y^-1", -1), ("x^2 y", 1))]
+    c = expand_certificate(P, ConjugacyCertificate(rel, factors))
+    q_prime = Presentation(P.generators, (rel, c))
+    fwd = [ConjugacyCertificate(rel, (CertFactor(parse_word("1"), 0, 1),), "P"),
+           ConjugacyCertificate(c, factors, "P")]
+    report = full_report(presentation_q=q_prime, forward_certs=fwd)
+    assert report.factorization_ok
+    assert report.inputs["row_factors"] == [str(SPoly.one()), str(parse_spoly("x^-1 - y + y^-1*(x^-2)"))]
+    assert report.to_text().splitlines()[2] == (
+        "[ok  ] factorization_ok boundary rows: d2'(D1) = d2(D)*[(1)]"
+        " and d2'(D2) = d2(D)*[y*(-1) + (x^-1) + y^-1*(x^-2)]"
+    )
+    # the reverse certificate is over the built-in Q, whose relators Q' lacks
+    assert not report.pi1_ok and not report.all_ok
+    assert report.chi_ok and report.bezout_ok and report.witnesses_ok
+
+
+def test_chi_line_follows_presentations():
+    q3 = Presentation(Q.generators, Q.relators + P.relators)
+    report = full_report(presentation_q=q3)
+    assert not report.chi_ok
+    assert report.to_text().splitlines()[0] == (
+        "[FAIL] chi_ok           Euler characteristics: chi(Q) = 3 - 2 + 1 = 2 and chi(P) = 1 - 2 + 1 = 0"
+    )
 
 
 def test_full_report_negative_control_unit_r():
@@ -211,7 +247,7 @@ def test_report_json_shape():
 PAPER_TEXT = """\
 [ok  ] chi_ok           Euler characteristics: chi(Q) = 2 - 2 + 1 = 1 and chi(P) = 1 - 2 + 1 = 0
 [ok  ] pi1_ok           presentation equivalence: every relator certified over the other presentation
-[ok  ] factorization_ok boundary rows: d2'(D1) = d2(D)*(y - x^-1) and d2'(D2) = d2(D)*(x^3 - x - 1)
+[ok  ] factorization_ok boundary rows: d2'(D1) = d2(D)*[y*(1) + (-x^-1)] and d2'(D2) = d2(D)*[(x^3 - x - 1)]
 [ok  ] bezout_ok        unit combination: (x^3-x-1)*alpha + (y - x^-1)*beta = 1
 [ok  ] splitting_ok     explicit splitting: psi.t = id, pi^2 = pi, psi.pi = 0
 [ok  ] condition_i      r*S + (y+s)*S = S, witnessed by the unit combination
@@ -260,6 +296,10 @@ PAPER_JSON = """\
       "y^-2 x y^2 x^-1",
       "x^-3 y^-1 x y x^2 y^-1 x^-2 y"
     ],
+    "row_factors": [
+      "y*(1) + (-x^-1)",
+      "(x^3 - x - 1)"
+    ],
     "certificates_P_over_Q": [
       "y^-1 x y x"
     ],
@@ -283,7 +323,7 @@ def test_flag_descriptions_follow_instance():
     inst = StaffordInstance(parse_rpoly("2*x^2 + x - 3"), parse_rpoly("x^2"))
     lines = full_report(instance=inst).to_text().splitlines()
     assert lines[3] == "[FAIL] bezout_ok        unit combination: (2*x^2+x-3)*alpha + (y + x^2)*beta = 1"
-    # the row factors checked are the built-in ones whatever the instance
+    # the row factors are the forward certificates' shadows, whatever the instance
     assert lines[2] == PAPER_TEXT.splitlines()[2]
 
 

@@ -115,6 +115,27 @@ def test_parse_ascii_digits_only():
             parse_word(text)
 
 
+def test_parse_malformed_token_quote_is_bounded():
+    # A token of up to 1000 characters is quoted whole; a longer one by its
+    # length and a window around where the token's valid start ends.
+    token = "x" * 999 + "-"
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word("y " + token)
+    assert str(err.value) == f"malformed token {token!r} at position 1"
+    for text, window, lo in (
+        ("x^" + "٣" * 100000, "x^" + "٣" * 39, 0),
+        ("x" * 100000 + "-", "x" * 40 + "-", 99960),
+    ):
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(text)
+        message = str(err.value)
+        assert message == (
+            f"malformed token a text of {len(text)} characters, near {window!r}"
+            f" from position {lo} at position 0"
+        )
+        assert len(message) < 130
+
+
 def test_parse_exponent_digit_limit():
     big = int("9" * 4300)
     assert parse_word("x^" + "9" * 4300).letters == (("x", big),)

@@ -4,7 +4,9 @@ module instance (r, s) and the explicit unit-combination witness.
 Everything verify-paper needs is written here as code, so the full run
 reads no files.  The certificates are dicts in the shape of the
 certificate JSON and go through the same parser and input checks as a
-user's certificate file.
+user's certificate file.  The instance and the witness are coefficient
+dicts, each with its printed form beside it, so no polynomial text is
+parsed.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from functools import lru_cache
 
 from .certificates import ConjugacyCertificate, _row_factors, certificate_from_dict
 from .division import StaffordInstance
-from .klein import SPoly, parse_spoly
-from .laurent import parse_rpoly
+from .klein import SPoly
+from .laurent import RPoly
 from .presentations import Presentation
 
 GENERATORS = ("x", "y")
@@ -90,14 +92,13 @@ def reverse_certificates() -> tuple[ConjugacyCertificate]:
     return (certificate_from_dict(_REVERSE_CERTIFICATE),)
 
 
-# The instance behind the membership module V = {v : r*v in (y+s)*S}.
-R_STRING = "x^3 - x - 1"
-S_STRING = "-x^-1"
-
-
 @lru_cache(maxsize=None)
 def stafford_instance() -> StaffordInstance:
-    return StaffordInstance(parse_rpoly(R_STRING), parse_rpoly(S_STRING))
+    """The instance behind the membership module V = {v : r*v in (y+s)*S}."""
+    return StaffordInstance(
+        RPoly({3: 1, 1: -1, 0: -1}),  # r = x^3 - x - 1
+        RPoly({-1: -1}),  # s = -x^-1
+    )
 
 
 # Explicit witness that r*alpha + (y+s)*beta = 1 in the twisted ring.
@@ -105,18 +106,16 @@ def stafford_instance() -> StaffordInstance:
 # is {0: beta', 1: alpha'} for another witness (alpha', beta') of the same
 # identity.  Both are kept on purpose, as independent witnesses, so that
 # condition (i) does not rest on the certificate data.
-BEZOUT_ALPHA_STRING = "(x^-3 - x^-4) + y^-1*(-1)"
-BEZOUT_BETA_STRING = "y^-1*(x^-1 + x^-2 - x^-4)"
-
-
 @lru_cache(maxsize=None)
 def bezout_alpha() -> SPoly:
-    return parse_spoly(BEZOUT_ALPHA_STRING)
+    """alpha = (x^-3 - x^-4) + y^-1*(-1)"""
+    return SPoly({0: RPoly({-3: 1, -4: -1}), -1: RPoly({0: -1})})
 
 
 @lru_cache(maxsize=None)
 def bezout_beta() -> SPoly:
-    return parse_spoly(BEZOUT_BETA_STRING)
+    """beta = y^-1*(x^-1 + x^-2 - x^-4)"""
+    return SPoly({-1: RPoly({-1: 1, -2: 1, -4: -1})})
 
 
 @lru_cache(maxsize=None)

@@ -10,17 +10,14 @@ import argparse
 import json
 import sys
 
-from . import builtin
-from .certificates import check_certificate, load_certificate
-from .division import StaffordInstance, in_V
-from .klein import eval_word, parse_spoly
-from .laurent import divides, parse_rpoly
-from .presentations import euler_characteristic, fox_derivative, load_presentation
-from .verify import default_witness, full_report, stafford_verdict
-from .words import Word, parse_word
+# Each command imports the library modules it runs, so a command compiles
+# only those: divides needs laurent alone, verify-paper needs them all.
 
 
 def _resolve_presentation(name_or_path: str):
+    from . import builtin
+    from .presentations import load_presentation
+
     if name_or_path in builtin.PRESENTATIONS:
         return builtin.PRESENTATIONS[name_or_path]()
     return load_presentation(name_or_path)
@@ -40,12 +37,16 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def cmd_verify_paper(args) -> int:
+    from .verify import full_report
+
     report = full_report()
     _emit(args, report.to_json_dict(), report.to_text())
     return 0 if report.all_ok else 1
 
 
 def cmd_chi(args) -> int:
+    from .presentations import euler_characteristic
+
     p = _resolve_presentation(args.presentation)
     value = euler_characteristic(p)
     _emit(args, {"command": "chi", "value": value}, str(value))
@@ -53,6 +54,9 @@ def cmd_chi(args) -> int:
 
 
 def cmd_normal_form(args) -> int:
+    from .klein import eval_word
+    from .words import Word, parse_word
+
     w = parse_word(args.word, ("x", "y"))
     m, n = eval_word(w)
     nf = str(Word((("y", m), ("x", n))))
@@ -61,6 +65,9 @@ def cmd_normal_form(args) -> int:
 
 
 def cmd_fox(args) -> int:
+    from .presentations import fox_derivative
+    from .words import parse_word
+
     letters = parse_word(args.generator).letters
     if len(letters) != 1 or letters[0][1] != 1:
         raise ValueError(f"the generator must be a single letter such as x, not {args.generator!r}")
@@ -75,10 +82,23 @@ def cmd_fox(args) -> int:
 
 
 def _instance_from(args) -> StaffordInstance:
-    return StaffordInstance(parse_rpoly(args.r), parse_rpoly(args.s))
+    """(r, s) from --r and --s; an omitted one is the paper's."""
+    from .division import StaffordInstance
+    from .laurent import parse_rpoly
+
+    if args.r is None or args.s is None:
+        from . import builtin
+
+        paper = builtin.stafford_instance()
+    r = paper.r if args.r is None else parse_rpoly(args.r)
+    s = paper.s if args.s is None else parse_rpoly(args.s)
+    return StaffordInstance(r, s)
 
 
 def cmd_member(args) -> int:
+    from .division import in_V
+    from .klein import parse_spoly
+
     inst = _instance_from(args)
     v = parse_spoly(args.element)
     ok = in_V(v, inst)
@@ -92,6 +112,8 @@ def cmd_member(args) -> int:
 
 
 def cmd_divides(args) -> int:
+    from .laurent import divides, parse_rpoly
+
     a = parse_rpoly(args.a)
     b = parse_rpoly(args.b)
     ok = divides(a, b)
@@ -104,6 +126,8 @@ def cmd_divides(args) -> int:
 
 
 def cmd_certificate(args) -> int:
+    from .certificates import check_certificate, load_certificate
+
     cert = load_certificate(args.certificate)
     if args.presentation is not None:
         src = _resolve_presentation(args.presentation)
@@ -121,6 +145,9 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_stafford(args) -> int:
+    from . import builtin
+    from .verify import default_witness, stafford_verdict
+
     inst = _instance_from(args)
     witness = default_witness() if inst == builtin.stafford_instance() else None
     verdict = stafford_verdict(inst, witness)
@@ -180,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("member", help="membership of an element in the module V")
     sp.add_argument("element", help="twisted-ring element, e.g. 'y^2*(1) + (-1)'")
-    sp.add_argument("--r", default=builtin.R_STRING, help="Laurent polynomial r")
-    sp.add_argument("--s", default=builtin.S_STRING, help="Laurent polynomial s")
+    sp.add_argument("--r", help="Laurent polynomial r")
+    sp.add_argument("--s", help="Laurent polynomial s")
     _add_format(sp)
     sp.set_defaults(func=cmd_member)
 
@@ -198,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_certificate)
 
     sp = sub.add_parser("stafford", help="non-freeness conditions for an instance (r, s)")
-    sp.add_argument("--r", default=builtin.R_STRING)
-    sp.add_argument("--s", default=builtin.S_STRING)
+    sp.add_argument("--r")
+    sp.add_argument("--s")
     _add_format(sp)
     sp.set_defaults(func=cmd_stafford)
 

@@ -22,8 +22,10 @@ once, with no copy.
 from __future__ import annotations
 
 from .laurent import _SPOLY, RPoly, _mul_into, _nonzero, _parse, _scaled
-from .presentations import FreeCombo, Presentation
-from .words import Word
+
+# FreeCombo and Presentation appear only in annotations, which are never
+# evaluated, and boundary_data imports Word itself, so the ring alone loads
+# no word or presentation code.
 
 
 def eval_word(w: Word) -> tuple[int, int]:
@@ -53,7 +55,11 @@ class SPoly:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: dict[int, RPoly] | None = None):
-        self._rows = {m: a for m, a in (rows or {}).items() if a._coeffs}
+        rows = rows or {}
+        for m in rows:
+            if not isinstance(m, int):
+                raise ValueError(f"y-degree {m!r} is not an int")
+        self._rows = {m: a for m, a in rows.items() if a._coeffs}
 
     @classmethod
     def _of_rows(cls, rows: dict[int, RPoly]) -> "SPoly":
@@ -65,11 +71,11 @@ class SPoly:
 
     @classmethod
     def zero(cls) -> "SPoly":
-        return cls()
+        return cls._of_rows({})
 
     @classmethod
     def one(cls) -> "SPoly":
-        return cls({0: RPoly.one()})
+        return cls._of_rows({0: RPoly.one()})
 
     @classmethod
     def from_rpoly(cls, a: RPoly, degree: int = 0) -> "SPoly":
@@ -199,6 +205,8 @@ def boundary_data(p: Presentation) -> tuple[list[list[SPoly]], list[SPoly]]:
     calculus I, Ann. of Math. 57, 1953).  Coefficients collect in one dict
     per row, keyed by y-degree and then x-exponent.
     """
+    from .words import Word
+
     gens = p.generators
     one = SPoly.one()
     # eval_word raises the foreign-generator error, so d2 only meets x and y.

@@ -30,7 +30,8 @@ from an RPoly is never passed as out, because values share their dicts
 and never copy them.  Each value is built once from a dict the library
 owns: _nonzero drops its zeros, filtering in Python only when a C-level
 scan finds one, and RPoly._of_nonzero wraps it with no copy.  The public
-RPoly(...) copies its argument.
+RPoly(...) copies its argument and rejects any exponent or coefficient
+that is not an int.
 
 Divisibility is decided exactly, with no rational arithmetic: units x^k are
 divided out first.  On the Kronecker path a None is sound, because a | b in
@@ -57,7 +58,13 @@ class RPoly:
 
     def __init__(self, coeffs: dict[int, int] | None = None):
         # A copy, so the caller keeps its dict; zeros are dropped.
-        self._coeffs = _nonzero(dict(coeffs)) if coeffs else {}
+        coeffs = dict(coeffs) if coeffs else {}
+        for e, c in coeffs.items():
+            if not isinstance(e, int):
+                raise ValueError(f"exponent {e!r} is not an int")
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient {c!r} is not an int")
+        self._coeffs = _nonzero(coeffs)
 
     @classmethod
     def _of_nonzero(cls, coeffs: dict[int, int]) -> "RPoly":
@@ -69,11 +76,11 @@ class RPoly:
 
     @classmethod
     def zero(cls) -> "RPoly":
-        return cls()
+        return cls._of_nonzero({})
 
     @classmethod
     def one(cls) -> "RPoly":
-        return cls({0: 1})
+        return cls._of_nonzero({0: 1})
 
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> "RPoly":

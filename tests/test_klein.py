@@ -256,6 +256,13 @@ def test_spoly_constructor_copies_and_drops_zero_rows():
     assert SPoly({4: RPoly({2: False})}).is_zero()
 
 
+def test_spoly_constructor_rejects_non_int_degree():
+    # y^0.5*(1) used to print
+    with pytest.raises(ValueError) as err:
+        SPoly({0.5: RPoly.one()})
+    assert str(err.value) == "y-degree 0.5 is not an int"
+
+
 def test_spoly_parse_ascii_digits_only():
     for text, at in (("y^٣", 2), ("y*(٣x)", 3), ("(x) + y^2*(３)", 11), ("٣", 0)):
         with pytest.raises(PolySyntaxError) as err:

@@ -113,6 +113,23 @@ def test_constructor_copies_and_drops_zeros():
     assert with_zeros == {0: 0, 1: 3, 2: False, 3: -1}
     with_zeros[1] = 4
     assert b._coeffs == {1: 3, 3: -1}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # x^2 + x + 0.25 as a square, x^0.5 as a term
+        (lambda: RPoly({0: 0.5, 1: 1}), "coefficient 0.5 is not an int"),
+        (lambda: RPoly({0.5: 1}), "exponent 0.5 is not an int"),
+        # divides() read 0.1 | 0.3 as false, is_unit() read 1.0 as a unit
+        (lambda: divides(RPoly({0: 0.1}), RPoly({0: 0.3})), "coefficient 0.1 is not an int"),
+        (lambda: RPoly({0: 1.0}).is_unit(), "coefficient 1.0 is not an int"),
+    ],
+)
+def test_constructor_rejects_non_int_data(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
     assert RPoly({5: False}) == RPoly({0: 0}) == RPoly.zero() and RPoly({5: False}).is_zero()
 
 

@@ -93,6 +93,17 @@ def test_reverse_certificate_shadow_is_an_independent_witness():
     assert other != WITNESS
 
 
+def test_builtin_constants_print_as_in_the_paper():
+    # builtin writes them as coefficient dicts; their text is the paper's.
+    for value, text, parse in (
+        (INST.r, "x^3 - x - 1", parse_rpoly),
+        (INST.s, "-x^-1", parse_rpoly),
+        (WITNESS.alpha, "(x^-3 - x^-4) + y^-1*(-1)", parse_spoly),
+        (WITNESS.beta, "y^-1*(x^-1 + x^-2 - x^-4)", parse_spoly),
+    ):
+        assert str(value) == text and parse(text) == value
+
+
 def test_bezout_negative_control_sign_flip():
     flipped = BezoutWitness(WITNESS.alpha, -WITNESS.beta)
     assert not verify_bezout(flipped, INST)

@@ -7,17 +7,20 @@ certificate JSON and go through the same parser and input checks as a
 user's certificate file.  The instance and the witness are coefficient
 dicts, each with its printed form beside it, so no polynomial text is
 parsed.
+
+Each constructor imports the modules it builds from when it first runs,
+and caches its value.  Importing this module loads no other module of the
+package, so reading a presentation or a certificate loads only the
+free-group layer (words, presentations, certificates) and reading the
+instance only the ring layer (laurent, klein, division).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .certificates import ConjugacyCertificate, _row_factors, certificate_from_dict
-from .division import StaffordInstance
-from .klein import SPoly
-from .laurent import RPoly
-from .presentations import Presentation
+# The annotations name classes of the modules the functions import; they
+# are never evaluated.
 
 GENERATORS = ("x", "y")
 
@@ -68,12 +71,16 @@ _REVERSE_CERTIFICATE = {
 @lru_cache(maxsize=None)
 def presentation_p() -> Presentation:
     """One relator; its complex is the Klein bottle."""
+    from .presentations import Presentation
+
     return Presentation.from_strings(GENERATORS, P_RELATOR_STRINGS)
 
 
 @lru_cache(maxsize=None)
 def presentation_q() -> Presentation:
     """Two relators; same group, Euler characteristic one higher."""
+    from .presentations import Presentation
+
     return Presentation.from_strings(GENERATORS, Q_RELATOR_STRINGS)
 
 
@@ -83,18 +90,25 @@ PRESENTATIONS = {"P": presentation_p, "Q": presentation_q}
 @lru_cache(maxsize=None)
 def forward_certificates() -> tuple[ConjugacyCertificate, ConjugacyCertificate]:
     """Certificates writing each relator of Q as conjugates of P's relator."""
+    from .certificates import certificate_from_dict
+
     return tuple(certificate_from_dict(d) for d in _FORWARD_CERTIFICATES)
 
 
 @lru_cache(maxsize=None)
 def reverse_certificates() -> tuple[ConjugacyCertificate]:
     """Certificate writing P's relator as conjugates of Q's relators."""
+    from .certificates import certificate_from_dict
+
     return (certificate_from_dict(_REVERSE_CERTIFICATE),)
 
 
 @lru_cache(maxsize=None)
 def stafford_instance() -> StaffordInstance:
     """The instance behind the membership module V = {v : r*v in (y+s)*S}."""
+    from .division import StaffordInstance
+    from .laurent import RPoly
+
     return StaffordInstance(
         RPoly({3: 1, 1: -1, 0: -1}),  # r = x^3 - x - 1
         RPoly({-1: -1}),  # s = -x^-1
@@ -109,15 +123,23 @@ def stafford_instance() -> StaffordInstance:
 @lru_cache(maxsize=None)
 def bezout_alpha() -> SPoly:
     """alpha = (x^-3 - x^-4) + y^-1*(-1)"""
+    from .klein import SPoly
+    from .laurent import RPoly
+
     return SPoly({0: RPoly({-3: 1, -4: -1}), -1: RPoly({0: -1})})
 
 
 @lru_cache(maxsize=None)
 def bezout_beta() -> SPoly:
     """beta = y^-1*(x^-1 + x^-2 - x^-4)"""
+    from .klein import SPoly
+    from .laurent import RPoly
+
     return SPoly({-1: RPoly({-1: 1, -2: 1, -4: -1})})
 
 
 @lru_cache(maxsize=None)
 def boundary_row_factors() -> tuple[SPoly, ...]:
+    from .certificates import _row_factors
+
     return tuple(_row_factors(presentation_p(), forward_certificates()))

@@ -10,18 +10,21 @@ the factor (w, j, e) moves disk j by the group image of w^-1 with sign e,
 which is where the boundary factorization identities come from.  When w
 maps to y^m x^n, w^-1 maps to y^-m x^(-(-1)^m n), and the terms are summed
 in one coefficient dict per (relator, y-degree): no per-factor Word or SPoly.
+
+Checking stays in the free-group layer, so importing this module loads
+no ring code: boundary_factor and _row_factors import klein when they
+run, and a command that only checks a certificate never compiles it.
 """
 
 from __future__ import annotations
 
-import json
-from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping
 
-from .klein import SPoly, eval_word
-from .laurent import RPoly
 from .presentations import Presentation
-from .words import Word, parse_word
+from .words import Word, _reduced, parse_word
+
+# The annotations' SPoly is never evaluated, so only the functions that
+# build one import klein.
 
 
 class CertFactor:
@@ -75,7 +78,7 @@ def expand_certificate(src: Presentation, cert: ConjugacyCertificate) -> Word:
         letters += w
         letters += pieces[key]
         letters += [(name, -exp) for name, exp in reversed(w)]
-    return Word(letters)
+    return Word._of_reduced(_reduced(letters))
 
 
 def check_certificate(src: Presentation, cert: ConjugacyCertificate) -> bool:
@@ -93,21 +96,27 @@ def boundary_factor(src: Presentation, cert: ConjugacyCertificate) -> dict[int, 
     (relator, y-degree).  Raises ValueError for an invalid certificate or a
     generator other than x and y, and IndexError for an out-of-range relator.
     """
+    from .klein import _spoly, eval_word
+
     if not check_certificate(src, cert):
         raise ValueError("invalid certificate: product does not reduce to target")
-    shadow = defaultdict(lambda: defaultdict(Counter))
+    shadow: dict[int, dict[int, dict[int, int]]] = {}
     for f in cert.factors:
         try:
             m, n = eval_word(f.conjugator)
         except ValueError:
             eval_word(~f.conjugator)  # raise naming the foreign letter ~w meets first
             raise
-        shadow[f.relator][-m][n if m % 2 else -n] += f.sign
-    return {j: SPoly({d: RPoly(row) for d, row in rows.items()}) for j, rows in shadow.items()}
+        row = shadow.setdefault(f.relator, {}).setdefault(-m, {})
+        e = n if m % 2 else -n
+        row[e] = row.get(e, 0) + f.sign
+    return {j: _spoly(rows) for j, rows in shadow.items()}
 
 
 def _row_factors(src: Presentation, certs: Iterable[ConjugacyCertificate]) -> list[SPoly]:
     """Each certificate's chain shadow on src's relator 0: by Fox calculus, its row factor."""
+    from .klein import SPoly
+
     return [boundary_factor(src, c).get(0, SPoly.zero()) for c in certs]
 
 
@@ -164,5 +173,7 @@ def certificate_from_dict(data: Mapping) -> ConjugacyCertificate:
 
 
 def load_certificate(path) -> ConjugacyCertificate:
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         return certificate_from_dict(json.load(fh))

@@ -7,11 +7,10 @@ Exit status: 0 when every requested check passes, 1 when a check fails,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 # Each command imports the library modules it runs, so a command compiles
-# only those: divides needs laurent alone, verify-paper needs them all.
+# only those: divides needs laurent and syntax, verify-paper needs them all.
 
 
 def _resolve_presentation(name_or_path: str):
@@ -31,6 +30,8 @@ def _add_format(sub) -> None:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         print(text)

@@ -210,7 +210,7 @@ def boundary_data(p: Presentation) -> tuple[list[list[SPoly]], list[SPoly]]:
     gens = p.generators
     one = SPoly.one()
     # eval_word raises the foreign-generator error, so d2 only meets x and y.
-    d1 = [SPoly.from_group(eval_word(Word(((g, -1),)))) - one for g in gens]
+    d1 = [SPoly.from_group(eval_word(Word._of_reduced(((g, -1),)))) - one for g in gens]
     d2 = []
     for rel in p.relators:
         rows: dict[str, dict[int, dict[int, int]]] = {g: {} for g in gens}

@@ -46,6 +46,8 @@ from __future__ import annotations
 import re
 import sys
 
+from .syntax import _MAX_DIGITS, _quote
+
 
 class PolySyntaxError(ValueError):
     """Raised when a polynomial string cannot be parsed."""
@@ -166,9 +168,8 @@ class RPoly:
 # cache, so importing the package compiles none of them.  Tabs read as
 # spaces and "−" as "-", which keeps every position.  Blanks may stand
 # between tokens; a number is one token, so "x^1 0" is an error, not x^10.
-# A number has at most _MAX_DIGITS digits, CPython's default int() limit;
-# digits are ASCII 0-9 only, as "\d" would also take other scripts' digits.
-_MAX_DIGITS = 4300
+# A number has at most _MAX_DIGITS digits (see syntax); digits are
+# ASCII 0-9 only, as "\d" would also take other scripts' digits.
 _NUM = rf"[0-9]{{1,{_MAX_DIGITS}}}"
 # c, x^k or c*x^k: a "*" stands only before x.
 _MONO = rf"(?:(?:{_NUM} *(?:\* *)?)?x(?: *\^ *(?:- *)?{_NUM})?|{_NUM})"
@@ -236,20 +237,6 @@ def _parse(text: str, tilings: tuple[tuple[str, str], ...]) -> dict[int, dict[in
     return rows
 
 
-# An error quotes a text of up to _QUOTE_LIMIT characters whole; a longer
-# one by its length and the _QUOTE_SPAN characters on either side of the
-# error, so a huge malformed argument gives a short message.
-_QUOTE_LIMIT = 1000
-_QUOTE_SPAN = 40
-
-
-def _quote(text: str, at: int) -> str:
-    if len(text) <= _QUOTE_LIMIT:
-        return repr(text)
-    lo = max(at - _QUOTE_SPAN, 0)
-    return f"a text of {len(text)} characters, near {text[lo:at + _QUOTE_SPAN]!r} from position {lo}"
-
-
 def _syntax_error(text: str, s: str, tilings: tuple[tuple[str, str], ...]) -> PolySyntaxError:
     """The error at the end of the longest start of s that a valid text
     shares: per tiling, the complete tiles, then the start of one more."""
@@ -280,7 +267,7 @@ def parse_rpoly(text: str) -> RPoly:
     sign, the others must.  One regex pass checks the text, one more adds
     every monomial into one coefficient dict.  An error gives the position
     in text and quotes the text, or a window around the position when the
-    text is over _QUOTE_LIMIT characters.
+    text is over syntax._QUOTE_LIMIT characters.
     """
     return RPoly._of_nonzero(_nonzero(_parse(text, _RPOLY)[0]))
 

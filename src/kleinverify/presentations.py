@@ -20,7 +20,6 @@ g^-1 - 1.  Composites then pair edge entries on the LEFT of disk entries.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable, Mapping
 
 from .words import Word, parse_word
@@ -71,6 +70,8 @@ class Presentation:
 
 
 def load_presentation(path) -> Presentation:
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         return Presentation.from_dict(json.load(fh))
 
@@ -119,16 +120,17 @@ def fox_derivative(w: Word, g: str) -> FreeCombo:
     # By the product rule each run g^k adds prefix * d(g^k)/dg, where
     # d(g^k)/dg = 1 + g + ... + g^(k-1) for k > 0,
     #           = -(g^-1 + ... + g^k)   for k < 0.
-    # All runs add into one dict, so the cost is that of the output.
+    # All runs add into one dict, so the cost is that of the output.  Each
+    # letter is one of w's, so it skips Word's public check.
     terms: dict[Word, int] = {}
     prefix = Word()
     for name, exp in w.letters:
         if name == g:
             sign = 1 if exp > 0 else -1
             for i in range(exp) if exp > 0 else range(-1, exp - 1, -1):
-                key = prefix * Word(((g, i),))
+                key = prefix * Word._of_reduced(((g, i),)) if i else prefix
                 terms[key] = terms.get(key, 0) + sign
-        prefix = prefix * Word(((name, exp),))
+        prefix = prefix * Word._of_reduced(((name, exp),))
     return FreeCombo(terms)
 
 
@@ -149,5 +151,5 @@ def boundary_matrices(
         ]
         for rel in p.relators
     ]
-    d1 = [eval_combo(FreeCombo({~Word(((g, 1),)): 1, Word(): -1})) for g in p.generators]
+    d1 = [eval_combo(FreeCombo({Word._of_reduced(((g, -1),)): 1, Word(): -1})) for g in p.generators]
     return d2, d1

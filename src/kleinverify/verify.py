@@ -10,7 +10,6 @@ psi(u, v) = (y + s) * u + r * v.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 
 from . import builtin
@@ -214,6 +213,8 @@ class NonFreenessReport:
         return out
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), indent=2)
 
     def to_text(self) -> str:

@@ -9,6 +9,15 @@ Text syntax: whitespace-separated letters of the form ``g`` or ``g^k``
 with integer ``k``, written in ASCII digits 0-9, at most 4300 of them
 (CPython's default int() limit); the bare token ``1`` denotes the
 identity.  Printing uses the same syntax with exponent 1 omitted.
+
+The public Word(...) rejects a letter whose name is not such a generator
+name or whose exponent is not an int, so every word prints as text that
+parses back to it.  Code that already holds valid letters (parse_word,
+powers, certificate expansion) wraps them through Word._of_reduced and
+skips that check.
+
+This module is the bottom of the free-group layer: it imports only the
+shared parser limits of syntax, never the ring modules.
 """
 
 from __future__ import annotations
@@ -16,13 +25,15 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 
-from .laurent import _MAX_DIGITS, _quote
+from .syntax import _MAX_DIGITS, _quote
 
 Letter = tuple[str, int]
 
 # "[0-9]", as "\d" would also take other scripts' digits.  A token is valid
 # when the match takes all of it; else it is quoted around the match's end.
-_TOKEN = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>[+-]?[0-9]+))?")
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_TOKEN = re.compile(rf"(?P<name>{_NAME})(?:\^(?P<exp>[+-]?[0-9]+))?")
+_IS_NAME = re.compile(_NAME).fullmatch
 # An over-long exponent is quoted by its token's first _QUOTE_CHARS characters.
 _QUOTE_CHARS = 20
 
@@ -52,6 +63,13 @@ class Word:
     __slots__ = ("_letters",)
 
     def __init__(self, letters: Iterable[Letter] = ()):
+        letters = tuple(letters)
+        for name, exp in letters:
+            # isinstance, not type(): True and False pass, as in RPoly.
+            if not isinstance(exp, int):
+                raise ValueError(f"exponent {exp!r} is not an int")
+            if not (isinstance(name, str) and _IS_NAME(name)):
+                raise ValueError(f"generator name {name!r} is not a letter followed by letters, digits or _")
         self._letters = _reduced(letters)
 
     @classmethod
@@ -99,7 +117,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return (~self) ** (-n)
-        return Word(self._letters * n)
+        return Word._of_reduced(_reduced(self._letters * n))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Word) and self._letters == other._letters
@@ -149,4 +167,4 @@ def parse_word(text: str, generators: Iterable[str] | None = None) -> Word:
                 f" {tok[:_QUOTE_CHARS]!r}... at position {i}"
             )
         letters.append((name, int(exp) if exp else 1))
-    return Word(letters)
+    return Word._of_reduced(_reduced(letters))

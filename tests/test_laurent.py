@@ -4,8 +4,8 @@ from array import array
 
 import pytest
 
-from kleinverify import RPoly, divides, parse_rpoly, quotient
-from kleinverify import laurent
+from kleinverify import RPoly, divides, parse_rpoly, parse_word, quotient
+from kleinverify import laurent, syntax
 from kleinverify.laurent import PolySyntaxError
 
 from helpers import (
@@ -333,7 +333,7 @@ def test_parse_ascii_digits_only():
 
 
 def test_parse_error_quotes_a_window_of_long_texts():
-    limit = laurent._QUOTE_LIMIT
+    limit = syntax._QUOTE_LIMIT
     text = "x + " * (limit // 4)
     assert len(text) == limit
     with pytest.raises(PolySyntaxError) as err:
@@ -347,6 +347,20 @@ def test_parse_error_quotes_a_window_of_long_texts():
         f"unexpected character 'q' at position 1000000 in a text of {len(text)} characters, "
         f"near {window!r} from position 999960"
     )
+
+
+def test_word_and_polynomial_errors_share_the_quote_window():
+    # One rule, syntax._quote, quotes both parsers' texts over 1000 characters.
+    word = "x" * 1500 + "-"
+    poly = "x + " * 400 + "q"
+    for parse, text, at in ((parse_word, word, 1500), (parse_rpoly, poly, 1600)):
+        assert len(text) > syntax._QUOTE_LIMIT
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        window = text[at - 40:at + 40]
+        quoted = f"a text of {len(text)} characters, near {window!r} from position {at - 40}"
+        assert syntax._quote(text, at) == quoted
+        assert quoted in str(err.value), text[:10]
 
 
 def test_is_unit():

@@ -38,39 +38,79 @@ def test_unknown_name_raises_attribute_error():
 
 
 # The library modules each command loads (none for a bare import); the rest
-# stay uncompiled.  -S, as below, keeps site .pth files out.
+# stay uncompiled.  -S, as below, keeps site .pth files out.  {cert} stands
+# for the README's example certificate, written to a file.
 ALL_MODULES = [
     "builtin", "certificates", "cli", "division", "klein", "laurent", "presentations",
-    "verify", "words",
+    "syntax", "verify", "words",
 ]
+CHI_MODULES = ["builtin", "cli", "presentations", "syntax", "words"]
 COMMAND_MODULES = [
     ([], []),
-    (["divides", "x+1", "x^2-1"], ["cli", "laurent"]),
-    (["member", "y - x^-1", "--r", "1", "--s", "-x^-1"], ["cli", "division", "klein", "laurent"]),
-    (["normal-form", "y^-1 x y"], ["cli", "klein", "laurent", "words"]),
-    (["fox", "y^-1 x y x", "x"], ["cli", "laurent", "presentations", "words"]),
+    (["divides", "x+1", "x^2-1"], ["cli", "laurent", "syntax"]),
+    (["member", "y - x^-1", "--r", "1", "--s", "-x^-1"],
+     ["cli", "division", "klein", "laurent", "syntax"]),
+    (["member", "y^2*(1) + (-1)"], ["builtin", "cli", "division", "klein", "laurent", "syntax"]),
+    (["normal-form", "y^-1 x y"], ["cli", "klein", "laurent", "syntax", "words"]),
+    (["fox", "y^-1 x y x", "x"], ["cli", "presentations", "syntax", "words"]),
+    (["chi"], CHI_MODULES),
+    (["certificate", "--certificate", "{cert}"], sorted(CHI_MODULES + ["certificates"])),
     (["verify-paper"], ALL_MODULES),
     (["stafford"], ALL_MODULES),
 ]
+README_CERTIFICATE = {
+    "target": "y^-2 x y^2 x^-1", "source": "P",
+    "factors": [{"w": "y^-1", "rel": 0, "sign": 1}, {"w": "x", "rel": 0, "sign": -1}],
+}
 
 
-def test_each_command_loads_only_its_modules():
+def _printed_json(code: str, *argv: str):
+    """The JSON value that code prints, run under -S with argv."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out)
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(README_CERTIFICATE), encoding="utf-8")
     code = (
         "import contextlib, io, json, sys, kleinverify\n"
         "if sys.argv[1:]:\n"
         "    from kleinverify.cli import run\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        run(sys.argv[1:])\n"
+        "        assert run(sys.argv[1:]) == 0\n"
         "print(json.dumps(sorted(m.split('.')[1] for m in sys.modules"
         " if m.startswith('kleinverify.'))))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     for argv, expected in COMMAND_MODULES:
-        out = subprocess.run(
-            [sys.executable, "-S", "-c", code, *argv],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
-        assert json.loads(out) == expected, argv
+        argv = [arg.replace("{cert}", str(cert)) for arg in argv]
+        assert _printed_json(code, *argv) == expected, argv
+
+
+def test_free_group_layer_loads_no_ring_module():
+    code = (
+        "import json, sys\n"
+        "import kleinverify.words, kleinverify.presentations\n"
+        "import kleinverify.certificates, kleinverify.builtin\n"
+        "print(json.dumps([m for m in ('laurent', 'klein', 'division')"
+        " if 'kleinverify.' + m in sys.modules]))\n"
+    )
+    assert _printed_json(code) == []
+
+
+def test_text_output_imports_no_json():
+    code = (
+        "import contextlib, io, sys\n"
+        "from kleinverify.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['verify-paper']) == 0\n"
+        "print('true' if 'json' in sys.modules else 'false')\n"
+    )
+    assert _printed_json(code) is False
 
 
 def test_cli_imports_no_heavy_stdlib():

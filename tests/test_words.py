@@ -146,3 +146,23 @@ def test_parse_exponent_digit_limit():
         sign = text[4] if text[4] in "+-" else ""
         quoted = repr(("x^" + sign + "1" * 20)[:20])
         assert str(err.value) == f"exponent longer than 4300 digits in token {quoted}... at position 1"
+
+
+def test_word_rejects_a_non_int_exponent():
+    # It printed as x^1.5, and klein.eval_word read it as (0, 1.5).
+    with pytest.raises(ValueError, match=r"exponent 1\.5 is not an int"):
+        Word([("x", 1.5)])
+    with pytest.raises(ValueError, match="exponent '2' is not an int"):
+        Word([("y", "2")])
+
+
+def test_word_rejects_a_name_that_is_not_a_generator_name():
+    # Word([(1, 1)]) failed only when printed, with a TypeError.
+    for name in (1, None, "", "1x", "x y", "x^2", "x\n"):
+        with pytest.raises(ValueError, match="generator name"):
+            Word([(name, 1)])
+
+
+def test_word_accepts_bool_exponents_as_rpoly_does():
+    assert Word([("x", True), ("y", False)]) == parse_word("x")
+    assert str(Word([("g_1", 2), ("Ab9", -1)])) == "g_1^2 Ab9^-1"

@@ -1,16 +1,22 @@
 """Command-line front end.
 
+One table, COMMANDS, gives each command its handler, its positional
+arguments and its options with their defaults; run() reads argv against
+it in one pass and builds the usage text from it.  An option takes its
+value as "--opt value" or "--opt=value", spelled in full.  A token that
+does not start with "--" is a value, so "--s -x^-1" needs no quoting.
+
 Exit status: 0 when every requested check passes, 1 when a check fails,
-2 on input or parse errors.
+2 on input or parse errors, usage errors included.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 # Each command imports the library modules it runs, so a command compiles
-# only those: divides needs laurent and syntax, verify-paper needs them all.
+# only those: divides needs laurent, grammar and syntax, verify-paper
+# every module but grammar.
 
 
 def _resolve_presentation(name_or_path: str):
@@ -20,12 +26,6 @@ def _resolve_presentation(name_or_path: str):
     if name_or_path in builtin.PRESENTATIONS:
         return builtin.PRESENTATIONS[name_or_path]()
     return load_presentation(name_or_path)
-
-
-def _add_format(sub) -> None:
-    sub.add_argument(
-        "--format", choices=("json", "text"), default="text", help="output format"
-    )
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -175,90 +175,123 @@ def cmd_stafford(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kleinverify",
-        description=(
-            "Exact checks around the Klein bottle group ring: presentation "
-            "equivalence certificates, boundary factorizations, and the "
-            "stably-free-not-free verdict for the kernel module."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# A stand-in default for an option that must be given.
+_REQUIRED = object()
 
-    sp = sub.add_parser("verify-paper", help="run the whole replication suite")
-    _add_format(sp)
-    sp.set_defaults(func=cmd_verify_paper)
-
-    sp = sub.add_parser("chi", help="Euler characteristic of a presentation")
-    sp.add_argument("--presentation", default="Q", help="P, Q, or a JSON file path")
-    _add_format(sp)
-    sp.set_defaults(func=cmd_chi)
-
-    sp = sub.add_parser("normal-form", help="normal form y^m x^n of a word")
-    sp.add_argument("word", help="word in x, y, e.g. 'y^-1 x y'")
-    _add_format(sp)
-    sp.set_defaults(func=cmd_normal_form)
-
-    sp = sub.add_parser("fox", help="free derivative of a word")
-    sp.add_argument("word")
-    sp.add_argument("generator")
-    _add_format(sp)
-    sp.set_defaults(func=cmd_fox)
-
-    sp = sub.add_parser("member", help="membership of an element in the module V")
-    sp.add_argument("element", help="twisted-ring element, e.g. 'y^2*(1) + (-1)'")
-    sp.add_argument("--r", help="Laurent polynomial r")
-    sp.add_argument("--s", help="Laurent polynomial s")
-    _add_format(sp)
-    sp.set_defaults(func=cmd_member)
-
-    sp = sub.add_parser("divides", help="exact divisibility in Z[x, x^-1]")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    _add_format(sp)
-    sp.set_defaults(func=cmd_divides)
-
-    sp = sub.add_parser("certificate", help="check a product-of-conjugates certificate")
-    sp.add_argument("--certificate", required=True, help="certificate JSON file")
-    sp.add_argument("--presentation", help="P, Q, or a JSON file path (overrides the certificate's source)")
-    _add_format(sp)
-    sp.set_defaults(func=cmd_certificate)
-
-    sp = sub.add_parser("stafford", help="non-freeness conditions for an instance (r, s)")
-    sp.add_argument("--r")
-    sp.add_argument("--s")
-    _add_format(sp)
-    sp.set_defaults(func=cmd_stafford)
-
-    return parser
+# Per command: its handler, its positional names, its options with their
+# defaults, and a one-line summary.  Every command also takes --format
+# json|text, by default text.
+COMMANDS = {
+    "verify-paper": (cmd_verify_paper, (), {}, "run the whole replication suite"),
+    "chi": (cmd_chi, (), {"presentation": "Q"},
+            "Euler characteristic of P, Q (the default) or a presentation JSON file"),
+    "normal-form": (cmd_normal_form, ("word",), {},
+                    "normal form y^m x^n of a word in x, y, e.g. 'y^-1 x y'"),
+    "fox": (cmd_fox, ("word", "generator"), {}, "free derivative of a word by a generator"),
+    "member": (cmd_member, ("element",), {"r": None, "s": None},
+               "whether a twisted-ring element lies in V; r, s default to the paper's"),
+    "divides": (cmd_divides, ("a", "b"), {}, "exact divisibility of b by a in Z[x, x^-1]"),
+    "certificate": (cmd_certificate, (), {"certificate": _REQUIRED, "presentation": None},
+                    "check a certificate file over its source or over P, Q or a file"),
+    "stafford": (cmd_stafford, (), {"r": None, "s": None},
+                 "non-freeness conditions for an instance (r, s), by default the paper's"),
+}
+_HELP = ("-h", "--help")
 
 
-def _shield_leading_minus(argv: list[str]) -> list[str]:
-    """Let values such as -x^-1 through argparse.
+def _synopsis(command: str) -> str:
+    _, positionals, options, _ = COMMANDS[command]
+    words = [command, *(name.upper() for name in positionals)]
+    for name, default in options.items():
+        option = f"--{name} {name.upper()}"
+        words.append(option if default is _REQUIRED else f"[{option}]")
+    return " ".join(words)
 
-    argparse reads any token starting with "-" that is not a plain number
-    as an option, so ``--s "-x^-1"`` fails.  This parser has no
-    single-dash option besides -h, so every other such token is a value;
-    a leading space, which every input parser ignores, makes argparse
-    take it as one.  open() does not ignore it, so run() takes it off
-    the file paths again.
-    """
-    return [
-        f" {tok}" if tok.startswith("-") and not tok.startswith("--") and tok != "-h" else tok
-        for tok in argv
+
+def _help_text() -> str:
+    lines = [
+        "usage: kleinverify COMMAND [ARGUMENT ...] [--format json|text]",
+        "",
+        "Exact checks around the Klein bottle group ring: presentation equivalence",
+        "certificates, boundary factorizations, and the stably-free-not-free verdict",
+        "for the kernel module.",
+        "",
+        "commands:",
     ]
+    for command, (_, _, _, summary) in COMMANDS.items():
+        lines += [f"  {_synopsis(command)}", f"      {summary}"]
+    lines += [
+        "",
+        'An option takes its value as "--s -x^-1" or "--s=-x^-1", spelled in full.',
+        "Every command prints text, or JSON with --format json.  Exit status: 0 when",
+        "every check passes, 1 when one fails, 2 on bad input.  -h or --help prints",
+        "this text.",
+    ]
+    return "\n".join(lines)
+
+
+class _Args:
+    """The parsed command line: one attribute per positional and option."""
+
+    def __init__(self, values: dict):
+        self.__dict__.update(values)
+
+
+def _usage_error(command: str | None, message: str):
+    synopsis = _synopsis(command) if command else "COMMAND [ARGUMENT ...]"
+    print(f"usage: kleinverify {synopsis} [--format json|text]", file=sys.stderr)
+    print(f"kleinverify: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse_args(argv: list[str]):
+    """The handler and arguments argv asks for, or None for help."""
+    if not argv:
+        _usage_error(None, "a command is required (kleinverify --help lists them)")
+    command = argv[0]
+    if command in _HELP:
+        return None
+    if command not in COMMANDS:
+        _usage_error(None, f"unknown command {command!r} (kleinverify --help lists them)")
+    handler, positionals, options, _ = COMMANDS[command]
+    values = {"format": "text", **options}
+    given = []
+    rest = iter(argv[1:])
+    for token in rest:
+        if token in _HELP:
+            return None
+        if not token.startswith("--"):
+            given.append(token)
+            continue
+        name, eq, value = token[2:].partition("=")
+        if name not in values:
+            _usage_error(command, f"unknown option --{name}")
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                _usage_error(command, f"option --{name} needs a value")
+        values[name] = value
+    if len(given) > len(positionals):
+        _usage_error(command, f"unexpected argument {given[len(positionals)]!r}")
+    if len(given) < len(positionals):
+        _usage_error(command, f"missing argument {positionals[len(given)].upper()}")
+    missing = next((name for name, value in values.items() if value is _REQUIRED), None)
+    if missing:
+        _usage_error(command, f"option --{missing} is required")
+    if values["format"] not in ("json", "text"):
+        _usage_error(command, f"--format must be json or text, not {values['format']!r}")
+    values.update(zip(positionals, given))
+    return handler, _Args(values)
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_shield_leading_minus(sys.argv[1:] if argv is None else argv))
-    for name in ("certificate", "presentation"):
-        path = getattr(args, name, None)
-        if path is not None and path.startswith(" -"):
-            setattr(args, name, path[1:])
+    parsed = _parse_args(sys.argv[1:] if argv is None else argv)
+    if parsed is None:
+        print(_help_text())
+        return 0
+    handler, args = parsed
     try:
-        return args.func(args)
+        return handler(args)
     # The library has no recursion of its own, so only the JSON decoder
     # raises RecursionError: on an input file nested too deep.
     except (ValueError, KeyError, IndexError, OSError, RecursionError) as exc:

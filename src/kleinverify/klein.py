@@ -21,7 +21,7 @@ once, with no copy.
 
 from __future__ import annotations
 
-from .laurent import _SPOLY, RPoly, _mul_into, _nonzero, _parse, _scaled
+from .laurent import RPoly, _mul_into, _nonzero, _scaled
 
 # FreeCombo and Presentation appear only in annotations, which are never
 # evaluated, and boundary_data imports Word itself, so the ring alone loads
@@ -250,7 +250,9 @@ def parse_spoly(text: str) -> SPoly:
     Terms are y^m*(coefficient), a bare y^m (coefficient 1), a
     coefficient in parentheses or one monomial in x, the last two in the
     y-degree-0 row; they may come in any order and share a y-degree.
-    Signs and blanks follow parse_rpoly, and laurent holds the grammar.
-    Each row is wrapped once, without a copy.
+    Signs and blanks follow parse_rpoly, and grammar holds both grammars;
+    it loads at the first call.  Each row is wrapped once, without a copy.
     """
+    from .grammar import _SPOLY, _parse
+
     return _spoly(_parse(text, _SPOLY))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 
-from .words import Word, parse_word
+from .words import _IS_NAME, Word, parse_word
 
 
 class Presentation:
@@ -35,6 +35,9 @@ class Presentation:
         declared = set(self.generators)
         if len(declared) != len(self.generators):
             raise ValueError("duplicate generator name")
+        for g in self.generators:
+            if not (isinstance(g, str) and _IS_NAME(g)):
+                raise ValueError(f"generator name {g!r} is not a letter followed by letters, digits or _")
         for i, rel in enumerate(self.relators):
             foreign = rel.generators() - declared
             if foreign:

@@ -1,8 +1,8 @@
 """Limits and error quotes shared by the word and polynomial parsers.
 
-words and laurent both import this module and nothing else of the
-package, so neither parser loads the other's layer: a command that reads
-only words compiles no polynomial code.
+words and grammar, the polynomial grammar, both import this module and
+no other module of either parser, so neither parser loads the other's
+layer: a command that reads only words compiles no polynomial code.
 
 A number, or a word exponent, has at most _MAX_DIGITS digits, CPython's
 default int() limit.  An error quotes a text of up to _QUOTE_LIMIT

@@ -136,6 +136,95 @@ def test_usage_error_is_exit_2():
     assert exc.value.code == 2
 
 
+COMMAND_NAMES = ("verify-paper", "chi", "normal-form", "fox", "member", "divides",
+                 "certificate", "stafford")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h"]] + [[name, flag] for name in COMMAND_NAMES for flag in ("--help", "-h")]
+    + [["divides", "x", "--help", "1"], ["member", "(1)", "--s", "1", "-h"]],
+)
+def test_help_exits_0_and_lists_every_command(capsys, argv):
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("usage: kleinverify ")
+    # A command's line is indented by two spaces, its summary by six.
+    lines = captured.out.splitlines()
+    listed = [line.split()[0] for line in lines if line.startswith("  ") and line[2] != " "]
+    assert listed == list(COMMAND_NAMES)
+
+
+# Each is a usage error: a "usage:" line and one "kleinverify: error:" line
+# on stderr, nothing on stdout, exit 2.
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        ([], "a command is required"),
+        (["no-such-command"], "unknown command 'no-such-command'"),
+        (["--format", "json"], "unknown command '--format'"),
+        (["divides", "x", "x", "--no-such-option", "1"], "unknown option --no-such-option"),
+        (["chi", "--r", "1"], "unknown option --r"),
+        (["member", "(1)", "--s"], "option --s needs a value"),
+        (["member", "(1)", "--s", "--r", "1"], "option --s needs a value"),
+        (["divides", "x"], "missing argument B"),
+        (["divides", "x", "x", "y"], "unexpected argument 'y'"),
+        (["verify-paper", "-x"], "unexpected argument '-x'"),
+        (["verify-paper", "--format", "xml"], "--format must be json or text, not 'xml'"),
+        (["verify-paper", "--format="], "--format must be json or text, not ''"),
+        (["certificate"], "option --certificate is required"),
+        (["certificate", "--presentation", "P"], "option --certificate is required"),
+        # Options are spelled in full: no abbreviation is accepted.
+        (["divides", "x", "x", "--form", "json"], "unknown option --form"),
+        (["certificate", "--cert", "c.json"], "unknown option --cert"),
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: kleinverify ")
+    assert error.startswith("kleinverify: error: ") and reason in error, error
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["member", "(1)", "--s", "-x^-1", "--r", "x^3 - x - 1"],
+         ["member", "(1)", "--s=-x^-1", "--r=x^3 - x - 1"]),
+        (["stafford", "--s", "-x^-1", "--format", "json"], ["stafford", "--s=-x^-1", "--format=json"]),
+        (["chi", "--presentation", "P"], ["chi", "--presentation=P"]),
+        # An "=" after the first belongs to the value: the error names the file.
+        (["chi", "--presentation", "no=such.json"], ["chi", "--presentation=no=such.json"]),
+    ],
+)
+def test_option_value_after_equals_sign(capsys, spaced, joined):
+    status = run(spaced)
+    expected = capsys.readouterr()
+    assert run(joined) == status
+    assert capsys.readouterr() == expected
+    assert expected.out or "'no=such.json'" in expected.err
+
+
+def test_repeated_option_takes_the_last_value(capsys):
+    assert run(["chi", "--presentation", "Q", "--presentation", "P"]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
+def test_generator_names_no_word_can_use_exit_2(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"generators": ["x", "y y", "", "3"], "relators": ["x"]}), encoding="utf-8")
+    assert run(["chi", "--presentation", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: generator name 'y y' is not a letter followed by letters, digits or _\n"
+    )
+
+
 def test_certificate_relator_index_out_of_range(tmp_path, capsys):
     data = certificate_to_dict(builtin.forward_certificates()[0])
     data["factors"][0]["rel"] = 5
@@ -182,6 +271,7 @@ README_COMMANDS = {
     'kleinverify member "(1)" --r "x^3 - x - 1" --s "-x^-1"': (1, "false"),
     "kleinverify certificate --certificate cert.json": (0, "pass"),
     'kleinverify stafford --r "x^3 - x - 1" --s "-x^-1"': (0, "condition_ii  ok"),
+    "kleinverify --help": (0, "commands:"),
 }
 
 

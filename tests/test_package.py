@@ -39,24 +39,30 @@ def test_unknown_name_raises_attribute_error():
 
 # The library modules each command loads (none for a bare import); the rest
 # stay uncompiled.  -S, as below, keeps site .pth files out.  {cert} stands
-# for the README's example certificate, written to a file.
+# for the README's example certificate, written to a file.  Only a command
+# that parses polynomial text loads grammar.
 ALL_MODULES = [
-    "builtin", "certificates", "cli", "division", "klein", "laurent", "presentations",
-    "syntax", "verify", "words",
+    "builtin", "certificates", "cli", "division", "grammar", "klein", "laurent",
+    "presentations", "syntax", "verify", "words",
 ]
+REPORT_MODULES = [m for m in ALL_MODULES if m != "grammar"]
 CHI_MODULES = ["builtin", "cli", "presentations", "syntax", "words"]
 COMMAND_MODULES = [
     ([], []),
-    (["divides", "x+1", "x^2-1"], ["cli", "laurent", "syntax"]),
+    (["--help"], ["cli"]),
+    (["divides", "x+1", "x^2-1"], ["cli", "grammar", "laurent", "syntax"]),
     (["member", "y - x^-1", "--r", "1", "--s", "-x^-1"],
-     ["cli", "division", "klein", "laurent", "syntax"]),
-    (["member", "y^2*(1) + (-1)"], ["builtin", "cli", "division", "klein", "laurent", "syntax"]),
+     ["cli", "division", "grammar", "klein", "laurent", "syntax"]),
+    (["member", "y^2*(1) + (-1)"],
+     ["builtin", "cli", "division", "grammar", "klein", "laurent", "syntax"]),
     (["normal-form", "y^-1 x y"], ["cli", "klein", "laurent", "syntax", "words"]),
     (["fox", "y^-1 x y x", "x"], ["cli", "presentations", "syntax", "words"]),
     (["chi"], CHI_MODULES),
     (["certificate", "--certificate", "{cert}"], sorted(CHI_MODULES + ["certificates"])),
-    (["verify-paper"], ALL_MODULES),
-    (["stafford"], ALL_MODULES),
+    (["verify-paper"], REPORT_MODULES),
+    (["verify-paper", "--format", "json"], REPORT_MODULES),
+    (["stafford"], REPORT_MODULES),
+    (["stafford", "--r", "x^3 - x - 1"], ALL_MODULES),
 ]
 README_CERTIFICATE = {
     "target": "y^-2 x y^2 x^-1", "source": "P",
@@ -75,6 +81,7 @@ def _printed_json(code: str, *argv: str):
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
+    # ... and no command, nor the help, imports argparse.
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(README_CERTIFICATE), encoding="utf-8")
     code = (
@@ -83,12 +90,25 @@ def test_each_command_loads_only_its_modules(tmp_path):
         "    from kleinverify.cli import run\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert run(sys.argv[1:]) == 0\n"
-        "print(json.dumps(sorted(m.split('.')[1] for m in sys.modules"
-        " if m.startswith('kleinverify.'))))\n"
+        "print(json.dumps([sorted(m.split('.')[1] for m in sys.modules"
+        " if m.startswith('kleinverify.')), 'argparse' in sys.modules]))\n"
     )
     for argv, expected in COMMAND_MODULES:
         argv = [arg.replace("{cert}", str(cert)) for arg in argv]
-        assert _printed_json(code, *argv) == expected, argv
+        assert _printed_json(code, *argv) == [expected, False], argv
+
+
+def test_ring_layer_imports_no_regex():
+    # The polynomial grammar, and re with it, loads only when a parser runs.
+    # json imports re, so it is imported after the check.
+    code = (
+        "import sys\n"
+        "import kleinverify.laurent, kleinverify.klein, kleinverify.division\n"
+        "found = [m for m in ('re', 'kleinverify.grammar') if m in sys.modules]\n"
+        "import json\n"
+        "print(json.dumps(found))\n"
+    )
+    assert _printed_json(code) == []
 
 
 def test_free_group_layer_loads_no_ring_module():

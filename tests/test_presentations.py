@@ -41,6 +41,22 @@ def test_presentation_validates_generators():
         Presentation(("x", "x"), ())
 
 
+@pytest.mark.parametrize("name", ["y y", "", "3", "x^2", "x-1", " x", 1, None])
+def test_presentation_rejects_a_name_no_word_can_use(name):
+    # A generator must be a name the word grammar reads, as in Word(...).
+    with pytest.raises(ValueError, match="is not a letter followed by letters, digits or _"):
+        Presentation(("x", name), ())
+    if isinstance(name, str):
+        with pytest.raises(ValueError) as exc:
+            Presentation.from_dict({"generators": ["x", name], "relators": ["x"]})
+        assert str(exc.value).startswith(f"generator name {name!r} ")
+
+
+def test_presentation_accepts_every_grammar_name():
+    p = Presentation.from_strings(("a", "B7", "x_1", "z__"), ("a B7^-1 x_1^2 z__",))
+    assert euler_characteristic(p) == -2
+
+
 def test_presentation_json_roundtrip(tmp_path):
     q = builtin.presentation_q()
     data = q.to_dict()

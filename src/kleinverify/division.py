@@ -17,9 +17,19 @@ coefficient domain is Z[x, x^-1].  The walk reads f's rows and never
 copies or writes them; a popped row becomes a quotient row as it is, and
 the quotient and the remainder are wrapped once at the end.
 
-Condition (ii) and the degree-1 step of the monic search ask the same
-question, whether r divides s*sigma(r); stafford_verdict asks it once,
-through _degree_one_cofactor.
+V holds two elements in closed form, each with the quotient q that puts
+r*v in the ideal, so one product r*v == (y + s)*q checks its membership,
+with no division:
+
+  degree-1   y*r + s*sigma(r)    q = r*sigma(r)
+  monic      y + c               q = sigma(r)              if c = s*sigma(r)/r exists
+             y^2 - s*sigma(s)    q = (y - sigma(s))*r      otherwise
+
+The first holds because r*y = y*sigma(r) and the coefficient ring is
+commutative; the last because y^2 is central and
+(y + s)*(y - sigma(s)) = y^2 - s*sigma(s).  Condition (ii) asks whether
+c exists, that is whether r divides s*sigma(r); stafford_verdict asks it
+once, through _degree_one_cofactor, and hands c to the monic element.
 """
 
 from __future__ import annotations
@@ -105,19 +115,6 @@ def in_V(v: SPoly, inst: StaffordInstance) -> bool:
     return divide(SPoly.from_rpoly(inst.r) * v, inst.s).remainder.is_zero()
 
 
-def _reduction_scalars(inst: StaffordInstance, top: int) -> list[RPoly]:
-    # t_i = (-1)^i (prod_{j<i} sigma^j(s)) sigma^i(r): the coefficient that
-    # y^i sigma^i(r) contributes after full reduction to y-degree 0.
-    r_pow, s_pow = (inst.r, inst.r.sigma()), (inst.s, inst.s.sigma())
-    ts: list[RPoly] = []
-    prod = RPoly.one()
-    for i in range(top + 1):
-        t = prod * r_pow[i % 2]
-        ts.append(t if i % 2 == 0 else -t)
-        prod = prod * s_pow[i % 2]
-    return ts
-
-
 def _degree_one_cofactor(inst: StaffordInstance) -> RPoly | None:
     """s*sigma(r) / r, or None when r does not divide s*sigma(r).
 
@@ -133,56 +130,37 @@ def no_monic_degree_one(inst: StaffordInstance) -> bool:
     return _degree_one_cofactor(inst) is None
 
 
-_MONIC_MAX_DEGREE = 4
-# The default of monic_witness's and witnesses's cofactor: not asked yet.
-_ASK = object()
-
-
-def monic_witness(inst: StaffordInstance, cofactor=_ASK) -> SPoly | None:
-    """A monic-in-y element of V of top degree <= _MONIC_MAX_DEGREE, or None.
-
-    An element y^d + sum_{i<d} y^i a_i lies in V iff
-    sum t_i a_i + t_d = 0 with the reduction scalars t_i, one linear
-    condition over the coefficient ring per degree bound.  Single
-    nonzero-coefficient solutions a_i = -t_d / t_i are tried in order;
-    for d = 1 that is y + cofactor, where cofactor is
-    _degree_one_cofactor(inst), asked here unless the caller has asked
-    it already.  The scalars for every degree bound are prefixes of one
-    table, built once.  Each candidate is checked with in_V, so a
-    returned element lies in V; callers need not check it again.
-    """
-    if cofactor is _ASK:
-        cofactor = _degree_one_cofactor(inst)
+def _monic(inst: StaffordInstance, cofactor: RPoly | None) -> tuple[SPoly, SPoly]:
+    """The monic element of V and its quotient (see the module docstring):
+    y + cofactor when r divides s*sigma(r), else y^2 - s*sigma(s)."""
     if cofactor is not None:
-        v = SPoly({1: RPoly.one(), 0: cofactor})
-        if in_V(v, inst):
-            return v
-    ts = _reduction_scalars(inst, _MONIC_MAX_DEGREE)
-    for d in range(2, _MONIC_MAX_DEGREE + 1):
-        for i in range(d):
-            c = quotient(ts[i], ts[d])
-            if c is None:
-                continue
-            v = SPoly({d: RPoly.one(), i: -c})
-            if in_V(v, inst):
-                return v
-    return None
+        return SPoly({1: RPoly.one(), 0: cofactor}), SPoly.from_rpoly(inst.r.sigma())
+    s_bar = inst.s.sigma()
+    return SPoly({2: RPoly.one(), 0: -(inst.s * s_bar)}), SPoly({1: inst.r, 0: -(s_bar * inst.r)})
 
 
-def witnesses(inst: StaffordInstance, cofactor=_ASK) -> tuple[SPoly, SPoly]:
+def _checked_witnesses(inst: StaffordInstance, cofactor: RPoly | None) -> tuple[SPoly, SPoly]:
+    """witnesses, given cofactor = _degree_one_cofactor(inst)."""
+    r, r_bar = inst.r, inst.r.sigma()
+    pairs = (SPoly({1: r, 0: inst.s * r_bar}), SPoly.from_rpoly(r * r_bar)), _monic(inst, cofactor)
+    left, right = SPoly.from_rpoly(r), y_plus_s(inst.s)
+    for v, q in pairs:
+        if left * v != right * q:
+            raise ValueError("a witness fails r*v = (y + s)*q; convention bug")
+    return pairs[0][0], pairs[1][0]
+
+
+def witnesses(inst: StaffordInstance) -> tuple[SPoly, SPoly]:
     """A degree-1 element of V and a monic-in-y element of V.
 
-    The degree-1 element is y*r + s*sigma(r); membership follows from
-    r * (s*sigma(r)) = s*sigma(r) * r in the commutative coefficient ring,
-    and is checked here with in_V.  The monic element comes from
-    monic_witness, given cofactor, which has checked it with in_V
-    already.  Raises ValueError when either element is missing or fails
-    membership, so each returned element has passed in_V exactly once.
+    Both are closed forms, each built with its quotient q and checked by
+    the one product r*v == (y + s)*q (see the module docstring).  Raises
+    ValueError when either identity fails.
     """
-    degree_one = SPoly({1: inst.r, 0: inst.s * inst.r.sigma()})
-    if not in_V(degree_one, inst):
-        raise ValueError("degree-1 construction failed membership; convention bug")
-    monic = monic_witness(inst, cofactor)
-    if monic is None:
-        raise ValueError("no monic element found within the degree bound")
-    return degree_one, monic
+    return _checked_witnesses(inst, _degree_one_cofactor(inst))
+
+
+def monic_witness(inst: StaffordInstance) -> SPoly:
+    """The monic element of witnesses(inst): y + s*sigma(r)/r, of
+    y-degree 1, when r divides s*sigma(r), else y^2 - s*sigma(s)."""
+    return witnesses(inst)[1]

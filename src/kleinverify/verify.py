@@ -14,12 +14,7 @@ from collections.abc import Sequence
 
 from . import builtin
 from .certificates import ConjugacyCertificate, _row_factors, equivalence_verdict
-from .division import (
-    StaffordInstance,
-    _degree_one_cofactor,
-    witnesses,
-    y_plus_s,
-)
+from .division import StaffordInstance, _checked_witnesses, _degree_one_cofactor, y_plus_s
 from .klein import SPoly, boundary_data
 from .presentations import Presentation, euler_characteristic
 
@@ -130,20 +125,20 @@ def stafford_verdict(
     """Both non-freeness conditions plus the witness structure.
 
     condition_i needs the explicit unit combination; with no witness it is
-    reported false.  witnesses_ok demands: witnesses() returns both
-    elements, which it does only once each has passed in_V; the degree-1
-    element spans exactly one y-degree with a non-unit top coefficient,
-    the monic element has a unit top coefficient, and no monic degree-1
-    element exists at all.  Membership is not checked again here.
-    Whether r divides s*sigma(r) is asked once, for condition_ii and for
-    the degree-1 step of the monic search.
+    reported false.  witnesses_ok demands: both closed-form elements of V
+    pass their product identity r*v == (y + s)*q (see division); the
+    degree-1 element spans exactly one y-degree with a non-unit top
+    coefficient, the monic element has a unit top coefficient, and no
+    monic degree-1 element exists at all.  Whether r divides s*sigma(r)
+    is asked once, for condition_ii and for the monic element, which is
+    y + s*sigma(r)/r when it does.
     """
     condition_i = bool(w is not None and verify_bezout(w, inst))
     cofactor = _degree_one_cofactor(inst)
     condition_ii = cofactor is None
     degree_one = monic = None
     try:
-        degree_one, monic = witnesses(inst, cofactor)
+        degree_one, monic = _checked_witnesses(inst, cofactor)
     except ValueError:
         witnesses_ok = False
     else:

@@ -58,6 +58,7 @@ from kleinverify import (
     quotient,
     splitting_check,
     splitting_projector,
+    stafford_verdict,
     verify_bezout,
     witnesses,
     y_plus_s,
@@ -1211,6 +1212,55 @@ def check_v_right_module(cases: int, seed: int = SEED) -> None:
         v = w1 * rand_spoly(rng, max_rows=2) + w2 * rand_spoly(rng, max_rows=2)
         assert in_V(v, inst)
         assert in_V(v * rand_spoly(rng, max_rows=2), inst)
+
+
+def _rand_stafford_instance(rng: random.Random, kind: int) -> StaffordInstance:
+    """(r, s) by kind: 0 random, 1 r dividing s, 2 a unit r, 3 a
+    palindromic r, whose sigma(r) is r times a monomial."""
+    r, s = rand_rpoly(rng, nonzero=True), rand_rpoly(rng, nonzero=True)
+    if kind == 1:
+        s = rpoly_mul_oracle(r, rand_rpoly(rng, nonzero=True, max_terms=3))
+    elif kind == 2:
+        r = RPoly.monomial(rng.randint(-5, 5), rng.choice((1, -1)))
+    elif kind == 3:
+        half = [rng.randint(-5, 5) or 1 for _ in range(rng.randint(1, 4))]
+        r = RPoly(dict(enumerate(half + half[-2::-1], rng.randint(-4, 4))))
+    return StaffordInstance(r, s)
+
+
+def check_closed_form_witnesses(cases: int, seed: int = SEED) -> Counter:
+    """witnesses and stafford_verdict on instances of the four kinds of
+    _rand_stafford_instance, in turn.  Each element v comes with the
+    quotient q of its closed form, and r*v == (y + s)*q is checked with
+    spoly_mul_oracle; each element also passes in_V, whose long division
+    is the independent membership oracle.  witnesses_ok equals
+    condition_ii, which equals poly_quotient_oracle's answer to whether r
+    divides s*sigma(r), and the monic element has y-degree 1 exactly when
+    condition (ii) fails.  Returns how many cases had condition (ii) true
+    and false, per kind; each kind must reach false, and kind 0 true."""
+    rng = random.Random(seed)
+    seen: Counter = Counter()
+    for i in range(cases):
+        kind = i % 4
+        inst = _rand_stafford_instance(rng, kind)
+        r, s = inst.r, inst.s
+        degree_one, monic = witnesses(inst)
+        verdict = stafford_verdict(inst, None)
+        assert (verdict.degree_one, verdict.monic) == (degree_one, monic), (i, str(r), str(s))
+        condition_ii = poly_quotient_oracle(r, rpoly_mul_oracle(s, r.sigma())) is None
+        assert verdict.condition_ii == verdict.witnesses_ok == condition_ii, (i, str(r), str(s))
+        assert (monic.max_degree == 1) == (not condition_ii), (i, str(r), str(s))
+        assert monic.row(monic.max_degree) == RPoly.one(), (i, str(r), str(s))
+        monic_quotient = (
+            SPoly.from_rpoly(r.sigma()) if monic.max_degree == 1
+            else SPoly({1: r, 0: -rpoly_mul_oracle(s.sigma(), r)})
+        )
+        for v, q in ((degree_one, SPoly.from_rpoly(rpoly_mul_oracle(r, r.sigma()))), (monic, monic_quotient)):
+            assert spoly_mul_oracle(SPoly.from_rpoly(r), v) == spoly_mul_oracle(y_plus_s(s), q), (i, str(v))
+            assert in_V(v, inst), (i, str(v))
+        seen[kind, condition_ii] += 1
+    assert all(seen[kind, False] for kind in range(4)) and seen[0, True], seen
+    return seen
 
 
 def check_fox_fundamental(cases: int, seed: int = SEED) -> None:

@@ -121,6 +121,8 @@ def test_stafford_custom_instance(capsys):
     out = capsys.readouterr().out
     assert "condition_i   FAIL  (no unit-combination witness for this instance)\n" in out
     assert "condition_ii  FAIL" in out
+    # r divides s*sigma(r), so the monic witness is y + s*sigma(r)/r, of y-degree 1
+    assert "monic         y*(1) + (-x^-1)\n" in out
 
 
 def test_stafford_json(capsys):

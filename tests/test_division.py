@@ -21,6 +21,7 @@ from kleinverify import builtin
 
 from helpers import (
     SEED,
+    check_closed_form_witnesses,
     check_divide_dense_twists,
     check_division_recomposition,
     check_single_degree_span,
@@ -151,11 +152,16 @@ def test_witnesses_unit_instance():
     assert in_V(degree_one, inst) and in_V(monic, inst)
 
 
-def test_monic_witness_search_structure():
-    # degree 1 has no solution for the main instance, degree 2 does
+def test_monic_witness_closed_forms():
+    # r does not divide s*sigma(r) for the main instance, so the monic
+    # element is y^2 - s*sigma(s); for a unit r it is y + s*sigma(r)/r
     assert monic_witness(INST) == parse_spoly("y^2 - 1")
     inst = StaffordInstance(RPoly.one(), S)
     assert monic_witness(inst) == y_plus_s(S)
+
+
+def test_closed_form_witnesses():
+    check_closed_form_witnesses(600)
 
 
 def test_v_is_right_module():

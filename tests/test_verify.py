@@ -354,16 +354,18 @@ def test_full_report_checks_bezout_once(monkeypatch):
 
 
 def test_stafford_verdict_checks_each_witness_once():
-    with counting(division, "in_V", "_reduction_scalars") as counts:
+    with counting(division, "divide", "in_V", "quotient") as counts:
         verdict = stafford_verdict(INST, WITNESS)
     assert verdict.condition_i and verdict.condition_ii and verdict.witnesses_ok
-    # one membership check per witness, one table of reduction scalars
-    assert counts == {"in_V": 2, "_reduction_scalars": 1}
+    # each witness is checked by one product identity, with no division;
+    # the one quotient is condition (ii)'s
+    assert counts == {"divide": 0, "in_V": 0, "quotient": 1}
 
 
 def test_stafford_verdict_asks_degree_one_divisibility_once():
-    # condition_ii and the degree-1 step of the monic search both ask
-    # whether r divides s*sigma(r); the verdict asks it once.  A dense r
+    # condition_ii and the monic witness y + s*sigma(r)/r both ask
+    # whether r divides s*sigma(r); the verdict asks it once, and the
+    # other monic witness, y^2 - s*sigma(s), asks no quotient.  A dense r
     # of 301 terms takes the Kronecker path; a palindromic one is
     # reciprocal, so y + s*sigma(r)/r is the monic witness.
     rng = random.Random(SEED)
@@ -371,19 +373,35 @@ def test_stafford_verdict_asks_degree_one_divisibility_once():
     palindrome = coeffs[:151] + coeffs[:150][::-1]
     s = parse_rpoly("-x^-5")
     dense, reciprocal = (StaffordInstance(RPoly(dict(enumerate(cs, -3))), s) for cs in (coeffs, palindrome))
-    # instance, quotient calls, condition_ii, witnesses_ok
-    for inst, calls, condition_ii, witnesses_ok in (
-        (INST, 2, True, True),
-        (dense, 2, True, True),
-        (reciprocal, 1, False, False),
+    # instance, condition_ii, witnesses_ok
+    for inst, condition_ii, witnesses_ok in (
+        (INST, True, True),
+        (dense, True, True),
+        (reciprocal, False, False),
     ):
         # laurent.divides would call laurent.quotient, not division's name for it
         with counting(division, "quotient") as counts, counting(laurent, "quotient") as inner:
             verdict = stafford_verdict(inst, None)
-        assert counts["quotient"] + inner["quotient"] == calls
+        assert counts["quotient"] + inner["quotient"] == 1
         assert (verdict.condition_ii, verdict.witnesses_ok) == (condition_ii, witnesses_ok)
     # sigma(r) = x^-294 r, so s*sigma(r)/r = -x^-299
     assert verdict.monic == parse_spoly("y - x^-299")
+
+
+def test_full_report_corrupt_witness_quotient_reads_false(monkeypatch):
+    # A monic witness whose quotient is off by one fails r*v == (y + s)*q,
+    # so witnesses_ok reads false; no other flag depends on it.
+    monic = division._monic
+
+    def corrupted(inst, cofactor):
+        v, q = monic(inst, cofactor)
+        return v, q + SPoly.one()
+
+    monkeypatch.setattr(division, "_monic", corrupted)
+    report = full_report()
+    assert not report.witnesses_ok and not report.all_ok
+    assert all(ok for name, ok in report.flags() if name != "witnesses_ok")
+    assert report.inputs["monic_witness"] is None
 
 
 def test_splitting_matches_bezout():

@@ -16,7 +16,8 @@ import sys
 
 # Each command imports the library modules it runs, so a command compiles
 # only those: divides needs laurent, grammar and syntax, verify-paper
-# every module but grammar.
+# every module but grammar.  Annotations are never evaluated, so the
+# names they use (Callable, StaffordInstance) need no import here.
 
 
 def _resolve_presentation(name_or_path: str):
@@ -28,20 +29,23 @@ def _resolve_presentation(name_or_path: str):
     return load_presentation(name_or_path)
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Print the output in the format asked for.  Both forms come
+    unrendered, as zero-argument callables, and only the printed one is
+    built: text output makes no JSON payload, JSON output no text."""
     if args.format == "json":
         import json
 
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        print(text)
+        print(text())
 
 
 def cmd_verify_paper(args) -> int:
     from .verify import full_report
 
     report = full_report()
-    _emit(args, report.to_json_dict(), report.to_text())
+    _emit(args, report.to_json_dict, report.to_text)
     return 0 if report.all_ok else 1
 
 
@@ -50,7 +54,7 @@ def cmd_chi(args) -> int:
 
     p = _resolve_presentation(args.presentation)
     value = euler_characteristic(p)
-    _emit(args, {"command": "chi", "value": value}, str(value))
+    _emit(args, lambda: {"command": "chi", "value": value}, lambda: str(value))
     return 0
 
 
@@ -61,7 +65,7 @@ def cmd_normal_form(args) -> int:
     w = parse_word(args.word, ("x", "y"))
     m, n = eval_word(w)
     nf = str(Word((("y", m), ("x", n))))
-    _emit(args, {"command": "normal-form", "word": args.word, "value": nf}, nf)
+    _emit(args, lambda: {"command": "normal-form", "word": args.word, "value": nf}, lambda: nf)
     return 0
 
 
@@ -75,9 +79,9 @@ def cmd_fox(args) -> int:
     combo = fox_derivative(parse_word(args.word), letters[0][0])
     _emit(
         args,
-        {"command": "fox", "word": args.word, "generator": args.generator,
-         "value": str(combo)},
-        str(combo),
+        lambda: {"command": "fox", "word": args.word, "generator": args.generator,
+                 "value": str(combo)},
+        lambda: str(combo),
     )
     return 0
 
@@ -105,9 +109,9 @@ def cmd_member(args) -> int:
     ok = in_V(v, inst)
     _emit(
         args,
-        {"command": "member", "element": str(v), "r": str(inst.r),
-         "s": str(inst.s), "value": ok},
-        "true" if ok else "false",
+        lambda: {"command": "member", "element": str(v), "r": str(inst.r),
+                 "s": str(inst.s), "value": ok},
+        lambda: "true" if ok else "false",
     )
     return 0 if ok else 1
 
@@ -120,8 +124,8 @@ def cmd_divides(args) -> int:
     ok = divides(a, b)
     _emit(
         args,
-        {"command": "divides", "a": str(a), "b": str(b), "value": ok},
-        "true" if ok else "false",
+        lambda: {"command": "divides", "a": str(a), "b": str(b), "value": ok},
+        lambda: "true" if ok else "false",
     )
     return 0 if ok else 1
 
@@ -139,8 +143,8 @@ def cmd_certificate(args) -> int:
     ok = check_certificate(src, cert)
     _emit(
         args,
-        {"command": "certificate", "target": str(cert.target), "value": ok},
-        "pass" if ok else "fail",
+        lambda: {"command": "certificate", "target": str(cert.target), "value": ok},
+        lambda: "pass" if ok else "fail",
     )
     return 0 if ok else 1
 
@@ -152,25 +156,32 @@ def cmd_stafford(args) -> int:
     inst = _instance_from(args)
     witness = default_witness() if inst == builtin.stafford_instance() else None
     verdict = stafford_verdict(inst, witness)
-    payload = {
-        "command": "stafford",
-        "r": str(inst.r),
-        "s": str(inst.s),
-        "condition_i": verdict.condition_i,
-        "condition_ii": verdict.condition_ii,
-        "witnesses_ok": verdict.witnesses_ok,
-        "degree_one": str(verdict.degree_one) if verdict.degree_one else None,
-        "monic": str(verdict.monic) if verdict.monic else None,
-    }
-    lines = [
-        f"condition_i   {'ok' if verdict.condition_i else 'FAIL'}"
-        + ("" if witness else "  (no unit-combination witness for this instance)"),
-        f"condition_ii  {'ok' if verdict.condition_ii else 'FAIL'}",
-        f"witnesses_ok  {'ok' if verdict.witnesses_ok else 'FAIL'}",
-        f"degree_one    {payload['degree_one']}",
-        f"monic         {payload['monic']}",
-    ]
-    _emit(args, payload, "\n".join(lines))
+    degree_one = str(verdict.degree_one) if verdict.degree_one else None
+    monic = str(verdict.monic) if verdict.monic else None
+
+    def payload() -> dict:
+        return {
+            "command": "stafford",
+            "r": str(inst.r),
+            "s": str(inst.s),
+            "condition_i": verdict.condition_i,
+            "condition_ii": verdict.condition_ii,
+            "witnesses_ok": verdict.witnesses_ok,
+            "degree_one": degree_one,
+            "monic": monic,
+        }
+
+    def text() -> str:
+        return "\n".join([
+            f"condition_i   {'ok' if verdict.condition_i else 'FAIL'}"
+            + ("" if witness else "  (no unit-combination witness for this instance)"),
+            f"condition_ii  {'ok' if verdict.condition_ii else 'FAIL'}",
+            f"witnesses_ok  {'ok' if verdict.witnesses_ok else 'FAIL'}",
+            f"degree_one    {degree_one}",
+            f"monic         {monic}",
+        ])
+
+    _emit(args, payload, text)
     ok = verdict.condition_i and verdict.condition_ii and verdict.witnesses_ok
     return 0 if ok else 1
 

@@ -30,13 +30,21 @@ commutative; the last because y^2 is central and
 (y + s)*(y - sigma(s)) = y^2 - s*sigma(s).  Condition (ii) asks whether
 c exists, that is whether r divides s*sigma(r); stafford_verdict asks it
 once, through _degree_one_cofactor, and hands c to the monic element.
+
+Each element, its quotient, r and y + s are wrapped by SPoly._of_rows,
+with no row checked or filtered again: every row is 1, r, s (which
+StaffordInstance checks are nonzero RPolys), a sigma of one, the nonzero
+cofactor c, or a product of these, and the coefficient ring is a domain.
+The signs of -s*sigma(s) and -sigma(s)*r are carried by the factor
+-sigma(s), built in one pass over s, so no product is negated.  The
+public y_plus_s still checks its argument as SPoly(...) checks a row.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .klein import SPoly
+from .klein import SPoly, _check_row
 from .laurent import RPoly, _mul_into, _nonzero, _scaled, quotient
 
 
@@ -46,6 +54,8 @@ class StaffordInstance:
     __slots__ = ("r", "s")
 
     def __init__(self, r: RPoly, s: RPoly):
+        if not (isinstance(r, RPoly) and isinstance(s, RPoly)):
+            raise ValueError("instance requires r and s to be RPolys")
         if r.is_zero() or s.is_zero():
             raise ValueError("instance requires nonzero r and s")
         self.r, self.s = r, s
@@ -58,8 +68,21 @@ class StaffordInstance:
 DivisionResult = namedtuple("DivisionResult", "quotient rem_degree remainder")
 
 
+# The constant 1 of Z[x, x^-1], the y-row of every y + s.
+_ONE = RPoly.one()
+
+
 def y_plus_s(s: RPoly) -> SPoly:
-    return SPoly({1: RPoly.one(), 0: s})
+    """y + s, with s checked as SPoly(...) checks a row; a zero s is dropped."""
+    _check_row(0, s)
+    return SPoly._of_rows({1: _ONE, 0: s} if s._coeffs else {1: _ONE})
+
+
+def _y_plus_s_and_r(inst: StaffordInstance) -> tuple[SPoly, SPoly]:
+    """y + s and r as elements of S, wrapped from the instance's rows,
+    which StaffordInstance holds nonzero: the two sides of r*v in
+    (y + s)*S, and the two entries of the kernel map psi."""
+    return SPoly._of_rows({1: _ONE, 0: inst.s}), SPoly._of_rows({0: inst.r})
 
 
 def divide(f: SPoly, s: RPoly) -> DivisionResult:
@@ -134,18 +157,22 @@ def _monic(inst: StaffordInstance, cofactor: RPoly | None) -> tuple[SPoly, SPoly
     """The monic element of V and its quotient (see the module docstring):
     y + cofactor when r divides s*sigma(r), else y^2 - s*sigma(s)."""
     if cofactor is not None:
-        return SPoly({1: RPoly.one(), 0: cofactor}), SPoly.from_rpoly(inst.r.sigma())
-    s_bar = inst.s.sigma()
-    return SPoly({2: RPoly.one(), 0: -(inst.s * s_bar)}), SPoly({1: inst.r, 0: -(s_bar * inst.r)})
+        return SPoly._of_rows({1: _ONE, 0: cofactor}), SPoly._of_rows({0: inst.r.sigma()})
+    minus_s_bar = RPoly._of_nonzero({-e: -c for e, c in inst.s._coeffs.items()})
+    return (
+        SPoly._of_rows({2: _ONE, 0: inst.s * minus_s_bar}),
+        SPoly._of_rows({1: inst.r, 0: minus_s_bar * inst.r}),
+    )
 
 
 def _checked_witnesses(inst: StaffordInstance, cofactor: RPoly | None) -> tuple[SPoly, SPoly]:
     """witnesses, given cofactor = _degree_one_cofactor(inst)."""
     r, r_bar = inst.r, inst.r.sigma()
-    pairs = (SPoly({1: r, 0: inst.s * r_bar}), SPoly.from_rpoly(r * r_bar)), _monic(inst, cofactor)
-    left, right = SPoly.from_rpoly(r), y_plus_s(inst.s)
+    degree_one = SPoly._of_rows({1: r, 0: inst.s * r_bar}), SPoly._of_rows({0: r * r_bar})
+    pairs = degree_one, _monic(inst, cofactor)
+    ys, left = _y_plus_s_and_r(inst)
     for v, q in pairs:
-        if left * v != right * q:
+        if left * v != ys * q:
             raise ValueError("a witness fails r*v = (y + s)*q; convention bug")
     return pairs[0][0], pairs[1][0]
 

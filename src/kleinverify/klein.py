@@ -16,7 +16,11 @@ hold boundary_data to.  eval_word returns the normal form as the pair
 (m, n), applying the group law letter by letter.  SPoly products sum every
 row pair into one coefficient dict per y-degree, through laurent._scaled
 for a one-term row and laurent._mul_into for any other, and wrap each row
-once, with no copy.
+once, with no copy; _mul_rows_into, their kernel, also sums several
+products into one set of rows.  A difference is built in one pass, as a
+sum is, with no negated copy of the subtrahend.  The public SPoly(...)
+and SPoly.from_rpoly check each y-degree and row; the library's own rows
+are wrapped by SPoly._of_rows with no check.
 """
 
 from __future__ import annotations
@@ -56,9 +60,8 @@ class SPoly:
 
     def __init__(self, rows: dict[int, RPoly] | None = None):
         rows = rows or {}
-        for m in rows:
-            if not isinstance(m, int):
-                raise ValueError(f"y-degree {m!r} is not an int")
+        for m, a in rows.items():
+            _check_row(m, a)
         self._rows = {m: a for m, a in rows.items() if a._coeffs}
 
     @classmethod
@@ -79,12 +82,9 @@ class SPoly:
 
     @classmethod
     def from_rpoly(cls, a: RPoly, degree: int = 0) -> "SPoly":
-        return cls({degree: a})
-
-    @classmethod
-    def from_group(cls, e: tuple[int, int], coeff: int = 1) -> "SPoly":
-        """coeff * y^m x^n for the normal-form pair e = (m, n)."""
-        return cls({e[0]: RPoly.monomial(e[1], coeff)})
+        """y^degree * a, checked as SPoly(...) checks a row, a zero a dropped."""
+        _check_row(degree, a)
+        return cls._of_rows({degree: a} if a._coeffs else {})
 
     def rows(self) -> list[tuple[int, RPoly]]:
         """(y-degree, coefficient) pairs in descending degree order."""
@@ -132,28 +132,22 @@ class SPoly:
         return SPoly._of_rows({m: -a for m, a in self._rows.items()})
 
     def __sub__(self, other: "SPoly") -> "SPoly":
-        return self + (-other)
+        """self - other in one pass over other's rows into a copy of
+        self's, as __add__ sums: only a row that self lacks is negated,
+        and no negated copy of other is built."""
+        out = dict(self._rows)
+        for m, b in other._rows.items():
+            if m not in out:
+                out[m] = -b
+            elif diff := out[m] - b:
+                out[m] = diff
+            else:
+                del out[m]
+        return SPoly._of_rows(out)
 
     def __mul__(self, other: "SPoly") -> "SPoly":
-        """(y^m a)(y^p b) = y^(m+p) sigma^p(a) b, summed in one coefficient
-        dict per y-degree; sigma is the flip x -> x^-1.  A one-term a (a
-        row of y + s, say) scales b by laurent._scaled, with no kernel
-        call, where the y-degree has no row yet; every other pair goes
-        through laurent._mul_into."""
-        out: dict[int, dict[int, int]] = {}
-        for m, a in self._rows.items():
-            a = a._coeffs
-            one_term = len(a) == 1
-            if one_term:
-                [(e, c)] = a.items()
-            for p, b in other._rows.items():
-                key = m + p
-                row = out.get(key)
-                if row is None and one_term:
-                    out[key] = _scaled(b._coeffs, -e if p % 2 else e, c)
-                else:
-                    out[key] = _mul_into(row or {}, a, b._coeffs, -1 if p % 2 else 1)
-        return _spoly(out)
+        """(y^m a)(y^p b) = y^(m+p) sigma^p(a) b; see _mul_rows_into."""
+        return _spoly(_mul_rows_into({}, self._rows, other._rows))
 
     def __str__(self) -> str:
         if not self._rows:
@@ -169,6 +163,42 @@ class SPoly:
 
     def __repr__(self) -> str:
         return f"SPoly({str(self)!r})"
+
+
+def _mul_rows_into(
+    out: dict[int, dict[int, int]], f: dict[int, RPoly], g: dict[int, RPoly]
+) -> dict[int, dict[int, int]]:
+    """Add the product of the rows f and g into out, one coefficient dict
+    per y-degree, and return out: (y^m a)(y^p b) = y^(m+p) sigma^p(a) b,
+    where sigma is the flip x -> x^-1.
+
+    The kernel of SPoly products, and of a sum of products built with no
+    SPoly per term.  out holds only dicts this kernel wrote, never one an
+    RPoly holds.  A one-term a (a row of y + s, say) scales b by
+    laurent._scaled, with no kernel call, where the y-degree has no row
+    yet; every other pair goes through laurent._mul_into.
+    """
+    for m, a in f.items():
+        a = a._coeffs
+        one_term = len(a) == 1
+        if one_term:
+            [(e, c)] = a.items()
+        for p, b in g.items():
+            key = m + p
+            row = out.get(key)
+            if row is None and one_term:
+                out[key] = _scaled(b._coeffs, -e if p % 2 else e, c)
+            else:
+                out[key] = _mul_into(row or {}, a, b._coeffs, -1 if p % 2 else 1)
+    return out
+
+
+def _check_row(m: object, a: object) -> None:
+    """The checks of the public constructors: an int y-degree, an RPoly row."""
+    if not isinstance(m, int):
+        raise ValueError(f"y-degree {m!r} is not an int")
+    if not isinstance(a, RPoly):
+        raise ValueError(f"row {a!r} at y-degree {m} is not an RPoly")
 
 
 def _spoly(rows: dict[int, dict[int, int]]) -> SPoly:
@@ -208,9 +238,16 @@ def boundary_data(p: Presentation) -> tuple[list[list[SPoly]], list[SPoly]]:
     from .words import Word
 
     gens = p.generators
-    one = SPoly.one()
-    # eval_word raises the foreign-generator error, so d2 only meets x and y.
-    d1 = [SPoly.from_group(eval_word(Word._of_reduced(((g, -1),)))) - one for g in gens]
+    d1 = []
+    for g in gens:
+        # eval_word raises the foreign-generator error, so d2 only meets x
+        # and y.  The edge column g^-1 - 1 is written as coefficient dicts:
+        # x^-1 - 1 in one row, y^-1 - 1 in two.
+        m, n = eval_word(Word._of_reduced(((g, -1),)))
+        edge = {m: {n: 1}}
+        row = edge.setdefault(0, {})
+        row[0] = row.get(0, 0) - 1
+        d1.append(_spoly(edge))
     d2 = []
     for rel in p.relators:
         rows: dict[str, dict[int, dict[int, int]]] = {g: {} for g in gens}

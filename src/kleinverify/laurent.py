@@ -23,7 +23,8 @@ A one-term factor, most products on the verify path (a row of y + s, or
 a unit s), goes to _scaled: the kernel sends it there when out has fewer
 terms than b, SPoly.__mul__ calls _scaled directly where a product
 starts a y-degree, and division.divide on every step, so those rows make
-no kernel call.  No product, negation or sum is built only to be added.
+no kernel call.  No product, negation or sum is built only to be added,
+and a difference is summed in one pass, as a sum is.
 
 The kernel writes only out, a dict its caller built: a dict reachable
 from an RPoly is never passed as out, because values share their dicts
@@ -134,7 +135,13 @@ class RPoly:
         return RPoly._of_nonzero({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: "RPoly") -> "RPoly":
-        return self + (-other)
+        """self - other, in one pass over other into a copy of self's dict,
+        as __add__ sums: no negated copy of other is built."""
+        out = dict(self._coeffs)
+        get = out.get
+        for e, c in other._coeffs.items():
+            out[e] = get(e, 0) - c
+        return RPoly._of_nonzero(_nonzero(out))
 
     def __mul__(self, other: "RPoly") -> "RPoly":
         return RPoly._of_nonzero(_nonzero(_mul_into({}, self._coeffs, other._coeffs)))

@@ -6,6 +6,11 @@ Basis conventions: edges are ordered (x, y); module maps act by left
 multiplication on column coordinates, so composites pair the outer map's
 entries on the left.  The kernel map is
 psi(u, v) = (y + s) * u + r * v.
+
+Each check builds y + s and r once, wrapped from the instance's rows,
+and the constant 1 is built once per process, so a warm full_report
+makes its 18 SPoly and 5 RPoly products and one quotient, and no
+constructor check or negated copy around them.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from collections.abc import Sequence
 
 from . import builtin
 from .certificates import ConjugacyCertificate, _row_factors, equivalence_verdict
-from .division import StaffordInstance, _checked_witnesses, _degree_one_cofactor, y_plus_s
-from .klein import SPoly, boundary_data
+from .division import StaffordInstance, _checked_witnesses, _degree_one_cofactor, _y_plus_s_and_r
+from .klein import SPoly, _mul_rows_into, _spoly, boundary_data
 from .presentations import Presentation, euler_characteristic
 
 
@@ -51,21 +56,32 @@ def build_chain_data(p: Presentation, q: Presentation) -> ChainData:
 
 
 def chain_composites_vanish(chains: ChainData) -> bool:
-    """d1 after d2 is zero for both complexes (edge entries on the left)."""
-    rows = [chains.d2_p] + [row for row in chains.d2_q]
-    zero = SPoly.zero()
-    for row in rows:
-        total = SPoly.zero()
+    """d1 after d2 is zero for both complexes (edge entries on the left).
+
+    Each row's products edge * entry are summed into one coefficient dict
+    per y-degree, with no SPoly per product or running total.
+    """
+    for row in (chains.d2_p, *chains.d2_q):
+        total: dict[int, dict[int, int]] = {}
         for edge, entry in zip(chains.d1, row):
-            total = total + edge * entry
-        if total != zero:
+            _mul_rows_into(total, edge._rows, entry._rows)
+        if _spoly(total):
             return False
     return True
 
 
+# The constant 1 of S, the value psi takes on a unit combination.
+_ONE = SPoly.one()
+
+
 def psi(u: SPoly, v: SPoly, inst: StaffordInstance) -> SPoly:
-    """(y + s) * u + r * v; its kernel is the second homotopy module."""
-    return y_plus_s(inst.s) * u + SPoly.from_rpoly(inst.r) * v
+    """(y + s) * u + r * v; its kernel is the second homotopy module.
+
+    y + s and r are wrapped once per call from the instance's rows, with
+    no constructor checks (division._y_plus_s_and_r).
+    """
+    ys, r = _y_plus_s_and_r(inst)
+    return ys * u + r * v
 
 
 def verify_factorization(chains: ChainData, factors: Sequence[SPoly]) -> bool:
@@ -81,17 +97,15 @@ def verify_factorization(chains: ChainData, factors: Sequence[SPoly]) -> bool:
 
 def verify_bezout(w: BezoutWitness, inst: StaffordInstance) -> bool:
     """Exact evaluation of r * alpha + (y + s) * beta against 1."""
-    return psi(w.beta, w.alpha, inst) == SPoly.one()
+    return psi(w.beta, w.alpha, inst) == _ONE
 
 
 def splitting_projector(w: BezoutWitness, inst: StaffordInstance) -> list[list[SPoly]]:
     """id - t . psi, where t(c) = (beta*c, alpha*c) sections psi."""
-    ys = y_plus_s(inst.s)
-    r = SPoly.from_rpoly(inst.r)
-    one = SPoly.one()
+    ys, r = _y_plus_s_and_r(inst)
     return [
-        [one - w.beta * ys, -(w.beta * r)],
-        [-(w.alpha * ys), one - w.alpha * r],
+        [_ONE - w.beta * ys, -(w.beta * r)],
+        [-(w.alpha * ys), _ONE - w.alpha * r],
     ]
 
 
@@ -105,9 +119,17 @@ def splitting_check(w: BezoutWitness, inst: StaffordInstance) -> bool:
     the unit combination verify_bezout checks; this check reaches it through
     other products, so it checks the witness and SPoly multiplication a
     second way.
+
+    The columns of psi.pi are those of psi applied to splitting_projector,
+    written with no negated entry:
+        (y + s)*(1 - beta*(y + s)) - r*(alpha*(y + s))
+        r*(1 - alpha*r) - (y + s)*(beta*r)
+    Each is zero exactly when its two products are equal, so the eight
+    products are compared, and no difference is built.
     """
-    (p00, p01), (p10, p11) = splitting_projector(w, inst)
-    return psi(p00, p10, inst).is_zero() and psi(p01, p11, inst).is_zero()
+    ys, r = _y_plus_s_and_r(inst)
+    alpha, beta = w.alpha, w.beta
+    return ys * (_ONE - beta * ys) == r * (alpha * ys) and r * (_ONE - alpha * r) == ys * (beta * r)
 
 
 class StaffordVerdict:

@@ -55,6 +55,7 @@ from kleinverify import (
     laurent,
     parse_rpoly,
     parse_spoly,
+    psi,
     quotient,
     splitting_check,
     splitting_projector,
@@ -278,6 +279,11 @@ def group_mul(g: Tuple[int, int], h: Tuple[int, int]) -> Tuple[int, int]:
 
 def spoly_terms(f: SPoly) -> List[Tuple[int, Tuple[int, int]]]:
     return [(c, (m, e)) for m, a in f.rows() for e, c in a.items()]
+
+
+def spoly_of_group(e: Tuple[int, int], coeff: int = 1) -> SPoly:
+    """coeff * y^m x^n for the normal-form pair e = (m, n)."""
+    return SPoly({e[0]: RPoly({e[1]: coeff})})
 
 
 def spoly_from_terms(terms) -> SPoly:
@@ -587,10 +593,16 @@ def check_parser_matches_oracle(cases: int, twisted: bool, seed: int = SEED) -> 
 
 
 @contextlib.contextmanager
-def counting(module, *names: str) -> Iterator[Dict[str, int]]:
-    """Count the calls to module-level functions while the block runs."""
+def counting(owner, *names: str) -> Iterator[Dict[str, int]]:
+    """Count the calls to functions of a module or methods of a class, as
+    in counting(SPoly, "__mul__", "__init__"), while the block runs.
+
+    A method patched on its class counts operator calls too, since
+    a * b looks __mul__ up on the class.  Patch a module-level function
+    on the module its caller reads it from: a module that imported the
+    name keeps its own binding."""
     counts = dict.fromkeys(names, 0)
-    saved = {name: getattr(module, name) for name in names}
+    saved = {name: getattr(owner, name) for name in names}
 
     def counted(name, fn):
         def call(*args):
@@ -599,12 +611,12 @@ def counting(module, *names: str) -> Iterator[Dict[str, int]]:
         return call
 
     for name, fn in saved.items():
-        setattr(module, name, counted(name, fn))
+        setattr(owner, name, counted(name, fn))
     try:
         yield counts
     finally:
         for name, fn in saved.items():
-            setattr(module, name, fn)
+            setattr(owner, name, fn)
 
 
 def fold_mul(u: Word, v: Word) -> Word:
@@ -642,7 +654,7 @@ def boundary_factor_oracle(src: Presentation, cert: ConjugacyCertificate) -> Dic
         raise ValueError("invalid certificate: product does not reduce to target")
     out: Dict[int, SPoly] = {}
     for f in cert.factors:
-        term = SPoly.from_group(eval_word(~f.conjugator), f.sign)
+        term = spoly_of_group(eval_word(~f.conjugator), f.sign)
         out[f.relator] = out.get(f.relator, SPoly.zero()) + term
     return out
 
@@ -734,6 +746,84 @@ def check_spoly_ring_axioms(cases: int, seed: int = SEED) -> None:
         assert prod == SPoly({2: RPoly.one(), 0: -(a * a.sigma())})
         for v in ((f + g) - g, f * g, prod):
             assert_normalised(v)
+
+
+def _rand_sub_pair(rng: random.Random, kind: str, twisted: bool):
+    """Operands a, b for a - b.  disjoint: no shared exponent (RPoly) or
+    y-degree (SPoly).  partial: b copies some of a's terms (RPoly) or
+    rows (SPoly), which cancel, shares one more exponent or row whose
+    coefficient only changes, and adds its own.  self: b is a equal
+    value held in other dicts."""
+    rand = rand_spoly if twisted else rand_rpoly
+    if kind == "disjoint":
+        if twisted:
+            return rand_spoly(rng, deg_range=(-3, -1)), rand_spoly(rng, deg_range=(0, 3))
+        return rand_rpoly(rng, exp_range=(-4, 0)), rand_rpoly(rng, exp_range=(1, 5))
+    a = rand(rng, nonzero=True)
+    if kind == "self":
+        return a, (SPoly({m: RPoly(dict(row._coeffs)) for m, row in a._rows.items()})
+                   if twisted else RPoly(dict(a._coeffs)))
+    if twisted:
+        rows = {m: row for m, row in a._rows.items() if rng.random() < 0.5}
+        m = rng.choice(list(a._rows))
+        rows[m] = a._rows[m] + rand_rpoly(rng, nonzero=True, max_terms=2)
+        rows[rng.randint(4, 6)] = rand_rpoly(rng, nonzero=True)
+        return a, SPoly(rows)
+    terms = {e: c for e, c in a._coeffs.items() if rng.random() < 0.5}
+    e = rng.choice(list(a._coeffs))
+    terms[e] = a._coeffs[e] + rng.choice((-2, -1, 1, 2))
+    terms[rng.randint(5, 8)] = rng.randint(1, 5)
+    return a, RPoly(terms)
+
+
+def check_sub_matches_add_neg(cases: int, twisted: bool, seed: int = SEED) -> Counter:
+    """a - b == a + (-b) and b - a == -(a - b) on RPolys, or on SPolys
+    when twisted, with no zero coefficient or zero row in any result,
+    over disjoint operands, partial cancellation and a - a.  Returns how
+    many cases of each kind ran and how many differences cancelled to 0."""
+    rng = random.Random(seed)
+    zero = SPoly.zero() if twisted else RPoly.zero()
+    seen: Counter = Counter()
+    for i in range(cases):
+        kind = ("disjoint", "partial", "self")[i % 3]
+        a, b = _rand_sub_pair(rng, kind, twisted)
+        diff = a - b
+        assert diff == a + (-b), (i, str(a), str(b))
+        assert b - a == -diff, (i, str(a), str(b))
+        for v in (diff, b - a, a - a):
+            assert_normalised(v)
+        assert a - a == zero and (diff == zero) == (a == b), (i, str(a), str(b))
+        seen[kind] += 1
+        seen["zero difference"] += diff == zero
+    return seen
+
+
+def check_splitting_matches_projector(cases: int, seed: int = SEED) -> Counter:
+    """splitting_check(w, inst) == (psi of each column of
+    splitting_projector(w, inst) is zero), on the paper witness and on
+    witnesses with one coefficient of alpha or beta changed, which
+    break the unit combination, so both sides read false."""
+    rng = random.Random(seed)
+    inst = builtin.stafford_instance()
+    base = default_witness()
+    seen: Counter = Counter()
+    for i in range(cases + 1):
+        w = base
+        if i:
+            name = ("alpha", "beta")[i % 2]
+            rows = dict(getattr(base, name)._rows)
+            m = rng.choice(sorted(rows))
+            coeffs = dict(rows[m]._coeffs)
+            e = rng.choice(sorted(coeffs))
+            coeffs[e] += rng.choice((-3, -2, -1, 1, 2, 3))
+            rows[m] = RPoly(coeffs)
+            changed = SPoly(rows)
+            w = BezoutWitness(changed, base.beta) if name == "alpha" else BezoutWitness(base.alpha, changed)
+            seen[name] += 1
+        (p00, p01), (p10, p11) = splitting_projector(w, inst)
+        projector_splits = psi(p00, p10, inst).is_zero() and psi(p01, p11, inst).is_zero()
+        assert splitting_check(w, inst) == projector_splits == (i == 0), (i, str(w.alpha), str(w.beta))
+    return seen
 
 
 def check_sigma_involution(cases: int, seed: int = SEED) -> None:

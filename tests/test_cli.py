@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from kleinverify.cli import run
-from kleinverify import builtin
+from kleinverify import SPoly, builtin
+from kleinverify.verify import NonFreenessReport
 
-from helpers import certificate_to_dict
+from helpers import certificate_to_dict, counting
 
 
 def test_verify_paper_text(capsys):
@@ -25,6 +26,29 @@ def test_verify_paper_json_roundtrip(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["all_ok"] is True
     assert json.loads(json.dumps(data)) == data
+
+
+def test_only_the_printed_format_is_rendered(capsys):
+    # text member prints true or false and formats no operand; JSON
+    # verify-paper builds no report text, and text no JSON payload
+    # CI's 2000-row element (y^2 - 1) * sum_k y^k x^(k mod 5), in V for r = 1, s = -x^-1
+    element = " + ".join("y^%d*(%s)" % (d, " ".join(
+        "%sx^%d" % (sign, k % 5) for sign, k in (("+", d - 2), ("-", d)) if 0 <= k < 1998))
+        for d in range(2000))
+    argv = ["member", element, "--r", "1", "--s=-x^-1", "--format"]
+    with counting(SPoly, "__str__") as text_calls:
+        assert run(argv + ["text"]) == 0
+    assert text_calls == {"__str__": 0}
+    assert capsys.readouterr().out == "true\n"
+    with counting(SPoly, "__str__") as json_calls:
+        assert run(argv + ["json"]) == 0
+    assert json_calls == {"__str__": 1}
+    assert json.loads(capsys.readouterr().out)["value"] is True
+    for fmt, built, skipped in (("json", "to_json_dict", "to_text"), ("text", "to_text", "to_json_dict")):
+        with counting(NonFreenessReport, "to_json_dict", "to_text") as calls:
+            assert run(["verify-paper", "--format", fmt]) == 0
+        assert calls == {built: 1, skipped: 0}
+    capsys.readouterr()
 
 
 def test_chi_builtin(capsys):

@@ -173,3 +173,11 @@ def test_instance_requires_nonzero():
         StaffordInstance(RPoly.zero(), S)
     with pytest.raises(ValueError):
         StaffordInstance(INST.r, RPoly.zero())
+
+
+def test_instance_requires_rpolys():
+    # the witnesses wrap r and s as rows with no check, so the instance checks them
+    for r, s in ((1, S), (INST.r, -1), (SPoly.one(), S), (INST.r, y_plus_s(S))):
+        with pytest.raises(ValueError) as err:
+            StaffordInstance(r, s)
+        assert str(err.value) == "instance requires r and s to be RPolys"

@@ -13,7 +13,7 @@ from kleinverify import (
     parse_word,
 )
 from kleinverify import FreeCombo, Presentation, boundary_data, boundary_matrices, fox_derivative
-from kleinverify import PolySyntaxError
+from kleinverify import PolySyntaxError, y_plus_s
 
 from helpers import (
     SEED,
@@ -24,6 +24,7 @@ from helpers import (
     check_parser_matches_oracle,
     check_spoly_dense_mul_matches_oracle,
     check_spoly_ring_axioms,
+    check_sub_matches_add_neg,
     group_mul,
     normal_form_oracle,
     parse_spoly_oracle,
@@ -31,6 +32,7 @@ from helpers import (
     rand_spoly,
     rand_word,
     spoly_mul_oracle,
+    spoly_of_group,
 )
 
 
@@ -120,7 +122,7 @@ def test_eval_combo_linearity():
         u, v = rand_word(rng), rand_word(rng)
         a, b = rng.randint(-4, 4), rng.randint(-4, 4)
         combo = Combo.term(u, a) + Combo.term(v, b)
-        expected = SPoly.from_group(eval_word(u), a) + SPoly.from_group(eval_word(v), b)
+        expected = spoly_of_group(eval_word(u), a) + spoly_of_group(eval_word(v), b)
         assert eval_combo(combo) == expected
 
 
@@ -261,6 +263,39 @@ def test_spoly_constructor_rejects_non_int_degree():
     with pytest.raises(ValueError) as err:
         SPoly({0.5: RPoly.one()})
     assert str(err.value) == "y-degree 0.5 is not an int"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SPoly({0: 5}), "row 5 at y-degree 0 is not an RPoly"),
+        (lambda: SPoly({0: {0: 1}}), "row {0: 1} at y-degree 0 is not an RPoly"),
+        (lambda: SPoly({2: RPoly.one(), 1: None}), "row None at y-degree 1 is not an RPoly"),
+        (lambda: SPoly.from_rpoly(3, 1), "row 3 at y-degree 1 is not an RPoly"),
+        (lambda: SPoly.from_rpoly(RPoly.one(), 1.5), "y-degree 1.5 is not an int"),
+        (lambda: y_plus_s(0), "row 0 at y-degree 0 is not an RPoly"),
+        (lambda: y_plus_s({-1: -1}), "row {-1: -1} at y-degree 0 is not an RPoly"),
+    ],
+)
+def test_spoly_constructors_reject_a_row_that_is_not_an_rpoly(build, message):
+    # these raised AttributeError, which neither cli.run nor full_report catches
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_public_constructors_drop_a_zero_row():
+    assert y_plus_s(RPoly.zero()) == SPoly({1: RPoly.one()})
+    assert y_plus_s(RPoly.zero())._rows == {1: RPoly.one()}
+    assert SPoly.from_rpoly(RPoly.zero(), 3)._rows == {} and SPoly.from_rpoly(RPoly.zero(), 3).is_zero()
+    assert SPoly.from_rpoly(RPoly({1: 2}), -2)._rows == {-2: RPoly({1: 2})}
+    assert y_plus_s(RPoly({-1: -1})) == parse_spoly("y - x^-1")
+
+
+def test_sub_matches_add_neg():
+    seen = check_sub_matches_add_neg(600, twisted=True)
+    assert all(seen[kind] == 200 for kind in ("disjoint", "partial", "self")), seen
+    assert 200 <= seen["zero difference"] < 600, seen
 
 
 def test_spoly_parse_ascii_digits_only():

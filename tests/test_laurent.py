@@ -17,6 +17,7 @@ from helpers import (
     check_rpoly_ring_axioms,
     check_rpoly_mul_matches_oracle,
     check_sigma_involution,
+    check_sub_matches_add_neg,
     parse_rpoly_oracle,
     rand_rpoly,
 )
@@ -98,6 +99,12 @@ def test_mul_into_matches_oracle():
         seen["a = 1, flip %+d, sign %+d, out %s b" % (flip, sign, size)]
         for flip in (1, -1) for sign in (1, -1) for size in ("<", ">=")
     ), seen
+
+
+def test_sub_matches_add_neg():
+    seen = check_sub_matches_add_neg(600, twisted=False)
+    assert all(seen[kind] == 200 for kind in ("disjoint", "partial", "self")), seen
+    assert 200 <= seen["zero difference"] < 600, seen
 
 
 def test_constructor_copies_and_drops_zeros():

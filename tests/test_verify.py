@@ -26,7 +26,14 @@ from kleinverify import builtin, division, laurent, verify
 from kleinverify.certificates import CertFactor, ConjugacyCertificate
 from kleinverify.cli import run
 
-from helpers import SEED, check_splitting_matches_bezout, counting, lift_kernel, rand_spoly
+from helpers import (
+    SEED,
+    check_splitting_matches_bezout,
+    check_splitting_matches_projector,
+    counting,
+    lift_kernel,
+    rand_spoly,
+)
 
 INST = builtin.stafford_instance()
 WITNESS = default_witness()
@@ -119,6 +126,29 @@ def test_bezout_trivial_instance():
 
 def test_splitting_check():
     assert splitting_check(WITNESS, INST)
+
+
+def test_splitting_check_matches_projector():
+    # splitting_check writes psi.pi's columns out with no projector; they
+    # must be psi of splitting_projector's columns
+    seen = check_splitting_matches_projector(120)
+    assert seen["alpha"] == seen["beta"] == 60, seen
+
+
+def test_full_report_work_is_pinned():
+    # Each check computes its products: 4 factorization, 2 unit
+    # combination, 8 splitting and 4 witness SPoly products; s*sigma(r)
+    # and four witness rows as RPoly products; condition (ii)'s one
+    # quotient.  Around them nothing goes through the public SPoly(...)
+    # or negates an SPoly.
+    full_report()
+    with counting(SPoly, "__mul__", "__init__", "__neg__") as spoly, \
+            counting(RPoly, "__mul__") as rpoly, counting(division, "quotient") as division_calls:
+        report = full_report()
+    assert report.all_ok
+    assert spoly == {"__mul__": 18, "__init__": 0, "__neg__": 0}
+    assert rpoly == {"__mul__": 5}
+    assert division_calls == {"quotient": 1}
 
 
 def test_projector_lands_in_kernel():

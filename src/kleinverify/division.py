@@ -31,13 +31,13 @@ commutative; the last because y^2 is central and
 c exists, that is whether r divides s*sigma(r); stafford_verdict asks it
 once, through _degree_one_cofactor, and hands c to the monic element.
 
-Each element, its quotient, r and y + s are wrapped by SPoly._of_rows,
-with no row checked or filtered again: every row is 1, r, s (which
+Each element and its quotient are wrapped by SPoly._of_rows, with no
+row checked or filtered again: every row is 1, r, s (which
 StaffordInstance checks are nonzero RPolys), a sigma of one, the nonzero
 cofactor c, or a product of these, and the coefficient ring is a domain.
-The signs of -s*sigma(s) and -sigma(s)*r are carried by the factor
--sigma(s), built in one pass over s, so no product is negated.  The
-public y_plus_s still checks its argument as SPoly(...) checks a row.
+The signs of -s*sigma(s) and -sigma(s)*r are carried by the one factor
+-sigma(s), so no product is negated.  The two sides of the check,
+y + s and r, are built by y_plus_s and SPoly.from_rpoly.
 """
 
 from __future__ import annotations
@@ -76,13 +76,6 @@ def y_plus_s(s: RPoly) -> SPoly:
     """y + s, with s checked as SPoly(...) checks a row; a zero s is dropped."""
     _check_row(0, s)
     return SPoly._of_rows({1: _ONE, 0: s} if s._coeffs else {1: _ONE})
-
-
-def _y_plus_s_and_r(inst: StaffordInstance) -> tuple[SPoly, SPoly]:
-    """y + s and r as elements of S, wrapped from the instance's rows,
-    which StaffordInstance holds nonzero: the two sides of r*v in
-    (y + s)*S, and the two entries of the kernel map psi."""
-    return SPoly._of_rows({1: _ONE, 0: inst.s}), SPoly._of_rows({0: inst.r})
 
 
 def divide(f: SPoly, s: RPoly) -> DivisionResult:
@@ -158,7 +151,7 @@ def _monic(inst: StaffordInstance, cofactor: RPoly | None) -> tuple[SPoly, SPoly
     y + cofactor when r divides s*sigma(r), else y^2 - s*sigma(s)."""
     if cofactor is not None:
         return SPoly._of_rows({1: _ONE, 0: cofactor}), SPoly._of_rows({0: inst.r.sigma()})
-    minus_s_bar = RPoly._of_nonzero({-e: -c for e, c in inst.s._coeffs.items()})
+    minus_s_bar = -inst.s.sigma()
     return (
         SPoly._of_rows({2: _ONE, 0: inst.s * minus_s_bar}),
         SPoly._of_rows({1: inst.r, 0: minus_s_bar * inst.r}),
@@ -170,7 +163,7 @@ def _checked_witnesses(inst: StaffordInstance, cofactor: RPoly | None) -> tuple[
     r, r_bar = inst.r, inst.r.sigma()
     degree_one = SPoly._of_rows({1: r, 0: inst.s * r_bar}), SPoly._of_rows({0: r * r_bar})
     pairs = degree_one, _monic(inst, cofactor)
-    ys, left = _y_plus_s_and_r(inst)
+    ys, left = y_plus_s(inst.s), SPoly.from_rpoly(r)
     for v, q in pairs:
         if left * v != ys * q:
             raise ValueError("a witness fails r*v = (y + s)*q; convention bug")

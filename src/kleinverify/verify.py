@@ -7,10 +7,10 @@ multiplication on column coordinates, so composites pair the outer map's
 entries on the left.  The kernel map is
 psi(u, v) = (y + s) * u + r * v.
 
-Each check builds y + s and r once, wrapped from the instance's rows,
+Each check builds y + s and r once, by y_plus_s and SPoly.from_rpoly,
 and the constant 1 is built once per process, so a warm full_report
 makes its 18 SPoly and 5 RPoly products and one quotient, and no
-constructor check or negated copy around them.
+SPoly(...) construction or negated copy around them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 from . import builtin
 from .certificates import ConjugacyCertificate, _row_factors, equivalence_verdict
-from .division import StaffordInstance, _checked_witnesses, _degree_one_cofactor, _y_plus_s_and_r
+from .division import StaffordInstance, _checked_witnesses, _degree_one_cofactor, y_plus_s
 from .klein import SPoly, _mul_rows_into, _spoly, boundary_data
 from .presentations import Presentation, euler_characteristic
 
@@ -77,11 +77,9 @@ _ONE = SPoly.one()
 def psi(u: SPoly, v: SPoly, inst: StaffordInstance) -> SPoly:
     """(y + s) * u + r * v; its kernel is the second homotopy module.
 
-    y + s and r are wrapped once per call from the instance's rows, with
-    no constructor checks (division._y_plus_s_and_r).
+    y + s and r are built once per call, by y_plus_s and SPoly.from_rpoly.
     """
-    ys, r = _y_plus_s_and_r(inst)
-    return ys * u + r * v
+    return y_plus_s(inst.s) * u + SPoly.from_rpoly(inst.r) * v
 
 
 def verify_factorization(chains: ChainData, factors: Sequence[SPoly]) -> bool:
@@ -102,7 +100,7 @@ def verify_bezout(w: BezoutWitness, inst: StaffordInstance) -> bool:
 
 def splitting_projector(w: BezoutWitness, inst: StaffordInstance) -> list[list[SPoly]]:
     """id - t . psi, where t(c) = (beta*c, alpha*c) sections psi."""
-    ys, r = _y_plus_s_and_r(inst)
+    ys, r = y_plus_s(inst.s), SPoly.from_rpoly(inst.r)
     return [
         [_ONE - w.beta * ys, -(w.beta * r)],
         [-(w.alpha * ys), _ONE - w.alpha * r],
@@ -127,7 +125,7 @@ def splitting_check(w: BezoutWitness, inst: StaffordInstance) -> bool:
     Each is zero exactly when its two products are equal, so the eight
     products are compared, and no difference is built.
     """
-    ys, r = _y_plus_s_and_r(inst)
+    ys, r = y_plus_s(inst.s), SPoly.from_rpoly(inst.r)
     alpha, beta = w.alpha, w.beta
     return ys * (_ONE - beta * ys) == r * (alpha * ys) and r * (_ONE - alpha * r) == ys * (beta * r)
 

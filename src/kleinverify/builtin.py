@@ -1,18 +1,21 @@
-"""Built-in data: the two presentations, shipped certificates, the
-module instance (r, s) and the explicit unit-combination witness.
+"""Built-in data: the two presentations, shipped certificates and the
+explicit unit-combination witness, and what is derived from them: Q's
+row factors and the module instance (r, s).
 
 Everything verify-paper needs is written here as code, so the full run
 reads no files.  The certificates are dicts in the shape of the
 certificate JSON and go through the same parser and input checks as a
-user's certificate file.  The instance and the witness are coefficient
-dicts, each with its printed form beside it, so no polynomial text is
-parsed.
+user's certificate file.  The witness is coefficient dicts, with its
+printed form beside it, so no polynomial text is parsed.  The instance
+is not shipped: it is read from the forward certificates' row factors
+y + s and r, so it is the instance of the complex Q names.
 
 Each constructor imports the modules it builds from when it first runs,
 and caches its value.  Importing this module loads no other module of the
 package, so reading a presentation or a certificate loads only the
 free-group layer (words, presentations, certificates) and reading the
-instance only the ring layer (laurent, klein, division).
+witness only the ring layer (laurent, klein); the row factors and the
+instance load both.
 """
 
 from __future__ import annotations
@@ -103,18 +106,6 @@ def reverse_certificates() -> tuple[ConjugacyCertificate]:
     return (certificate_from_dict(_REVERSE_CERTIFICATE),)
 
 
-@lru_cache(maxsize=None)
-def stafford_instance() -> StaffordInstance:
-    """The instance behind the membership module V = {v : r*v in (y+s)*S}."""
-    from .division import StaffordInstance
-    from .laurent import RPoly
-
-    return StaffordInstance(
-        RPoly({3: 1, 1: -1, 0: -1}),  # r = x^3 - x - 1
-        RPoly({-1: -1}),  # s = -x^-1
-    )
-
-
 # Explicit witness that r*alpha + (y+s)*beta = 1 in the twisted ring.
 # The reverse certificate's chain shadow, boundary_factor(Q, reverse),
 # is {0: beta', 1: alpha'} for another witness (alpha', beta') of the same
@@ -143,3 +134,12 @@ def boundary_row_factors() -> tuple[SPoly, ...]:
     from .certificates import _row_factors
 
     return tuple(_row_factors(presentation_p(), forward_certificates()))
+
+
+@lru_cache(maxsize=None)
+def stafford_instance() -> StaffordInstance:
+    """The instance behind the membership module V = {v : r*v in (y+s)*S},
+    read from Q's row factors y + s and r."""
+    from .division import StaffordInstance
+
+    return StaffordInstance.from_factors(boundary_row_factors())

@@ -1,5 +1,9 @@
 """Division by y + s in the twisted ring, and the kernel module V.
 
+StaffordInstance.from_factors reads (r, s) from a complex's row factors
+y + s and r, so V = {v : r*v in (y+s)*S} is the second homotopy module
+of the complex those factors were checked on.
+
 Because y + s is monic in y, every f splits uniquely as
 f = (y + s) * q + y^d * rem with rem a plain coefficient and d the minimal
 y-degree of f.  Reduction runs from the top y-degree down, eliminating one
@@ -43,6 +47,7 @@ y + s and r, are built by y_plus_s and SPoly.from_rpoly.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 
 from .klein import SPoly, _check_row
 from .laurent import RPoly, _mul_into, _nonzero, _scaled, quotient
@@ -62,6 +67,18 @@ class StaffordInstance:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, StaffordInstance) and (self.r, self.s) == (other.r, other.s)
+
+    @classmethod
+    def from_factors(cls, factors: Sequence[SPoly]) -> StaffordInstance:
+        """(r, s) from the two row factors y + s, rows {1: 1, 0: s}, and r,
+        one row at y-degree 0, in either order: f1*u + f2*v has the same
+        kernel either way.  Raises ValueError for any other shape."""
+        if len(factors) == 2 and all(isinstance(f, SPoly) for f in factors):
+            for ys, r in (factors, factors[::-1]):
+                ys_rows, r_rows = ys._rows, r._rows
+                if ys_rows.keys() == {0, 1} and ys_rows[1] == _ONE and r_rows.keys() == {0}:
+                    return cls(r_rows[0], ys_rows[0])
+        raise ValueError("row factors are not y + s and r")
 
 
 # What divide returns: quotient (SPoly), rem_degree (int), remainder (RPoly).

@@ -15,6 +15,7 @@ SPoly(...) construction or negated copy around them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 
 from . import builtin
@@ -183,19 +184,30 @@ _FLAGS = (
 )
 
 
-def _flag_descriptions(inputs: dict[str, object]) -> tuple[str, ...]:
-    """One line per flag, in _FLAGS order, read from the report's inputs."""
-    k_q, g_q, k_p, g_p = (
-        len(inputs[f"presentation_{n}"][key]) for n in "QP" for key in ("relators", "generators"))
-    rows = [f"d2'(D{i}) = d2(D)*[{f}]" for i, f in enumerate(inputs["row_factors"] or (), 1)]
-    r, s = inputs["r"], inputs["s"]
-    y_plus_s_text = f"y - {s[1:]}" if s.startswith("-") else f"y + {s}"
+# The values a report's flags were checked on; inst is None when no
+# instance was read from the row factors and the caller claimed none.
+_Checked = namedtuple("_Checked", "p q fwd factors rev inst w verdict")
+
+# The verdict of an instance the ring checks were not run on.
+_NOT_RUN = StaffordVerdict(False, False, False, None, None)
+
+
+def _flag_descriptions(c: _Checked) -> tuple[str, ...]:
+    """One line per flag, in _FLAGS order, read from the checked values."""
+    k_q, g_q, k_p, g_p = (len(part) for pres in (c.q, c.p) for part in (pres.relators, pres.generators))
+    rows = [f"d2'(D{i}) = d2(D)*[{f}]" for i, f in enumerate(c.factors or (), 1)]
+    if c.inst is None:
+        unit = "no instance (r, s) read from the row factors"
+    else:
+        s = str(c.inst.s)
+        y_plus_s_text = f"y - {s[1:]}" if s.startswith("-") else f"y + {s}"
+        unit = f"({str(c.inst.r).replace(' ', '')})*alpha + ({y_plus_s_text})*beta = 1"
     return (
         f"Euler characteristics: chi(Q) = {k_q} - {g_q} + 1 = {k_q - g_q + 1}"
         f" and chi(P) = {k_p} - {g_p} + 1 = {k_p - g_p + 1}",
         "presentation equivalence: every relator certified over the other presentation",
         f"boundary rows: {' and '.join(rows) or 'no row factors derived'}",
-        f"unit combination: ({r.replace(' ', '')})*alpha + ({y_plus_s_text})*beta = 1",
+        f"unit combination: {unit}",
         "explicit splitting: psi.t = id, pi^2 = pi, psi.pi = 0",
         "r*S + (y+s)*S = S, witnessed by the unit combination",
         "s*sigma(r) is not divisible by r in Z[x, x^-1]",
@@ -205,14 +217,32 @@ def _flag_descriptions(inputs: dict[str, object]) -> tuple[str, ...]:
 
 class NonFreenessReport:
     """Flag per checked identity, one keyword each named in _FLAGS, and the
-    inputs they were checked on; all_ok is their conjunction."""
+    values they were checked on; all_ok is their conjunction.  inputs, those
+    values in printed form, is built each time it is read."""
 
-    __slots__ = _FLAGS + ("inputs",)
+    __slots__ = _FLAGS + ("_checked",)
 
-    def __init__(self, *, inputs: dict[str, object], **flags: bool):
+    def __init__(self, checked: _Checked, **flags: bool):
         for name in _FLAGS:
             setattr(self, name, flags[name])
-        self.inputs = inputs
+        self._checked = checked
+
+    @property
+    def inputs(self) -> dict[str, object]:
+        c = self._checked
+        return {
+            "presentation_P": c.p.to_dict(),
+            "presentation_Q": c.q.to_dict(),
+            "certificates_Q_over_P": [str(cert.target) for cert in c.fwd],
+            "row_factors": None if c.factors is None else [str(f) for f in c.factors],
+            "certificates_P_over_Q": [str(cert.target) for cert in c.rev],
+            "r": None if c.inst is None else str(c.inst.r),
+            "s": None if c.inst is None else str(c.inst.s),
+            "alpha": str(c.w.alpha),
+            "beta": str(c.w.beta),
+            "degree_one_witness": str(c.verdict.degree_one) if c.verdict.degree_one else None,
+            "monic_witness": str(c.verdict.monic) if c.verdict.monic else None,
+        }
 
     @property
     def all_ok(self) -> bool:
@@ -234,7 +264,7 @@ class NonFreenessReport:
 
     def to_text(self) -> str:
         lines = []
-        for name, desc in zip(_FLAGS, _flag_descriptions(self.inputs)):
+        for name, desc in zip(_FLAGS, _flag_descriptions(self._checked)):
             mark = "ok  " if getattr(self, name) else "FAIL"
             lines.append(f"[{mark}] {name:<16} {desc}")
         verdict = (
@@ -261,6 +291,11 @@ def full_report(
     """Run every check on the built-in data; Q, the forward certificates,
     the instance (r, s) and the witness may be overridden.
 
+    The instance is read from the row factors y + s and r, which
+    factorization_ok ties to Q; a caller's instance is a claim checked
+    against it.  When none is read or the claim differs, the ring checks
+    are not run, and their five flags read false.
+
     Component failures (including raised errors from corrupted inputs) are
     recorded as false flags, never re-raised.
     """
@@ -268,7 +303,6 @@ def full_report(
     q = presentation_q if presentation_q is not None else builtin.presentation_q()
     fwd = list(forward_certs) if forward_certs is not None else list(builtin.forward_certificates())
     rev = builtin.reverse_certificates()
-    inst = instance if instance is not None else builtin.stafford_instance()
     w = witness if witness is not None else default_witness()
 
     def attempt(thunk, failed=False):
@@ -283,28 +317,21 @@ def full_report(
     factors = attempt(derive, None)  # None when a forward certificate does not check
     factorization_ok = factors is not None and attempt(
         lambda: verify_factorization(build_chain_data(p, q), factors))
-    bezout_ok = attempt(lambda: verify_bezout(w, inst))
-    # splitting_check passes only where bezout_ok holds, so it is skipped
-    # when bezout_ok is false.
-    splitting_ok = bezout_ok and attempt(lambda: splitting_check(w, inst))
-    # Condition (i) is the unit combination bezout_ok has just checked, so
-    # the verdict is asked only for the witness-free conditions.
-    fragment = stafford_verdict(inst, None)
+    derived = None if factors is None else attempt(lambda: StaffordInstance.from_factors(factors), None)
+    inst = derived if instance is None else instance
+    bezout_ok = splitting_ok = False
+    fragment = _NOT_RUN
+    if derived is not None and inst == derived:
+        bezout_ok = attempt(lambda: verify_bezout(w, inst))
+        # splitting_check passes only where bezout_ok holds, so it is
+        # skipped when bezout_ok is false.
+        splitting_ok = bezout_ok and attempt(lambda: splitting_check(w, inst))
+        # Condition (i) is the unit combination bezout_ok has just checked,
+        # so the verdict is asked only for the witness-free conditions.
+        fragment = stafford_verdict(inst, None)
 
-    inputs: dict[str, object] = {
-        "presentation_P": p.to_dict(),
-        "presentation_Q": q.to_dict(),
-        "certificates_Q_over_P": [str(c.target) for c in fwd],
-        "row_factors": None if factors is None else [str(f) for f in factors],
-        "certificates_P_over_Q": [str(c.target) for c in rev],
-        "r": str(inst.r),
-        "s": str(inst.s),
-        "alpha": str(w.alpha),
-        "beta": str(w.beta),
-        "degree_one_witness": str(fragment.degree_one) if fragment.degree_one else None,
-        "monic_witness": str(fragment.monic) if fragment.monic else None,
-    }
     return NonFreenessReport(
+        _Checked(p, q, fwd, factors, rev, inst, w, fragment),
         chi_ok=chi_ok,
         pi1_ok=pi1_ok,
         factorization_ok=factorization_ok,
@@ -313,5 +340,4 @@ def full_report(
         condition_i=bezout_ok,
         condition_ii=fragment.condition_ii,
         witnesses_ok=fragment.witnesses_ok,
-        inputs=inputs,
     )

@@ -131,8 +131,11 @@ def test_a09_full_verdict_and_negative_controls():
     bad_cert_report = full_report(forward_certs=[corrupted_cert, cert2])
     assert not bad_cert_report.pi1_ok and not bad_cert_report.all_ok
 
+    # r = 1 is not the r of Q's row factors: every check on the instance fails
     unit_r_report = full_report(instance=StaffordInstance(RPoly.one(), INST.s))
-    assert not unit_r_report.condition_ii and not unit_r_report.all_ok
+    assert not unit_r_report.all_ok
+    assert [name for name, ok in unit_r_report.flags() if not ok] == [
+        "bezout_ok", "splitting_ok", "condition_i", "condition_ii", "witnesses_ok"]
 
     flipped = BezoutWitness(WITNESS.alpha, -WITNESS.beta)
     bad_witness_report = full_report(witness=flipped)

@@ -175,6 +175,38 @@ def test_instance_requires_nonzero():
         StaffordInstance(INST.r, RPoly.zero())
 
 
+def test_instance_from_factors_either_order():
+    # the kernel of (u, v) -> f1*u + f2*v does not depend on the order
+    ys, r = y_plus_s(S), SPoly.from_rpoly(INST.r)
+    for factors in ((ys, r), (r, ys), [ys, r]):
+        inst = StaffordInstance.from_factors(factors)
+        assert (inst.r, inst.s) == (INST.r, S)
+    assert StaffordInstance.from_factors(builtin.boundary_row_factors()) == INST
+
+
+def test_instance_from_factors_rejects_other_shapes():
+    ys, r = y_plus_s(S), SPoly.from_rpoly(INST.r)
+    bad = [
+        (y_plus_s(RPoly.zero()), r),  # s = 0: y alone
+        (parse_spoly("y*(2) + (-x^-1)"), r),  # a non-unit y-row
+        (parse_spoly("y*(-1) + (-x^-1)"), r),  # a y-row other than 1
+        (parse_spoly("y^2 - x^-1"), r),  # y + s at the wrong y-degree
+        (ys, parse_spoly("y*(x) + (x^3 - x - 1)")),  # r with two rows
+        (ys, SPoly.from_rpoly(INST.r, 1)),  # r off y-degree 0
+        (ys, SPoly.zero()),  # r = 0
+        (ys, INST.r),  # r as an RPoly, not a row factor
+        (ys, ys),
+        (r, r),
+        (ys,),
+        (ys, r, r),
+        (),
+    ]
+    for factors in bad:
+        with pytest.raises(ValueError) as err:
+            StaffordInstance.from_factors(factors)
+        assert str(err.value) == "row factors are not y + s and r", factors
+
+
 def test_instance_requires_rpolys():
     # the witnesses wrap r and s as rows with no check, so the instance checks them
     for r, s in ((1, S), (INST.r, -1), (SPoly.one(), S), (INST.r, y_plus_s(S))):

@@ -53,8 +53,10 @@ COMMAND_MODULES = [
     (["divides", "x+1", "x^2-1"], ["cli", "grammar", "laurent", "syntax"]),
     (["member", "y - x^-1", "--r", "1", "--s", "-x^-1"],
      ["cli", "division", "grammar", "klein", "laurent", "syntax"]),
+    # r and s default to the paper's, read from the forward certificates.
     (["member", "y^2*(1) + (-1)"],
-     ["builtin", "cli", "division", "grammar", "klein", "laurent", "syntax"]),
+     ["builtin", "certificates", "cli", "division", "grammar", "klein", "laurent",
+      "presentations", "syntax", "words"]),
     (["normal-form", "y^-1 x y"], ["cli", "klein", "laurent", "syntax", "words"]),
     (["fox", "y^-1 x y x", "x"], ["cli", "presentations", "syntax", "words"]),
     (["chi"], CHI_MODULES),

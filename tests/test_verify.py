@@ -1,3 +1,4 @@
+import json
 import random
 
 from kleinverify import (
@@ -40,6 +41,15 @@ WITNESS = default_witness()
 P = builtin.presentation_p()
 Q = builtin.presentation_q()
 FACTORS = builtin.boundary_row_factors()
+# The flags that rest on the instance (r, s) read from the row factors.
+RING_FLAGS = ("bezout_ok", "splitting_ok", "condition_i", "condition_ii", "witnesses_ok")
+
+
+def ring_flags_false_only(report, *also):
+    """The ring flags, and the flags named in also, read false; the rest true."""
+    false = set(RING_FLAGS + also)
+    assert [name for name, ok in report.flags() if not ok] == [n for n, _ in report.flags() if n in false]
+    assert not report.all_ok
 
 
 def test_psi_zero():
@@ -101,7 +111,8 @@ def test_reverse_certificate_shadow_is_an_independent_witness():
 
 
 def test_builtin_constants_print_as_in_the_paper():
-    # builtin writes them as coefficient dicts; their text is the paper's.
+    # builtin reads r and s from the row factors and writes alpha and beta
+    # as coefficient dicts; their text is the paper's.
     for value, text, parse in (
         (INST.r, "x^3 - x - 1", parse_rpoly),
         (INST.s, "-x^-1", parse_rpoly),
@@ -207,13 +218,17 @@ def test_full_report_negative_control_bad_certificate():
         cert1.source,
     )
     report = full_report(forward_certs=[corrupted, cert2])
-    assert not report.pi1_ok
-    # the corrupted certificate has no chain shadow, so no row factors
-    assert not report.factorization_ok
-    assert report.inputs["row_factors"] is None
-    assert report.to_text().splitlines()[2] == "[FAIL] factorization_ok boundary rows: no row factors derived"
-    assert not report.all_ok
-    assert report.chi_ok and report.bezout_ok
+    # the corrupted certificate has no chain shadow, so no row factors and
+    # no instance (r, s) to run the ring checks on
+    ring_flags_false_only(report, "pi1_ok", "factorization_ok")
+    inputs = report.inputs
+    assert inputs["row_factors"] is None
+    assert (inputs["r"], inputs["s"], inputs["degree_one_witness"], inputs["monic_witness"]) == (None,) * 4
+    assert json.loads(report.to_json())["inputs"] == inputs
+    lines = report.to_text().splitlines()
+    assert lines[2] == "[FAIL] factorization_ok boundary rows: no row factors derived"
+    assert lines[3] == "[FAIL] bezout_ok        unit combination: no instance (r, s) read from the row factors"
+    assert lines[8] == "NOT VERIFIED: at least one check failed"
 
 
 def test_full_report_derives_row_factors_from_given_certificates():
@@ -234,8 +249,12 @@ def test_full_report_derives_row_factors_from_given_certificates():
         " and d2'(D2) = d2(D)*[y*(-1) + (x^-1) + y^-1*(x^-2)]"
     )
     # the reverse certificate is over the built-in Q, whose relators Q' lacks
-    assert not report.pi1_ok and not report.all_ok
-    assert report.chi_ok and report.bezout_ok and report.witnesses_ok
+    # and no instance (r, s) is read from the factors 1 and x^-1 - y + ...:
+    # Q' contains P's relator, so its second homotopy module is free
+    ring_flags_false_only(report, "pi1_ok")
+    assert report.inputs["r"] is None and report.inputs["s"] is None
+    assert report.to_text().splitlines()[3] == (
+        "[FAIL] bezout_ok        unit combination: no instance (r, s) read from the row factors")
 
 
 def test_chi_line_follows_presentations():
@@ -248,10 +267,55 @@ def test_chi_line_follows_presentations():
 
 
 def test_full_report_negative_control_unit_r():
+    # r = 1 is not the r of Q's row factors, so the claim reads false
     inst = StaffordInstance(RPoly.one(), INST.s)
     report = full_report(instance=inst)
-    assert not report.condition_ii
-    assert not report.all_ok
+    ring_flags_false_only(report)
+    assert (report.inputs["r"], report.inputs["s"]) == ("1", "-x^-1")
+
+
+def sigma_image(f):
+    """sigma applied to every row of an SPoly."""
+    return SPoly({m: a.sigma() for m, a in f.rows()})
+
+
+def test_full_report_sigma_image_instance_reads_false():
+    # (sigma(r), sigma(s)) with the sigma-image witness passes the unit
+    # combination, the splitting and both conditions on its own, but it is
+    # not the instance of Q's row factors y - x^-1 and x^3 - x - 1.
+    inst = StaffordInstance(INST.r.sigma(), INST.s.sigma())
+    w = BezoutWitness(sigma_image(WITNESS.alpha), sigma_image(WITNESS.beta))
+    verdict = stafford_verdict(inst, w)
+    assert verdict.condition_i and verdict.condition_ii and verdict.witnesses_ok
+    assert splitting_check(w, inst)
+    report = full_report(instance=inst, witness=w)
+    ring_flags_false_only(report)
+    lines = report.to_text().splitlines()
+    assert lines[2] == PAPER_TEXT.splitlines()[2]
+    assert lines[3] == "[FAIL] bezout_ok        unit combination: (-1-x^-1+x^-3)*alpha + (y - x)*beta = 1"
+    assert lines[8] == "NOT VERIFIED: at least one check failed"
+
+
+def test_full_report_claimed_instance_checks_it_against_the_factors():
+    # a caller's instance equal to the one read from the factors passes;
+    # one that differs runs none of the ring checks
+    assert full_report(instance=StaffordInstance(INST.r, INST.s)).to_json() == full_report().to_json()
+    inst = StaffordInstance(INST.r, INST.r)
+    full_report(instance=inst)
+    with counting(division, "quotient") as quotients, counting(verify, "verify_bezout") as bezout:
+        report = full_report(instance=inst)
+    assert quotients == {"quotient": 0} and bezout == {"verify_bezout": 0}
+    ring_flags_false_only(report)
+
+
+def test_full_report_builds_inputs_only_when_read():
+    full_report()
+    with counting(SPoly, "__str__") as spoly, counting(RPoly, "__str__") as rpoly:
+        report = full_report()
+        assert report.all_ok
+    assert spoly == {"__str__": 0} and rpoly == {"__str__": 0}
+    # read, inputs is the printed form of the values checked
+    assert report.inputs == json.loads(PAPER_JSON)["inputs"]
 
 
 def test_full_report_negative_control_bad_witness():
@@ -265,8 +329,6 @@ def test_full_report_negative_control_bad_witness():
 
 
 def test_report_json_shape():
-    import json
-
     data = json.loads(full_report().to_json())
     expected_keys = [
         "chi_ok",
@@ -362,7 +424,10 @@ def test_paper_report_json(capsys):
 
 def test_flag_descriptions_follow_instance():
     inst = StaffordInstance(parse_rpoly("2*x^2 + x - 3"), parse_rpoly("x^2"))
-    lines = full_report(instance=inst).to_text().splitlines()
+    report = full_report(instance=inst)
+    # the claimed instance is not the factors' one, so its checks read false
+    ring_flags_false_only(report)
+    lines = report.to_text().splitlines()
     assert lines[3] == "[FAIL] bezout_ok        unit combination: (2*x^2+x-3)*alpha + (y + x^2)*beta = 1"
     # the row factors are the forward certificates' shadows, whatever the instance
     assert lines[2] == PAPER_TEXT.splitlines()[2]

@@ -7,7 +7,8 @@ value as "--opt value" or "--opt=value", spelled in full.  A token that
 does not start with "--" is a value, so "--s -x^-1" needs no quoting.
 
 Exit status: 0 when every requested check passes, 1 when a check fails,
-2 on input or parse errors, usage errors included.
+2 on input or parse errors, usage errors included, and on an input too
+large to compute on (MemoryError).
 """
 
 from __future__ import annotations
@@ -307,6 +308,11 @@ def run(argv: list[str] | None = None) -> int:
     # raises RecursionError: on an input file nested too deep.
     except (ValueError, KeyError, IndexError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # An input too large to compute on is bad input, not a failed check;
+    # MemoryError usually has no text.
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

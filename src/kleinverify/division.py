@@ -14,12 +14,15 @@ nonzero q the product (y + s) * q occupies at least two y-degrees (top and
 bottom coefficients survive because the coefficient ring is a domain), so
 a nonzero single-row remainder can never be absorbed into the ideal.
 
-Each step writes -sigma^k(s) * c plus f's row below into a fresh dict:
-by laurent._scaled, the signed-shift multiply under the kernel, when s
-has one term, and by the kernel laurent._mul_into otherwise, so the
-coefficient domain is Z[x, x^-1].  The walk reads f's rows and never
-copies or writes them; a popped row becomes a quotient row as it is, and
-the quotient and the remainder are wrapped once at the end.
+Each step writes -sigma^k(s) * c plus f's row below into a fresh dict.
+When s has one term, the step does it inline: one loop writes
+-sigma^k(s) * c, a second adds f's row below and deletes each
+coefficient that cancels, so no kernel is called and no zero is left to
+scan for.  Otherwise the kernel laurent._mul_into adds the product into a
+copy of the row below; the coefficient domain is Z[x, x^-1].  The walk
+reads f's rows and never copies or writes them; a popped row becomes a
+quotient row as it is, and the quotient and the remainder are wrapped
+once at the end.
 
 V holds two elements in closed form, each with the quotient q that puts
 r*v in the ideal, so one product r*v == (y + s)*q checks its membership,
@@ -50,7 +53,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .klein import SPoly, _check_row
-from .laurent import RPoly, _mul_into, _nonzero, _scaled, quotient
+from .laurent import RPoly, _mul_into, _nonzero, quotient
 
 
 class StaffordInstance:
@@ -113,6 +116,7 @@ def divide(f: SPoly, s: RPoly) -> DivisionResult:
     one_term = len(s_terms) == 1
     if one_term:
         [(s_exp, s_coeff)] = s_terms.items()
+        minus_c = -s_coeff
     # One step per y-degree.  Each step writes only the row just below
     # top, where only f's row can be, and that row is nonzero unless it
     # cancels exactly (S is a domain).  After a cancellation only a row of
@@ -124,7 +128,20 @@ def divide(f: SPoly, s: RPoly) -> DivisionResult:
         q_rows[top] = c
         below = rows.get(top)
         if one_term:
-            row = _nonzero(_scaled(c, -s_exp if top % 2 else s_exp, -s_coeff, below))
+            # -sigma^top(s) * c into a fresh dict, then f's row below added
+            # in place, each coefficient that cancels deleted.
+            x = -s_exp if top % 2 else s_exp
+            row = {}
+            for e, v in c.items():
+                row[x + e] = minus_c * v
+            if below:
+                get = row.get
+                for e, v in below.items():
+                    v += get(e, 0)
+                    if v:
+                        row[e] = v
+                    else:
+                        del row[e]
         else:
             row = _nonzero(_mul_into(dict(below or {}), s_terms, c, -1 if top % 2 else 1, -1))
         if row:

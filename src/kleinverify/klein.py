@@ -14,18 +14,19 @@ eval_combo evaluates a FreeCombo term by term into one dict per y-degree;
 with presentations.boundary_matrices it is the slower reference the tests
 hold boundary_data to.  eval_word returns the normal form as the pair
 (m, n), applying the group law letter by letter.  SPoly products sum every
-row pair into one coefficient dict per y-degree, through laurent._scaled
-for a one-term row and laurent._mul_into for any other, and wrap each row
-once, with no copy; _mul_rows_into, their kernel, also sums several
-products into one set of rows.  A difference is built in one pass, as a
-sum is, with no negated copy of the subtrahend.  The public SPoly(...)
+row pair into one coefficient dict per y-degree and wrap each row once,
+with no copy; _mul_rows_into, their kernel, also sums several products
+into one set of rows.  It multiplies a one-term row (of y + s, say)
+inline, one loop over the other row and no call per row, and hands every
+other pair to laurent._mul_into.  A difference is built in one pass, as
+a sum is, with no negated copy of the subtrahend.  The public SPoly(...)
 and SPoly.from_rpoly check each y-degree and row; the library's own rows
 are wrapped by SPoly._of_rows with no check.
 """
 
 from __future__ import annotations
 
-from .laurent import RPoly, _mul_into, _nonzero, _scaled
+from .laurent import RPoly, _mul_into, _nonzero
 
 # FreeCombo and Presentation appear only in annotations, which are never
 # evaluated, and boundary_data imports Word itself, so the ring alone loads
@@ -174,22 +175,43 @@ def _mul_rows_into(
 
     The kernel of SPoly products, and of a sum of products built with no
     SPoly per term.  out holds only dicts this kernel wrote, never one an
-    RPoly holds.  A one-term a (a row of y + s, say) scales b by
-    laurent._scaled, with no kernel call, where the y-degree has no row
-    yet; every other pair goes through laurent._mul_into.
+    RPoly holds.  A one-term a = c*x^e (a row of y + s, say) is
+    multiplied here, with no call per row: where the y-degree has no row
+    yet, c*x^(+-e)*b is written into a fresh dict (for the constant 1,
+    one C-level dict(b)); otherwise it is added into the row in place,
+    and a coefficient that cancels is deleted.  Every other pair goes
+    through laurent._mul_into.  Plain loops, not comprehensions: on
+    CPython 3.11 a comprehension is a function call, which costs more
+    than it saves on the one- to three-term rows of the paper's instance.
     """
     for m, a in f.items():
         a = a._coeffs
-        one_term = len(a) == 1
-        if one_term:
-            [(e, c)] = a.items()
+        if len(a) != 1:
+            for p, b in g.items():
+                key = m + p
+                out[key] = _mul_into(out.get(key) or {}, a, b._coeffs, -1 if p % 2 else 1)
+            continue
+        [(e, c)] = a.items()
         for p, b in g.items():
             key = m + p
             row = out.get(key)
-            if row is None and one_term:
-                out[key] = _scaled(b._coeffs, -e if p % 2 else e, c)
+            x = -e if p % 2 else e
+            if row is None:
+                if x or c != 1:
+                    out[key] = row = {}
+                    for e2, c2 in b._coeffs.items():
+                        row[x + e2] = c * c2
+                else:
+                    out[key] = dict(b._coeffs)
             else:
-                out[key] = _mul_into(row or {}, a, b._coeffs, -1 if p % 2 else 1)
+                get = row.get
+                for e2, c2 in b._coeffs.items():
+                    e2 += x
+                    v = get(e2, 0) + c * c2
+                    if v:
+                        row[e2] = v
+                    else:
+                        del row[e2]
     return out
 
 

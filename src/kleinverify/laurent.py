@@ -13,18 +13,14 @@ bytes, so the digits pass through one array.array of signed items, put in
 little-endian order whatever sys.byteorder is; wider digits take one
 int.to_bytes or int.from_bytes call each.
 
-Every product runs through one kernel, _mul_into(out, a, b, flip, sign),
-which adds sign * a(x^flip) * b into the coefficient dict out, and its
-signed-shift multiply _scaled(b, e, c, add), which writes c * x^e * b +
-add into a fresh dict in one pass over b, with no lookup per term; the
-constant 1 times b is one C-level dict(b).  RPoly.__mul__ calls the
-kernel with an empty out, klein.SPoly.__mul__ with flip -1 for sigma.
-A one-term factor, most products on the verify path (a row of y + s, or
-a unit s), goes to _scaled: the kernel sends it there when out has fewer
-terms than b, SPoly.__mul__ calls _scaled directly where a product
-starts a y-degree, and division.divide on every step, so those rows make
-no kernel call.  No product, negation or sum is built only to be added,
-and a difference is summed in one pass, as a sum is.
+One kernel, _mul_into(out, a, b, flip, sign), adds sign * a(x^flip) * b
+into the coefficient dict out, by Kronecker substitution or the
+schoolbook double loop.  RPoly.__mul__ calls it with an empty out,
+klein.SPoly.__mul__ with flip -1 for sigma.  A one-term row, most
+products on the verify path (a row of y + s, or a unit s), makes no
+kernel call: klein's row walk and division.divide's steps multiply such
+a row inline, one loop per row.  No product, negation or sum is built
+only to be added, and a difference is summed in one pass, as a sum is.
 
 The kernel writes only out, a dict its caller built: a dict reachable
 from an RPoly is never passed as out, because values share their dicts
@@ -281,27 +277,23 @@ def _mul_into(
     """Add sign * a(x^flip) * b into out and return the sum, for flip and
     sign in {1, -1}.
 
-    The one multiply kernel: RPoly products, SPoly row products (flip -1
-    is sigma), quotient checks and division's steps by a several-term s
-    run through it.  out may be updated in place or replaced, so callers
-    keep the returned dict.  a and b are only read, hold no zero
-    coefficient, and are never returned.
+    The one multiply kernel: RPoly products, SPoly row products by a
+    several-term row (flip -1 is sigma), quotient checks and division's
+    steps by a several-term s run through it.  out may be updated in place
+    or replaced, so callers keep the returned dict.  a and b are only
+    read, hold no zero coefficient, and are never returned.
 
     Invariant: a dict reachable from an RPoly is never passed as out.
     RPolys share their dicts and never copy them, so out is a dict the
-    caller built, or one that this kernel or _scaled returned.
+    caller built, or one that this kernel returned.
 
-    A one-term a (a unit s, or a row of y + s) goes to _scaled when out
-    has fewer terms than b.  The in-place loop deletes a coefficient that
-    cancels, so a product that cancels down to a few terms, as (y + s) * q
-    does when it recomposes f, leaves no zeros to filter; Kronecker digits
-    and _scaled keep theirs, and _nonzero drops them.
+    Dense operands of at least _KRONECKER_TERMS terms each take Kronecker
+    substitution, any other pair the schoolbook double loop.  The
+    in-place loop deletes a coefficient that cancels, so a product that
+    cancels down to a few terms leaves no zeros to filter; Kronecker
+    digits keep theirs, and _nonzero drops them.
     """
-    if len(a) == 1:
-        if len(out) < len(b):
-            [(e1, c1)] = a.items()
-            return _scaled(b, e1 * flip, c1 * sign, out)
-    elif len(a) >= _KRONECKER_TERMS and len(b) >= _KRONECKER_TERMS and _dense(a) and _dense(b):
+    if len(a) >= _KRONECKER_TERMS and len(b) >= _KRONECKER_TERMS and _dense(a) and _dense(b):
         lo, digits = _kronecker_mul(a, b, flip, sign)
         if not out:
             return dict(enumerate(digits, lo))
@@ -321,30 +313,6 @@ def _mul_into(
             else:
                 del out[e]
     return out
-
-
-def _scaled(b: dict[int, int], e1: int, c1: int, add: dict[int, int] | None = None) -> dict[int, int]:
-    """c1 * x^e1 * b + add as a fresh dict, reading b and add only.
-
-    The signed-shift multiply of _mul_into's one-term path, of
-    SPoly.__mul__ where a one-term row starts a y-degree, and of
-    division's steps by a one-term s.  For c1 * x^e1 = 1 (the y row of
-    y + s, or SPoly.one()) b is copied by one C-level dict(b).  Plain
-    loops, not comprehensions: on CPython 3.11 a comprehension is a
-    function call, which costs more than it saves on the one- to
-    three-term rows of the paper's instance.
-    """
-    if e1 or c1 != 1:
-        res = {}
-        for e2, c2 in b.items():
-            res[e1 + e2] = c1 * c2
-    else:
-        res = dict(b)
-    if add:
-        get = res.get
-        for e, c in add.items():
-            res[e] = get(e, 0) + c
-    return res
 
 
 def _kronecker_mul(

@@ -184,12 +184,17 @@ _FLAGS = (
 )
 
 
-# The values a report's flags were checked on; inst is None when no
-# instance was read from the row factors and the caller claimed none.
-_Checked = namedtuple("_Checked", "p q fwd factors rev inst w verdict")
+# The values a report's flags were checked on: inst is the caller's claim,
+# else the instance read from the row factors; derived is the instance
+# read, or None when none was.
+_Checked = namedtuple("_Checked", "p q fwd factors rev inst derived w verdict")
 
 # The verdict of an instance the ring checks were not run on.
 _NOT_RUN = StaffordVerdict(False, False, False, None, None)
+
+
+def _pair(inst: StaffordInstance) -> str:
+    return f"({inst.r}, {inst.s})"
 
 
 def _flag_descriptions(c: _Checked) -> tuple[str, ...]:
@@ -198,6 +203,11 @@ def _flag_descriptions(c: _Checked) -> tuple[str, ...]:
     rows = [f"d2'(D{i}) = d2(D)*[{f}]" for i, f in enumerate(c.factors or (), 1)]
     if c.inst is None:
         unit = "no instance (r, s) read from the row factors"
+    elif c.derived is None:
+        unit = f"not checked: the claim (r, s) = {_pair(c.inst)} has no instance read from the row factors to match"
+    elif c.inst != c.derived:
+        unit = (f"not checked: the claim (r, s) = {_pair(c.inst)} is not the instance"
+                f" read from the row factors, {_pair(c.derived)}")
     else:
         s = str(c.inst.s)
         y_plus_s_text = f"y - {s[1:]}" if s.startswith("-") else f"y + {s}"
@@ -294,7 +304,9 @@ def full_report(
     The instance is read from the row factors y + s and r, which
     factorization_ok ties to Q; a caller's instance is a claim checked
     against it.  When none is read or the claim differs, the ring checks
-    are not run, and their five flags read false.
+    are not run, and their five flags read false; the text report's
+    bezout_ok line then names the claim and the instance read, or says
+    that none was read.
 
     Component failures (including raised errors from corrupted inputs) are
     recorded as false flags, never re-raised.
@@ -331,7 +343,7 @@ def full_report(
         fragment = stafford_verdict(inst, None)
 
     return NonFreenessReport(
-        _Checked(p, q, fwd, factors, rev, inst, w, fragment),
+        _Checked(p, q, fwd, factors, rev, inst, derived, w, fragment),
         chi_ok=chi_ok,
         pi1_ok=pi1_ok,
         factorization_ok=factorization_ok,

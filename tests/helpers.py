@@ -1016,6 +1016,74 @@ def check_divide_dense_twists(cases: int, seed: int = SEED) -> None:
     assert calls["_kronecker_mul"]
 
 
+def _rand_one_term_row(rng: random.Random) -> RPoly:
+    """c*x^e with c = +-1 half the time, else 2 <= |c| <= 10^12."""
+    c = 1 if rng.random() < 0.5 else rng.randint(2, 10**12)
+    return RPoly.monomial(rng.randint(-6, 6), rng.choice((1, -1)) * c)
+
+
+def _sigma_power(a: RPoly, p: int) -> RPoly:
+    return a.sigma() if p % 2 else a
+
+
+def check_one_term_rows(cases: int, seed: int = SEED) -> Counter:
+    """The one-term paths of SPoly products and of divide, by kind:
+
+    0  f of one to four one-term rows times a random g, against
+       spoly_mul_oracle;
+    1  f = y^(k+1)*a + y^k*s with one-term a and s, times
+       g = y^p*sigma^(p-1)(a)*w - y^(p-1)*sigma^p(s)*w, whose y^(k+p) row
+       cancels to empty (the products in g are the oracle's);
+    2  divide by a one-term s, recomposed by spoly_mul_oracle;
+    3  divide f = (y + s)*q + y^d*c, built by the oracle, which must give
+       back (q, d, c) as its rows cancel step by step.
+
+    Coefficients are +-1 or of up to 10^12, and y-degrees of both
+    parities, so sigma flips some row pairs and not others.  Returns how
+    many cases met each class; every result passes assert_normalised.
+    """
+    rng = random.Random(seed)
+    seen: Counter = Counter()
+    for i in range(cases):
+        kind = i % 4
+        s = _rand_one_term_row(rng)
+        if kind == 0:
+            f = SPoly({rng.randint(-4, 4): _rand_one_term_row(rng) for _ in range(rng.randint(1, 4))})
+            g = rand_spoly(rng, nonzero=True, max_rows=4, deg_range=(-4, 4))
+            got = f * g
+            assert got == spoly_mul_oracle(f, g), (i, str(f), str(g))
+            seen.update("%s p" % ("odd" if p % 2 else "even") for p in g._rows)
+        elif kind == 1:
+            a, w = _rand_one_term_row(rng), rand_rpoly(rng, nonzero=True)
+            k, p = rng.randint(-3, 3), rng.randint(-3, 3)
+            f = SPoly({k + 1: a, k: s})
+            g = SPoly({p: rpoly_mul_oracle(_sigma_power(a, p - 1), w),
+                       p - 1: -rpoly_mul_oracle(_sigma_power(s, p), w)})
+            got = f * g
+            assert got == spoly_mul_oracle(f, g), (i, str(f), str(g))
+            assert k + p not in got._rows and len(got._rows) == 2, (i, str(f), str(g))
+            seen["cancelled row, %s p" % ("odd" if p % 2 else "even")] += 1
+        elif kind == 2:
+            f = rand_spoly(rng, max_rows=5, deg_range=(-5, 5))
+            got, d, rem = divide(f, s)
+            assert spoly_mul_oracle(y_plus_s(s), got) + SPoly({d: rem}) == f, (i, str(f), str(s))
+            assert not f or d == f.min_degree
+            assert_normalised(rem)
+        else:
+            q = rand_spoly(rng, nonzero=True, max_rows=5, deg_range=(-5, 5))
+            f = spoly_mul_oracle(y_plus_s(s), q)
+            d, c = f.min_degree, RPoly.zero()
+            if rng.random() < 0.5:
+                d, c = d - rng.randint(1, 3), rand_rpoly(rng, nonzero=True)
+                f = f + SPoly({d: c})
+            got = divide(f, s)
+            assert got == (q, d, c), (i, str(f), str(s))
+            got = got.quotient
+        assert_normalised(got)
+        seen["c = +-1" if s.is_unit() else "|c| > 1"] += 1
+    return seen
+
+
 def _rand_safety_row(rng: random.Random) -> RPoly:
     """A nonzero row for check_operands_unchanged: the constant 1, a unit,
     a one-term non-unit, a few terms, or a dense row on the Kronecker path."""
@@ -1048,17 +1116,21 @@ def check_operands_unchanged(cases: int, seed: int = SEED) -> Counter:
     the RPoly operators leave their operands as they were.
 
     Operands are drawn from two pools, of SPolys and of RPolys, which
-    start with y + s for unit and non-unit s, SPoly.one() and random
-    elements, and which every result joins, so results come back as
-    operands: a result that shares a dict with an operand, or a call
-    that writes a dict it only reads, shows up.  After each call every
+    start with y + s for unit and non-unit s, SPoly.one(), one-term rows
+    with coefficients of absolute value over 1 and random elements, and
+    which every result joins, so results come back as operands: a result
+    that shares a dict with an operand, or a call that writes a dict it
+    only reads, shows up.  After each call every
     operand equals the deep copy taken before it, and every result passes
     assert_normalised; at the end every value ever pooled equals the deep
     copy taken when it joined.  Returns how many calls each operation made.
     """
     rng = random.Random(seed)
-    spolys: List[SPoly] = [SPoly.one(), y_plus_s(RPoly.monomial(-1, -1)), y_plus_s(rand_rpoly(rng, nonzero=True))]
-    rpolys: List[RPoly] = [RPoly.one(), RPoly.monomial(2, -1)]
+    spolys: List[SPoly] = [
+        SPoly.one(), y_plus_s(RPoly.monomial(-1, -1)), y_plus_s(rand_rpoly(rng, nonzero=True)),
+        y_plus_s(RPoly.monomial(2, -3)), SPoly({1: RPoly.monomial(-1, 4), 0: RPoly.monomial(3, -7)}),
+    ]
+    rpolys: List[RPoly] = [RPoly.one(), RPoly.monomial(2, -1), RPoly.monomial(-3, 5)]
     pooled = []
 
     def join(*values) -> None:
@@ -1184,8 +1256,8 @@ def _dense_bits(rng: random.Random, terms: int, bits: int, shift: Optional[int] 
 
 
 def _rand_one_term(rng: random.Random) -> Dict[int, int]:
-    """A one-term operand; one in four is the constant 1, which the kernel
-    copies with dict(b) when it scales b into a fresh dict."""
+    """A one-term operand, as RPoly products by a unit hand the kernel;
+    one in four is the constant 1."""
     if rng.random() < 0.25:
         return {0: 1}
     coeff = rng.choice((1, -1, rng.randint(-9, 9) or 2, rng.randint(-(1 << 70), 1 << 70) or 3))

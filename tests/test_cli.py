@@ -475,3 +475,21 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys, command):
     assert run([command, flag, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# An input too large to compute on exits 2 with one error line, not 1,
+# which would read as a failed check.  The MemoryError is raised by a
+# patched condition (ii) quotient, division._degree_one_cofactor as
+# stafford_verdict reads it, so no real memory is exhausted.
+@pytest.mark.parametrize("text, message", [("", "error: out of memory"), ("no room", "error: no room")])
+def test_memory_error_exits_2(monkeypatch, capsys, text, message):
+    from kleinverify import verify
+
+    def exhausted(inst):
+        raise MemoryError(text) if text else MemoryError
+
+    monkeypatch.setattr(verify, "_degree_one_cofactor", exhausted)
+    assert run(["stafford", "--s", "x^2000000 + 1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]

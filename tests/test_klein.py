@@ -13,18 +13,20 @@ from kleinverify import (
     parse_word,
 )
 from kleinverify import FreeCombo, Presentation, boundary_data, boundary_matrices, fox_derivative
-from kleinverify import PolySyntaxError, y_plus_s
+from kleinverify import PolySyntaxError, divide, division, klein, y_plus_s
 
 from helpers import (
     SEED,
     Combo,
     check_boundary_data_matches_oracle,
     check_eval_homomorphism,
+    check_one_term_rows,
     check_operands_unchanged,
     check_parser_matches_oracle,
     check_spoly_dense_mul_matches_oracle,
     check_spoly_ring_axioms,
     check_sub_matches_add_neg,
+    counting,
     group_mul,
     normal_form_oracle,
     parse_spoly_oracle,
@@ -324,3 +326,27 @@ def test_boundary_data_foreign_generator():
 def test_operands_unchanged():
     ops = check_operands_unchanged(700)
     assert sum(ops.values()) == 700 and all(n >= 100 for n in ops.values()), ops
+
+
+def test_one_term_rows_against_oracle():
+    seen = check_one_term_rows(800)
+    assert seen["c = +-1"] >= 200 and seen["|c| > 1"] >= 200, seen
+    assert seen["odd p"] and seen["even p"], seen
+    assert seen["cancelled row, odd p"] and seen["cancelled row, even p"], seen
+
+
+def test_one_term_rows_make_no_kernel_call():
+    # y + s with a unit s has two one-term rows, so the product with a
+    # 50-row q and the division of that product by s make no call to
+    # laurent._mul_into, as klein and division each bind it; a two-term
+    # s sends each of its 50 row pairs and 50 division steps there.
+    rng = random.Random(SEED)
+    q = SPoly({m: rand_rpoly(rng, nonzero=True, max_terms=11, exp_range=(-8, 8)) for m in range(50)})
+    unit, two_terms = RPoly.monomial(-1, -1), RPoly({0: 1, 1: 1})
+    for s, calls in ((unit, 0), (two_terms, 50)):
+        with counting(klein, "_mul_into") as in_klein, counting(division, "_mul_into") as in_division:
+            f = y_plus_s(s) * q
+            res = divide(f, s)
+        assert in_klein == {"_mul_into": calls} and in_division == {"_mul_into": calls}, (str(s), in_klein, in_division)
+        assert res == (q, 0, RPoly.zero())
+        assert f == spoly_mul_oracle(y_plus_s(s), q)

@@ -292,7 +292,9 @@ def test_full_report_sigma_image_instance_reads_false():
     ring_flags_false_only(report)
     lines = report.to_text().splitlines()
     assert lines[2] == PAPER_TEXT.splitlines()[2]
-    assert lines[3] == "[FAIL] bezout_ok        unit combination: (-1-x^-1+x^-3)*alpha + (y - x)*beta = 1"
+    assert lines[3] == (
+        "[FAIL] bezout_ok        unit combination: not checked: the claim (r, s) = (-1 - x^-1 + x^-3, -x)"
+        " is not the instance read from the row factors, (x^3 - x - 1, -x^-1)")
     assert lines[8] == "NOT VERIFIED: at least one check failed"
 
 
@@ -428,9 +430,26 @@ def test_flag_descriptions_follow_instance():
     # the claimed instance is not the factors' one, so its checks read false
     ring_flags_false_only(report)
     lines = report.to_text().splitlines()
-    assert lines[3] == "[FAIL] bezout_ok        unit combination: (2*x^2+x-3)*alpha + (y + x^2)*beta = 1"
+    assert lines[3] == (
+        "[FAIL] bezout_ok        unit combination: not checked: the claim (r, s) = (2*x^2 + x - 3, x^2)"
+        " is not the instance read from the row factors, (x^3 - x - 1, -x^-1)")
     # the row factors are the forward certificates' shadows, whatever the instance
     assert lines[2] == PAPER_TEXT.splitlines()[2]
+    # every other flag line is the paper's, but for the marks of the false flags
+    paper = PAPER_TEXT.replace("[ok  ]", "[FAIL]").splitlines()
+    marked = report.to_text().replace("[ok  ]", "[FAIL]").splitlines()
+    assert [i for i in range(8) if marked[i] != paper[i]] == [3]
+    # a claim with no instance read to hold it to: a corrupted certificate
+    # leaves no row factors
+    cert1, cert2 = builtin.forward_certificates()
+    corrupted = ConjugacyCertificate(
+        cert1.target, (CertFactor(cert1.factors[0].conjugator, 0, -1), cert1.factors[1]), cert1.source)
+    report = full_report(instance=inst, forward_certs=[corrupted, cert2])
+    ring_flags_false_only(report, "pi1_ok", "factorization_ok")
+    assert report.to_text().splitlines()[3] == (
+        "[FAIL] bezout_ok        unit combination: not checked: the claim (r, s) = (2*x^2 + x - 3, x^2)"
+        " has no instance read from the row factors to match")
+    assert (report.inputs["r"], report.inputs["s"]) == ("2*x^2 + x - 3", "x^2")
 
 
 def test_full_report_checks_bezout_once(monkeypatch):

@@ -1,7 +1,7 @@
 """Mutation gate: the tier-1 suite must fail on each of a table of small,
 deliberate faults in the library.
 
-    python tests/mutants.py [--timeout SECONDS]
+    python tests/mutants.py
 
 Each entry of MUTANTS is (name, file, exact old text, new text).  For
 each, src, tests, README.md and pyproject.toml are copied to a fresh
@@ -12,14 +12,13 @@ PYTHONPATH at its src.  The checkout itself is never written.
 First the unedited copy runs the whole suite, which must pass and must
 import kleinverify from the copy; otherwise no verdict on a mutant
 means anything.  Then a mutant is killed when the suite fails or runs
-past the timeout, and survives when it passes.  The gate exits 1 when
+past TIMEOUT seconds, and survives when it passes.  The gate exits 1 when
 an anchor text does not occur exactly once in its file, when the
 unedited copy fails, or when any mutant survives; else 0.  Stdlib only.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -31,6 +30,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
 PYTEST = ("-X", "dev", "-W", "error", "-m", "pytest", "-q", "-p", "no:cacheprovider")
+# Seconds per suite run.  The unedited suite takes about 20 s; nine runs
+# (the import check, the unedited suite and seven mutants) at this bound
+# stay under the CI job's 20 minutes.
+TIMEOUT = 120
 
 MUTANTS = (
     (
@@ -104,36 +107,36 @@ def _copy(dest: Path) -> None:
             shutil.copy2(src, dest / part)
 
 
-def _run(copy: Path, args: tuple[str, ...], timeout: float) -> subprocess.CompletedProcess | None:
+def _run(copy: Path, args: tuple[str, ...]) -> subprocess.CompletedProcess | None:
     """args run by this interpreter in copy, with PYTHONPATH at its src;
-    None when the run passes the timeout."""
+    None when the run passes TIMEOUT."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     try:
         return subprocess.run(
-            [sys.executable, *args], cwd=copy, env=env, capture_output=True, text=True, timeout=timeout
+            [sys.executable, *args], cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT
         )
     except subprocess.TimeoutExpired:
         return None
 
 
-def baseline_error(timeout: float) -> str | None:
+def baseline_error() -> str | None:
     """Why the unedited copy cannot judge mutants, or None when it passes
     the whole suite with kleinverify imported from the copy."""
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
         _copy(copy)
-        where = _run(copy, ("-c", "import kleinverify; print(kleinverify.__file__)"), timeout)
+        where = _run(copy, ("-c", "import kleinverify; print(kleinverify.__file__)"))
         if where is None or where.returncode or not Path(where.stdout.strip()).is_relative_to(copy):
             return f"kleinverify is not imported from the copy: {where and (where.stdout + where.stderr)}"
-        result = _run(copy, PYTEST, timeout)
+        result = _run(copy, PYTEST)
         if result is None:
-            return f"the unedited suite ran past {timeout} s"
+            return f"the unedited suite ran past {TIMEOUT} s"
         if result.returncode:
             return "the unedited suite fails:\n" + result.stdout[-2000:]
     return None
 
 
-def run_mutant(file: str, old: str, new: str, timeout: float) -> str:
+def run_mutant(file: str, old: str, new: str) -> str:
     """'killed', 'killed (timeout)' or 'SURVIVED' for the copy with old
     replaced by new in file."""
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
@@ -141,22 +144,19 @@ def run_mutant(file: str, old: str, new: str, timeout: float) -> str:
         _copy(copy)
         target = copy / file
         target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
-        result = _run(copy, (*PYTEST, "-x"), timeout)
+        result = _run(copy, (*PYTEST, "-x"))
     if result is None:
         return "killed (timeout)"
     return "killed" if result.returncode else "SURVIVED"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per suite run (default 600)")
-    timeout = parser.parse_args(argv).timeout
+def main() -> int:
     errors = anchor_errors()
     for line in errors:
         print(f"anchor: {line}")
     if errors:
         return 1
-    error = baseline_error(timeout)
+    error = baseline_error()
     if error:
         print(f"baseline: {error}")
         return 1
@@ -164,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     survivors = 0
     for name, file, old, new in MUTANTS:
         start = time.perf_counter()
-        verdict = run_mutant(file, old, new, timeout)
+        verdict = run_mutant(file, old, new)
         survivors += verdict == "SURVIVED"
         print(f"{verdict:<17} {time.perf_counter() - start:6.1f} s  {name}")
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")

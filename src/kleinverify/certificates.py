@@ -9,7 +9,8 @@ Each factor also has a chain-level shadow: once the relators bound disks,
 the factor (w, j, e) moves disk j by the group image of w^-1 with sign e,
 which is where the boundary factorization identities come from.  When w
 maps to y^m x^n, w^-1 maps to y^-m x^(-(-1)^m n), and the terms are summed
-in one coefficient dict per (relator, y-degree): no per-factor Word or SPoly.
+in one coefficient dict per (relator, y-degree), made by the first term
+that reaches it: no per-factor Word, SPoly or empty dict.
 
 Checking stays in the free-group layer, so importing this module loads
 no ring code: boundary_factor and _row_factors import klein when they
@@ -66,18 +67,23 @@ def expand_certificate(src: Presentation, cert: ConjugacyCertificate) -> Word:
     Each relator piece is range-checked and inverted at most once per call.
     """
     letters: list[tuple[str, int]] = []
+    append = letters.append
     pieces: dict[tuple[int, int], tuple[tuple[str, int], ...]] = {}
     for f in cert.factors:
         key = (f.relator, f.sign)
-        if key not in pieces:
+        piece = pieces.get(key)
+        if piece is None:
             if not 0 <= f.relator < len(src.relators):
                 raise IndexError(f"relator index {f.relator} out of range")
             rel = src.relators[f.relator]
-            pieces[key] = (rel if f.sign == 1 else ~rel).letters
-        w = f.conjugator.letters
+            piece = pieces[key] = (rel if f.sign == 1 else ~rel)._letters
+        w = f.conjugator._letters
         letters += w
-        letters += pieces[key]
-        letters += [(name, -exp) for name, exp in reversed(w)]
+        letters += piece
+        # A plain loop: conjugators are a few letters long, and on CPython
+        # 3.11 a comprehension is a function call that costs more than that.
+        for name, exp in reversed(w):
+            append((name, -exp))
     return Word._of_reduced(_reduced(letters))
 
 
@@ -107,9 +113,14 @@ def boundary_factor(src: Presentation, cert: ConjugacyCertificate) -> dict[int, 
         except ValueError:
             eval_word(~f.conjugator)  # raise naming the foreign letter ~w meets first
             raise
-        row = shadow.setdefault(f.relator, {}).setdefault(-m, {})
         e = n if m % 2 else -n
-        row[e] = row.get(e, 0) + f.sign
+        rows = shadow.get(f.relator)
+        if rows is None:
+            shadow[f.relator] = {-m: {e: f.sign}}
+        elif (row := rows.get(-m)) is None:
+            rows[-m] = {e: f.sign}
+        else:
+            row[e] = row.get(e, 0) + f.sign
     return {j: _spoly(rows) for j, rows in shadow.items()}
 
 

@@ -9,9 +9,10 @@ coefficient therefore applies sigma, which is exactly the group relation
 y^-1 x y = x^-1.
 
 The verification path gets its boundary data from boundary_data, which
-evaluates Fox derivatives straight into S in one pass per relator.
-eval_combo evaluates a FreeCombo term by term into one dict per y-degree;
-with presentations.boundary_matrices it is the slower reference the tests
+evaluates Fox derivatives straight into S in one pass per relator, one
+coefficient update per letter x^+-1 or y^+-1.  eval_combo evaluates a
+FreeCombo term by term into one dict per y-degree; with
+presentations.boundary_matrices it is the slower reference the tests
 hold boundary_data to.  eval_word returns the normal form as the pair
 (m, n), applying the group law letter by letter.  SPoly products sum every
 row pair into one coefficient dict per y-degree and wrap each row once,
@@ -42,7 +43,7 @@ def eval_word(w: Word) -> tuple[int, int]:
     odd.
     """
     m = n = 0
-    for name, exp in w.letters:
+    for name, exp in w._letters:
         if name == "x":
             n += exp
         elif name == "y":
@@ -254,8 +255,12 @@ def boundary_data(p: Presentation) -> tuple[list[list[SPoly]], list[SPoly]]:
     form y^m x^n, and the letter g^k adds to the row of g the evaluated,
     anti-involuted Fox terms  +(prefix g^i)^-1 for 0 <= i < k, or
     -(prefix g^i)^-1 for k <= i < 0  (R. H. Fox, Free differential
-    calculus I, Ann. of Math. 57, 1953).  Coefficients collect in one dict
-    per row, keyed by y-degree and then x-exponent.
+    calculus I, Ann. of Math. 57, 1953).  With t = -(-1)^m and u = t*n,
+    term i is y^-m x^(u + t*i) for g = x and y^-(m+i) x^u for g = y.
+    Coefficients collect in one dict per row, keyed by y-degree and then
+    x-exponent.  A letter g^+-1, most of a relator's letters, has the one
+    term i = k >> 1 (0 or -1) and is one dict update; only a run g^k with
+    |k| > 1 loops over its terms.
     """
     from .words import Word
 
@@ -273,30 +278,40 @@ def boundary_data(p: Presentation) -> tuple[list[list[SPoly]], list[SPoly]]:
     d2 = []
     for rel in p.relators:
         rows: dict[str, dict[int, dict[int, int]]] = {g: {} for g in gens}
-        m = n = 0
-        for name, k in rel.letters:
+        # The prefix y^m x^n is kept as m, t and u.  x^k adds t*k to u;
+        # y^k adds k to m and, for odd k, negates t and n, so u stays.
+        m, t, u = 0, -1, 0
+        for name, k in rel._letters:
             acc = rows[name]
+            if k == 1 or k == -1:
+                i = k >> 1
+                if name == "x":
+                    d, e = m, u + t * i
+                    u += t * k
+                else:
+                    d, e = m + i, u
+                    m += k
+                    t = -t
+                row = acc.get(-d)
+                if row is None:
+                    acc[-d] = {e: k}
+                else:
+                    row[e] = row.get(e, 0) + k
+                continue
             c, steps = (1, range(k)) if k > 0 else (-1, range(k, 0))
             if name == "x":
-                # (y^m x^(n+i))^-1 = y^-m x^-(n+i) for even m, y^-m x^(n+i) for odd m
                 row = acc.setdefault(-m, {})
-                sign = -1 if m % 2 == 0 else 1
                 for i in steps:
-                    e = sign * (n + i)
+                    e = u + t * i
                     row[e] = row.get(e, 0) + c
-                n += k
+                u += t * k
             else:
-                # prefix y^i = y^(m+i) x^((-1)^i n); invert that normal form
                 for i in steps:
-                    d = m + i
-                    e = n if i % 2 == 0 else -n
-                    if d % 2 == 0:
-                        e = -e
-                    row = acc.setdefault(-d, {})
-                    row[e] = row.get(e, 0) + c
+                    row = acc.setdefault(-m - i, {})
+                    row[u] = row.get(u, 0) + c
                 m += k
                 if k % 2:
-                    n = -n
+                    t = -t
         d2.append([
             _spoly(rows[g]) for g in gens
         ])

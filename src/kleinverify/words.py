@@ -43,17 +43,23 @@ class WordSyntaxError(ValueError):
 
 
 def _reduced(letters: Iterable[Letter]) -> tuple[Letter, ...]:
+    # One stack pass.  top is the generator of stack[-1] (None on an empty
+    # stack), so a letter costs one comparison and a push: a tuple letter
+    # is pushed as it is, and only a merge or a list-shaped letter builds
+    # a tuple.  A zero exponent is dropped, or merges as a no-op.
     stack: list[Letter] = []
-    for name, exp in letters:
-        if exp == 0:
-            continue
-        if stack and stack[-1][0] == name:
-            merged = stack[-1][1] + exp
-            stack.pop()
+    top = None
+    for letter in letters:
+        name, exp = letter
+        if name == top:
+            merged = stack.pop()[1] + exp
             if merged:
                 stack.append((name, merged))
-        else:
-            stack.append((name, exp))
+            else:
+                top = stack[-1][0] if stack else None
+        elif exp:
+            stack.append(letter if type(letter) is tuple else (name, exp))
+            top = name
     return tuple(stack)
 
 

@@ -619,6 +619,23 @@ def counting(owner, *names: str) -> Iterator[Dict[str, int]]:
             setattr(owner, name, fn)
 
 
+def reduce_oracle(letters) -> Tuple[Tuple[str, int], ...]:
+    """Free reduction by local rewriting, without Word: drop a zero
+    exponent or merge two neighbours on one generator, stepping back one
+    place after each rewrite, until no rule applies."""
+    out = [(name, exp) for name, exp in letters]
+    i = 0
+    while i < len(out):
+        if out[i][1] == 0:
+            del out[i]
+            i = max(i - 1, 0)
+        elif i + 1 < len(out) and out[i][0] == out[i + 1][0]:
+            out[i : i + 2] = [(out[i][0], out[i][1] + out[i + 1][1])]
+        else:
+            i += 1
+    return tuple(out)
+
+
 def fold_mul(u: Word, v: Word) -> Word:
     """u * v by reducing the whole concatenation again."""
     return Word(u.letters + v.letters)
@@ -689,7 +706,12 @@ def check_free_group_axioms(cases: int, seed: int = SEED) -> None:
 
 
 def check_reduction_canonical(cases: int, seed: int = SEED) -> None:
+    """Word(letters) against reduce_oracle, on a random word spelt out in
+    unit letters with cancelling pairs, cancelling blocks u u^-1 (a full
+    cancel that exposes an earlier letter on the same generator) and zero
+    exponents inserted; the letters go in as tuples and as lists."""
     rng = random.Random(seed)
+    seen: Counter = Counter()
     for _ in range(cases):
         w = rand_word(rng)
         letters = [
@@ -702,7 +724,21 @@ def check_reduction_canonical(cases: int, seed: int = SEED) -> None:
             g = rng.choice(("x", "y"))
             ex = rng.choice((1, -1))
             letters[pos:pos] = [(g, ex), (g, -ex)]
-        assert Word(letters) == w
+        u = rand_word(rng, max_runs=3).letters
+        pos = rng.randint(0, len(letters))
+        letters[pos:pos] = [*u, *((g, -e) for g, e in reversed(u))]
+        seen["block between one generator's letters"] += (
+            bool(u) and 0 < pos < len(letters) - 2 * len(u)
+            and letters[pos - 1][0] == letters[pos + 2 * len(u)][0]
+        )
+        for _ in range(rng.randint(0, 3)):
+            letters.insert(rng.randint(0, len(letters)), (rng.choice(("x", "y")), 0))
+        got = Word(letters)
+        assert got == w and got.letters == reduce_oracle(letters), letters
+        from_lists = Word([list(letter) for letter in letters])
+        assert from_lists == w and all(type(letter) is tuple for letter in from_lists.letters)
+        seen["zero exponent"] += any(e == 0 for _, e in letters)
+    assert min(seen.values()) >= cases // 10, seen
 
 
 def check_rpoly_ring_axioms(cases: int, seed: int = SEED) -> None:
@@ -1597,7 +1633,8 @@ def check_word_mul_matches_fold(cases: int, seed: int = SEED) -> None:
 
 def check_word_pow_matches_fold(cases: int, seed: int = SEED) -> None:
     """One-pass powers against the fold, on conjugates u c u^-1 whose
-    powers cancel inside, and on inverses."""
+    powers cancel inside, and on inverses; then long words and their
+    conjugates against reduce_oracle."""
     rng = random.Random(seed)
     for i in range(cases):
         c, u = rand_word(rng, max_runs=4), rand_word(rng, max_runs=3)
@@ -1606,6 +1643,14 @@ def check_word_pow_matches_fold(cases: int, seed: int = SEED) -> None:
         assert w ** n == fold_pow(w, n)
         assert (~w) ** abs(n) == fold_pow(w, -abs(n))
         assert (w * ~w) ** n == Word()
+    # Words of a few hundred letters, against reduce_oracle of n copies.
+    for i in range(cases // 15):
+        c = rand_word(rng, max_runs=rng.randint(100, 300))
+        u = rand_word(rng, max_runs=40)
+        w = c if i % 2 else u * c * ~u
+        n = rng.choice((-3, -2, 2, 3, 5))
+        base = w.letters if n > 0 else (~w).letters
+        assert (w ** n).letters == reduce_oracle(base * abs(n))
 
 
 def _rand_presentation(rng: random.Random, i: int) -> Presentation:
@@ -1619,8 +1664,30 @@ def _rand_presentation(rng: random.Random, i: int) -> Presentation:
     return Presentation(gens, tuple(relators))
 
 
+def rand_conjugate_product(rng: random.Random, count: int) -> Tuple[Word, Counter]:
+    """A product of COUNT conjugates w R^+-1 w^-1 of P's relator R, shaped
+    as the benchmark's long relators: each conjugator is 1 to 3 letters
+    with exponent +-1 on alternating generators.  Also returns how many
+    conjugators have an even and an odd y-exponent sum."""
+    base = builtin.presentation_p().relators[0]
+    out, parities = Word(), Counter()
+    for _ in range(count):
+        g = rng.choice(("x", "y"))
+        letters = []
+        for _ in range(rng.randint(1, 3)):
+            letters.append((g, rng.choice((1, -1))))
+            g = "y" if g == "x" else "x"
+        w = Word(letters)
+        parities["odd y" if eval_word(w)[0] % 2 else "even y"] += 1
+        out = out * (w * (base if rng.random() < 0.5 else ~base) * ~w)
+    return out, parities
+
+
 def check_boundary_data_matches_oracle(cases: int, long_cases: int = 3, seed: int = SEED) -> None:
-    """klein.boundary_data against boundary_matrices(p, eval_combo)."""
+    """klein.boundary_data against boundary_matrices(p, eval_combo): random
+    presentations, long random relators, and relators shaped as the
+    benchmark's long ones (products of 40 to 60 conjugates of P's relator,
+    mostly letters x^+-1 and y^+-1, at prefixes of both y-parities)."""
     rng = random.Random(seed)
     for i in range(cases):
         p = _rand_presentation(rng, i)
@@ -1628,6 +1695,14 @@ def check_boundary_data_matches_oracle(cases: int, long_cases: int = 3, seed: in
     for _ in range(long_cases):
         # several hundred letters: runs of up to 3 letters each
         p = Presentation(("x", "y"), (rand_word(rng, max_runs=rng.randint(150, 200)),))
+        assert boundary_data(p) == boundary_matrices(p, eval_combo)
+    for _ in range(long_cases):
+        rels = [rand_conjugate_product(rng, rng.randint(40, 60)) for _ in range(2)]
+        for _, parities in rels:
+            assert min(parities["odd y"], parities["even y"]) >= 5, parities
+        letters = [letter for w, _ in rels for letter in w.letters]
+        assert 2 * sum(abs(e) == 1 for _, e in letters) > len(letters)
+        p = Presentation(("x", "y"), (builtin.presentation_p().relators[0], *(w for w, _ in rels)))
         assert boundary_data(p) == boundary_matrices(p, eval_combo)
 
 

@@ -30,10 +30,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
 PYTEST = ("-X", "dev", "-W", "error", "-m", "pytest", "-q", "-p", "no:cacheprovider")
-# Seconds per suite run.  The unedited suite takes about 20 s; nine runs
-# (the import check, the unedited suite and seven mutants) at this bound
-# stay under the CI job's 20 minutes.
-TIMEOUT = 120
+# Seconds per suite run.  The unedited suite takes about 20 s; fourteen
+# runs (the import check, the unedited suite and twelve mutants) at this
+# bound stay under the CI job's 20 minutes.
+TIMEOUT = 80
 
 MUTANTS = (
     (
@@ -77,6 +77,36 @@ MUTANTS = (
         "src/kleinverify/verify.py",
         "== r * (alpha * ys)",
         "== r * (ys * alpha)",
+    ),
+    (
+        "boundary_data's x^-1 term at x-exponent u + t, not u - t",
+        "src/kleinverify/klein.py",
+        "d, e = m, u + t * i",
+        "d, e = m, u - t * i",
+    ),
+    (
+        "boundary_data's y^-1 term in row -(m+1), not -(m-1)",
+        "src/kleinverify/klein.py",
+        "d, e = m + i, u",
+        "d, e = m - i, u",
+    ),
+    (
+        "boundary_data adding +1, not -1, for a letter x^-1 or y^-1 in a row it has met",
+        "src/kleinverify/klein.py",
+        "row[e] = row.get(e, 0) + k",
+        "row[e] = row.get(e, 0) + abs(k)",
+    ),
+    (
+        "_reduced forgetting the top generator after a full cancel",
+        "src/kleinverify/words.py",
+        "top = stack[-1][0] if stack else None",
+        "top = None",
+    ),
+    (
+        "_reduced storing a list-shaped letter as it is",
+        "src/kleinverify/words.py",
+        "stack.append(letter if type(letter) is tuple else (name, exp))",
+        "stack.append(letter)",
     ),
 )
 

@@ -80,7 +80,23 @@ def test_conjugate_matches_definition():
 
 
 def test_reduction_is_canonical():
-    check_reduction_canonical(300)
+    check_reduction_canonical(600)
+
+
+def test_reduction_merges_across_a_full_cancel():
+    # y y^-1 cancels wholly; the x on either side then merge into x^2.
+    assert Word([("x", 1), ("y", 1), ("y", -1), ("x", 1)]).letters == (("x", 2),)
+    assert Word([("x", 2), ("y", 3), ("x", 1), ("x", -1), ("y", -3), ("x", -2)]).is_identity()
+    assert Word([("y", 1), ("x", 2), ("y", -2), ("y", 2), ("x", -2), ("y", 1)]).letters == (("y", 2),)
+
+
+def test_reduction_stores_tuples_and_drops_zero_exponents():
+    w = Word([["x", 1], ["y", 0], ["y", -2], ("x", 0), ["x", 3]])
+    assert w.letters == (("x", 1), ("y", -2), ("x", 3))
+    assert all(type(letter) is tuple for letter in w.letters)
+    assert Word([("x", 0), ("y", 0)]).letters == ()
+    # a zero exponent between two letters on one generator: they merge
+    assert Word([("x", 2), ("y", 0), ("x", -1)]).letters == (("x", 1),)
 
 
 def test_group_axioms():

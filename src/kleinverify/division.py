@@ -20,9 +20,11 @@ When s has one term, the step does it inline: one loop writes
 coefficient that cancels, so no kernel is called and no zero is left to
 scan for.  Otherwise the kernel laurent._mul_into adds the product into a
 copy of the row below; the coefficient domain is Z[x, x^-1].  The walk
-reads f's rows and never copies or writes them; a popped row becomes a
-quotient row as it is, and the quotient and the remainder are wrapped
-once at the end.
+holds the rows as SPoly keeps them, plain coefficient dicts: it reads
+f's rows and never copies or writes them (they may be shared with RPolys
+and other SPolys), and it writes only the dicts its steps create.  A
+popped row becomes a quotient row as it is, so no row is wrapped; the
+one RPoly built is the remainder.
 
 V holds two elements in closed form, each with the quotient q that puts
 r*v in the ideal, so one product r*v == (y + s)*q checks its membership,
@@ -38,10 +40,11 @@ commutative; the last because y^2 is central and
 c exists, that is whether r divides s*sigma(r); stafford_verdict asks it
 once, through _degree_one_cofactor, and hands c to the monic element.
 
-Each element and its quotient are wrapped by SPoly._of_rows, with no
-row checked or filtered again: every row is 1, r, s (which
-StaffordInstance checks are nonzero RPolys), a sigma of one, the nonzero
-cofactor c, or a product of these, and the coefficient ring is a domain.
+Each element and its quotient are built by SPoly._of_rows from the
+dicts of RPolys, with no row checked or filtered again: every row is 1,
+r, s (which StaffordInstance checks are nonzero RPolys), a sigma of one,
+the nonzero cofactor c, or a product of these, and the coefficient ring
+is a domain.
 The signs of -s*sigma(s) and -sigma(s)*r are carried by the one factor
 -sigma(s), so no product is negated.  The two sides of the check,
 y + s and r, are built by y_plus_s and SPoly.from_rpoly.
@@ -80,7 +83,7 @@ class StaffordInstance:
             for ys, r in (factors, factors[::-1]):
                 ys_rows, r_rows = ys._rows, r._rows
                 if ys_rows.keys() == {0, 1} and ys_rows[1] == _ONE and r_rows.keys() == {0}:
-                    return cls(r_rows[0], ys_rows[0])
+                    return cls(RPoly._of_nonzero(r_rows[0]), RPoly._of_nonzero(ys_rows[0]))
         raise ValueError("row factors are not y + s and r")
 
 
@@ -88,14 +91,15 @@ class StaffordInstance:
 DivisionResult = namedtuple("DivisionResult", "quotient rem_degree remainder")
 
 
-# The constant 1 of Z[x, x^-1], the y-row of every y + s.
-_ONE = RPoly.one()
+# The constant 1 of Z[x, x^-1] as a row, the y-row of every y + s: shared
+# by each of them, and never written, as no row is.
+_ONE = {0: 1}
 
 
 def y_plus_s(s: RPoly) -> SPoly:
     """y + s, with s checked as SPoly(...) checks a row; a zero s is dropped."""
     _check_row(0, s)
-    return SPoly._of_rows({1: _ONE, 0: s} if s._coeffs else {1: _ONE})
+    return SPoly._of_rows({1: _ONE, 0: s._coeffs} if s._coeffs else {1: _ONE})
 
 
 def divide(f: SPoly, s: RPoly) -> DivisionResult:
@@ -104,11 +108,12 @@ def divide(f: SPoly, s: RPoly) -> DivisionResult:
     For f = 0 all three parts are zero; otherwise rem_degree is the
     minimal y-degree of f.  The walk holds raw coefficient dicts, f's
     own, which it only reads, and the fresh rows its steps write (see the
-    module docstring); zeros are dropped by laurent's C-level scan.
+    module docstring); a several-term step's zeros are dropped by
+    laurent's C-level scan.
     """
     if f.is_zero():
         return DivisionResult(SPoly.zero(), 0, RPoly.zero())
-    rows = {m: a._coeffs for m, a in f._rows.items()}
+    rows = dict(f._rows)
     keys = sorted(rows)
     d, top, i = keys[0], keys[-1], len(keys) - 1
     q_rows = {}
@@ -129,7 +134,8 @@ def divide(f: SPoly, s: RPoly) -> DivisionResult:
         below = rows.get(top)
         if one_term:
             # -sigma^top(s) * c into a fresh dict, then f's row below added
-            # in place, each coefficient that cancels deleted.
+            # into it, each coefficient that cancels deleted; below is
+            # only read.
             x = -s_exp if top % 2 else s_exp
             row = {}
             for e, v in c.items():
@@ -154,7 +160,7 @@ def divide(f: SPoly, s: RPoly) -> DivisionResult:
                 top = keys[i]
     rem = rows.get(d)
     return DivisionResult(
-        SPoly._of_rows({m: RPoly._of_nonzero(c) for m, c in q_rows.items()}),
+        SPoly._of_rows(q_rows),
         d,
         RPoly._of_nonzero(rem) if rem else RPoly.zero(),
     )
@@ -184,18 +190,24 @@ def _monic(inst: StaffordInstance, cofactor: RPoly | None) -> tuple[SPoly, SPoly
     """The monic element of V and its quotient (see the module docstring):
     y + cofactor when r divides s*sigma(r), else y^2 - s*sigma(s)."""
     if cofactor is not None:
-        return SPoly._of_rows({1: _ONE, 0: cofactor}), SPoly._of_rows({0: inst.r.sigma()})
+        return (
+            SPoly._of_rows({1: _ONE, 0: cofactor._coeffs}),
+            SPoly._of_rows({0: inst.r.sigma()._coeffs}),
+        )
     minus_s_bar = -inst.s.sigma()
     return (
-        SPoly._of_rows({2: _ONE, 0: inst.s * minus_s_bar}),
-        SPoly._of_rows({1: inst.r, 0: minus_s_bar * inst.r}),
+        SPoly._of_rows({2: _ONE, 0: (inst.s * minus_s_bar)._coeffs}),
+        SPoly._of_rows({1: inst.r._coeffs, 0: (minus_s_bar * inst.r)._coeffs}),
     )
 
 
 def _checked_witnesses(inst: StaffordInstance, cofactor: RPoly | None) -> tuple[SPoly, SPoly]:
     """witnesses, given cofactor = _degree_one_cofactor(inst)."""
     r, r_bar = inst.r, inst.r.sigma()
-    degree_one = SPoly._of_rows({1: r, 0: inst.s * r_bar}), SPoly._of_rows({0: r * r_bar})
+    degree_one = (
+        SPoly._of_rows({1: r._coeffs, 0: (inst.s * r_bar)._coeffs}),
+        SPoly._of_rows({0: (r * r_bar)._coeffs}),
+    )
     pairs = degree_one, _monic(inst, cofactor)
     ys, left = y_plus_s(inst.s), SPoly.from_rpoly(r)
     for v, q in pairs:

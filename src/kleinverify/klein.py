@@ -14,20 +14,30 @@ coefficient update per letter x^+-1 or y^+-1.  eval_combo evaluates a
 FreeCombo term by term into one dict per y-degree; with
 presentations.boundary_matrices it is the slower reference the tests
 hold boundary_data to.  eval_word returns the normal form as the pair
-(m, n), applying the group law letter by letter.  SPoly products sum every
-row pair into one coefficient dict per y-degree and wrap each row once,
-with no copy; _mul_rows_into, their kernel, also sums several products
-into one set of rows.  It multiplies a one-term row (of y + s, say)
-inline, one loop over the other row and no call per row, and hands every
-other pair to laurent._mul_into.  A difference is built in one pass, as
-a sum is, with no negated copy of the subtrahend.  The public SPoly(...)
-and SPoly.from_rpoly check each y-degree and row; the library's own rows
-are wrapped by SPoly._of_rows with no check.
+(m, n), applying the group law letter by letter.
+
+An SPoly keeps each row a_m as a plain zero-free coefficient dict,
+exponent to int, the dict an RPoly holds, with no RPoly around it.  An
+RPoly appears only at the public edges: SPoly(...) and SPoly.from_rpoly
+check each y-degree and row and keep the RPoly's dict, row() and rows()
+wrap a row on read, and division.StaffordInstance.from_factors wraps r
+and s.  The library's own rows are taken by SPoly._of_rows with no check.
+
+Rows are shared with RPolys and between SPolys, not copied, so the
+invariant is: a row dict reachable from an RPoly or an SPoly is
+never written; a walk writes only dicts it created.  SPoly products sum
+every row pair into one coefficient dict per y-degree and keep each row
+as it is, with no copy and no wrap; _mul_rows_into, their kernel, also
+sums several products into one set of rows.  It multiplies a one-term
+row (of y + s, say) inline, one loop over the other row and no call per
+row, and hands every other pair to laurent._mul_into.  A sum or a
+difference is built in one pass into fresh dicts, with no negated copy of
+the subtrahend, and equality is one C-level comparison of the dicts.
 """
 
 from __future__ import annotations
 
-from .laurent import RPoly, _mul_into, _nonzero
+from .laurent import RPoly, _mul_into
 
 # FreeCombo and Presentation appear only in annotations, which are never
 # evaluated, and boundary_data imports Word itself, so the ring alone loads
@@ -56,7 +66,13 @@ def eval_word(w: Word) -> tuple[int, int]:
 
 
 class SPoly:
-    """Element of the twisted Laurent ring in normal form sum_m y^m * a_m(x)."""
+    """Element of the twisted Laurent ring in normal form sum_m y^m * a_m(x).
+
+    _rows maps each y-degree m to a_m as its zero-free coefficient dict,
+    exponent to int, with no RPoly around it and no empty row.  A row dict
+    may be shared with an RPoly or another SPoly, so it is never written
+    once it is reachable from either (see the module docstring).
+    """
 
     __slots__ = ("_rows",)
 
@@ -64,12 +80,13 @@ class SPoly:
         rows = rows or {}
         for m, a in rows.items():
             _check_row(m, a)
-        self._rows = {m: a for m, a in rows.items() if a._coeffs}
+        self._rows = {m: a._coeffs for m, a in rows.items() if a._coeffs}
 
     @classmethod
-    def _of_rows(cls, rows: dict[int, RPoly]) -> "SPoly":
-        """Wrap rows, nonzero RPolys in a dict that the library built and
-        that nothing writes again, without filtering or copying it."""
+    def _of_rows(cls, rows: dict[int, dict[int, int]]) -> "SPoly":
+        """Wrap rows, zero-free nonempty coefficient dicts in a dict that
+        the library built and that nothing writes again, without filtering
+        or copying it."""
         f = object.__new__(cls)
         f._rows = rows
         return f
@@ -80,20 +97,20 @@ class SPoly:
 
     @classmethod
     def one(cls) -> "SPoly":
-        return cls._of_rows({0: RPoly.one()})
+        return cls._of_rows({0: {0: 1}})
 
     @classmethod
     def from_rpoly(cls, a: RPoly, degree: int = 0) -> "SPoly":
         """y^degree * a, checked as SPoly(...) checks a row, a zero a dropped."""
         _check_row(degree, a)
-        return cls._of_rows({degree: a} if a._coeffs else {})
+        return cls._of_rows({degree: a._coeffs} if a._coeffs else {})
 
     def rows(self) -> list[tuple[int, RPoly]]:
         """(y-degree, coefficient) pairs in descending degree order."""
-        return sorted(self._rows.items(), reverse=True)
+        return [(m, RPoly._of_nonzero(a)) for m, a in sorted(self._rows.items(), reverse=True)]
 
     def row(self, m: int) -> RPoly:
-        return self._rows.get(m, RPoly.zero())
+        return RPoly._of_nonzero(self._rows.get(m) or {})
 
     def is_zero(self) -> bool:
         return not self._rows
@@ -120,32 +137,16 @@ class SPoly:
         return isinstance(other, SPoly) and self._rows == other._rows
 
     def __add__(self, other: "SPoly") -> "SPoly":
-        out = dict(self._rows)
-        for m, b in other._rows.items():
-            if m not in out:
-                out[m] = b
-            elif total := out[m] + b:
-                out[m] = total
-            else:
-                del out[m]
-        return SPoly._of_rows(out)
+        return SPoly._of_rows(_sum_rows(self._rows, other._rows, 1))
 
     def __neg__(self) -> "SPoly":
-        return SPoly._of_rows({m: -a for m, a in self._rows.items()})
+        return SPoly._of_rows({m: {e: -c for e, c in a.items()} for m, a in self._rows.items()})
 
     def __sub__(self, other: "SPoly") -> "SPoly":
-        """self - other in one pass over other's rows into a copy of
-        self's, as __add__ sums: only a row that self lacks is negated,
-        and no negated copy of other is built."""
-        out = dict(self._rows)
-        for m, b in other._rows.items():
-            if m not in out:
-                out[m] = -b
-            elif diff := out[m] - b:
-                out[m] = diff
-            else:
-                del out[m]
-        return SPoly._of_rows(out)
+        """self - other in one pass over other's rows, as __add__ sums:
+        only a row that self lacks is negated, and no negated copy of
+        other is built."""
+        return SPoly._of_rows(_sum_rows(self._rows, other._rows, -1))
 
     def __mul__(self, other: "SPoly") -> "SPoly":
         """(y^m a)(y^p b) = y^(m+p) sigma^p(a) b; see _mul_rows_into."""
@@ -167,16 +168,46 @@ class SPoly:
         return f"SPoly({str(self)!r})"
 
 
+def _sum_rows(
+    f: dict[int, dict[int, int]], g: dict[int, dict[int, int]], sign: int
+) -> dict[int, dict[int, int]]:
+    """The rows of f + sign*g, for sign 1 or -1, in a copy of f's dict of
+    rows.  A row only f has is kept as it is, and a row only g has is
+    kept (sign 1) or negated into a fresh dict.  A row both have is summed
+    into a fresh dict, each coefficient that cancels deleted, and dropped
+    when it cancels whole.  No row of f or g is written."""
+    out = dict(f)
+    for m, b in g.items():
+        a = out.get(m)
+        if a is None:
+            out[m] = b if sign == 1 else {e: -c for e, c in b.items()}
+            continue
+        row = dict(a)
+        get = row.get
+        for e, c in b.items():
+            v = get(e, 0) + sign * c
+            if v:
+                row[e] = v
+            else:
+                del row[e]
+        if row:
+            out[m] = row
+        else:
+            del out[m]
+    return out
+
+
 def _mul_rows_into(
-    out: dict[int, dict[int, int]], f: dict[int, RPoly], g: dict[int, RPoly]
+    out: dict[int, dict[int, int]], f: dict[int, dict[int, int]], g: dict[int, dict[int, int]]
 ) -> dict[int, dict[int, int]]:
     """Add the product of the rows f and g into out, one coefficient dict
     per y-degree, and return out: (y^m a)(y^p b) = y^(m+p) sigma^p(a) b,
     where sigma is the flip x -> x^-1.
 
     The kernel of SPoly products, and of a sum of products built with no
-    SPoly per term.  out holds only dicts this kernel wrote, never one an
-    RPoly holds.  A one-term a = c*x^e (a row of y + s, say) is
+    SPoly per term.  f and g are SPoly rows, read and never written; out
+    holds only dicts this kernel wrote, never a row of an SPoly or an
+    RPoly's dict.  A one-term a = c*x^e (a row of y + s, say) is
     multiplied here, with no call per row: where the y-degree has no row
     yet, c*x^(+-e)*b is written into a fresh dict (for the constant 1,
     one C-level dict(b)); otherwise it is added into the row in place,
@@ -186,11 +217,10 @@ def _mul_rows_into(
     than it saves on the one- to three-term rows of the paper's instance.
     """
     for m, a in f.items():
-        a = a._coeffs
         if len(a) != 1:
             for p, b in g.items():
                 key = m + p
-                out[key] = _mul_into(out.get(key) or {}, a, b._coeffs, -1 if p % 2 else 1)
+                out[key] = _mul_into(out.get(key) or {}, a, b, -1 if p % 2 else 1)
             continue
         [(e, c)] = a.items()
         for p, b in g.items():
@@ -200,13 +230,13 @@ def _mul_rows_into(
             if row is None:
                 if x or c != 1:
                     out[key] = row = {}
-                    for e2, c2 in b._coeffs.items():
+                    for e2, c2 in b.items():
                         row[x + e2] = c * c2
                 else:
-                    out[key] = dict(b._coeffs)
+                    out[key] = dict(b)
             else:
                 get = row.get
-                for e2, c2 in b._coeffs.items():
+                for e2, c2 in b.items():
                     e2 += x
                     v = get(e2, 0) + c * c2
                     if v:
@@ -226,14 +256,19 @@ def _check_row(m: object, a: object) -> None:
 
 def _spoly(rows: dict[int, dict[int, int]]) -> SPoly:
     """The element with these coefficient dicts, one per y-degree, which
-    the caller built and hands over: each row's zeros are dropped by
-    laurent's C-level scan, empty rows are dropped, and no row is copied."""
-    out = {}
+    the caller built and hands over: rows becomes the element's own dict
+    of rows.  In place, a row holding a zero (one C-level scan of its
+    values) is replaced by a filtered copy and an empty row is dropped; a
+    row is otherwise neither copied nor wrapped."""
+    empty = []
     for m, row in rows.items():
-        row = _nonzero(row)
-        if row:
-            out[m] = RPoly._of_nonzero(row)
-    return SPoly._of_rows(out)
+        if 0 in row.values():
+            row = rows[m] = {e: c for e, c in row.items() if c}
+        if not row:
+            empty.append(m)
+    for m in empty:
+        del rows[m]
+    return SPoly._of_rows(rows)
 
 
 def eval_combo(c: FreeCombo) -> SPoly:

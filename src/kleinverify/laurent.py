@@ -4,7 +4,8 @@ Coefficients are plain Python ints (arbitrary precision).  Values are
 immutable once constructed.  sigma is the ring involution x -> x^-1.
 
 Products and quotients pick their method by operand size.  Small or sparse
-operands use the schoolbook double loop and integer long division.  Dense
+operands use the schoolbook double loop and integer long division, which
+finds each step's top in a heap of the remainder's exponents.  Dense
 operands with at least _KRONECKER_TERMS terms use Kronecker substitution:
 each polynomial is read as one integer p(N), N = 2^(8*width), with balanced
 digits wide enough that no digit carries, and Python's exact big-int
@@ -24,7 +25,10 @@ only to be added, and a difference is summed in one pass, as a sum is.
 
 The kernel writes only out, a dict its caller built: a dict reachable
 from an RPoly is never passed as out, because values share their dicts
-and never copy them.  Each value is built once from a dict the library
+and never copy them.  klein.SPoly keeps its rows as such dicts, with no
+RPoly per row, and may share them with RPolys, so the same holds for
+every row: the row walks of klein and division hand the kernel only
+dicts they created.  Each value is built once from a dict the library
 owns: _nonzero drops its zeros, filtering in Python only when a C-level
 scan finds one, and RPoly._of_nonzero wraps it with no copy.  The public
 RPoly(...) copies its argument and rejects any exponent or coefficient
@@ -346,29 +350,48 @@ def _exact_poly_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, 
 
 def _long_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, int] | None:
     # Long division from the top; every quotient coefficient must be an
-    # exact integer and the remainder must vanish.  Zeros are dropped from
-    # rem and max(rem) finds the next top, so the loop jumps over zero gaps:
-    # x^100000000 - 1 over x^10000 - 1 takes 10^4 steps, a dense walk 10^8.
+    # exact integer and the remainder must vanish.  The remainder's
+    # exponents wait in a heap, negated for heapq's min-heap, so each step
+    # pops the next top with no scan of the remainder and costs
+    # O(terms(den) * log(terms(rem))).  Zero gaps are jumped over:
+    # x^100000000 - 1 over x^10000 - 1 takes 10^4 steps, not 10^8.  An
+    # exponent is pushed when it enters rem, and one whose coefficient
+    # cancelled is skipped when popped; a step writes only below its top,
+    # so a popped exponent never comes back.  heapq loads at the first
+    # call, and a plain import costs less per call than a from-import.
+    import heapq
+
     dmax = max(den)
     dlead = den[dmax]
+    lower = dict(den)
+    del lower[dmax]
     rem = dict(num)
+    tops = [-e for e in rem]
+    heapq.heapify(tops)
+    pop, push = heapq.heappop, heapq.heappush
     quot: dict[int, int] = {}
-    while rem:
-        rmax = max(rem)
+    while tops:
+        rmax = -pop(tops)
+        top = rem.pop(rmax, 0)
+        if not top:
+            continue
         if rmax < dmax:
             return None
-        c, leftover = divmod(rem[rmax], dlead)
+        c, leftover = divmod(top, dlead)
         if leftover:
             return None
         shift = rmax - dmax
         quot[shift] = c
-        for e, dc in den.items():
-            ne = e + shift
-            v = rem.get(ne, 0) - dc * c
-            if v:
-                rem[ne] = v
+        for e, dc in lower.items():
+            e += shift
+            v = rem.get(e)
+            if v is None:
+                rem[e] = -dc * c
+                push(tops, -e)
+            elif v := v - dc * c:
+                rem[e] = v
             else:
-                rem.pop(ne, None)
+                del rem[e]
     return quot
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import inspect
 import random
 import re
 import sys
@@ -598,11 +599,12 @@ def counting(owner, *names: str) -> Iterator[Dict[str, int]]:
     in counting(SPoly, "__mul__", "__init__"), while the block runs.
 
     A method patched on its class counts operator calls too, since
-    a * b looks __mul__ up on the class.  Patch a module-level function
+    a * b looks __mul__ up on the class, and a classmethod stays one, as
+    in counting(RPoly, "_of_nonzero").  Patch a module-level function
     on the module its caller reads it from: a module that imported the
-    name keeps its own binding."""
+    name keeps its own binding.  Each name gets back the object it had."""
     counts = dict.fromkeys(names, 0)
-    saved = {name: getattr(owner, name) for name in names}
+    saved = {name: inspect.getattr_static(owner, name) for name in names}
 
     def counted(name, fn):
         def call(*args):
@@ -611,7 +613,10 @@ def counting(owner, *names: str) -> Iterator[Dict[str, int]]:
         return call
 
     for name, fn in saved.items():
-        setattr(owner, name, counted(name, fn))
+        if isinstance(fn, classmethod):
+            setattr(owner, name, classmethod(counted(name, fn.__func__)))
+        else:
+            setattr(owner, name, counted(name, fn))
     try:
         yield counts
     finally:
@@ -677,11 +682,11 @@ def boundary_factor_oracle(src: Presentation, cert: ConjugacyCertificate) -> Dic
 
 
 def assert_normalised(value) -> None:
-    """value stores no zero coefficient (RPoly), row (SPoly) or term (FreeCombo)."""
+    """value stores no zero coefficient (RPoly), row (SPoly) or term
+    (FreeCombo); an SPoly's rows are plain coefficient dicts."""
     if isinstance(value, SPoly):
         for row in value._rows.values():
-            assert not row.is_zero()
-            assert_normalised(row)
+            assert type(row) is dict and row and all(row.values()), row
     else:
         store = value._coeffs if isinstance(value, RPoly) else value._terms
         assert all(store.values())
@@ -797,12 +802,12 @@ def _rand_sub_pair(rng: random.Random, kind: str, twisted: bool):
         return rand_rpoly(rng, exp_range=(-4, 0)), rand_rpoly(rng, exp_range=(1, 5))
     a = rand(rng, nonzero=True)
     if kind == "self":
-        return a, (SPoly({m: RPoly(dict(row._coeffs)) for m, row in a._rows.items()})
+        return a, (SPoly({m: RPoly(row) for m, row in a._rows.items()})
                    if twisted else RPoly(dict(a._coeffs)))
     if twisted:
-        rows = {m: row for m, row in a._rows.items() if rng.random() < 0.5}
+        rows = {m: a.row(m) for m in a._rows if rng.random() < 0.5}
         m = rng.choice(list(a._rows))
-        rows[m] = a._rows[m] + rand_rpoly(rng, nonzero=True, max_terms=2)
+        rows[m] = a.row(m) + rand_rpoly(rng, nonzero=True, max_terms=2)
         rows[rng.randint(4, 6)] = rand_rpoly(rng, nonzero=True)
         return a, SPoly(rows)
     terms = {e: c for e, c in a._coeffs.items() if rng.random() < 0.5}
@@ -847,7 +852,7 @@ def check_splitting_matches_projector(cases: int, seed: int = SEED) -> Counter:
         w = base
         if i:
             name = ("alpha", "beta")[i % 2]
-            rows = dict(getattr(base, name)._rows)
+            rows = dict(getattr(base, name).rows())
             m = rng.choice(sorted(rows))
             coeffs = dict(rows[m]._coeffs)
             e = rng.choice(sorted(coeffs))
@@ -1133,8 +1138,8 @@ def _rand_safety_row(rng: random.Random) -> RPoly:
     return _dense_rpoly(rng, rng.randint(laurent._KRONECKER_TERMS, 30))
 
 
-def _rand_safety_spoly(rng: random.Random) -> SPoly:
-    return SPoly({rng.randint(-3, 3): _rand_safety_row(rng) for _ in range(rng.randint(1, 3))})
+def _rand_safety_rows(rng: random.Random) -> Dict[int, RPoly]:
+    return {rng.randint(-3, 3): _rand_safety_row(rng) for _ in range(rng.randint(1, 3))}
 
 
 # Results larger than this are not fed back, so operands stay small.
@@ -1143,30 +1148,34 @@ _SAFETY_MAX_TERMS = 400
 
 def _safety_terms(value) -> int:
     if isinstance(value, SPoly):
-        return sum(len(a._coeffs) for a in value._rows.values())
+        return sum(map(len, value._rows.values()))
     return len(value._coeffs)
 
 
 def check_operands_unchanged(cases: int, seed: int = SEED) -> Counter:
-    """SPoly products and sums, divide, in_V, quotient, parse_spoly and
-    the RPoly operators leave their operands as they were.
+    """SPoly products and sums, divide, in_V, quotient, parse_spoly, the
+    RPoly operators and the SPoly constructors leave their operands as
+    they were.
 
-    Operands are drawn from two pools, of SPolys and of RPolys, which
-    start with y + s for unit and non-unit s, SPoly.one(), one-term rows
-    with coefficients of absolute value over 1 and random elements, and
-    which every result joins, so results come back as operands: a result
-    that shares a dict with an operand, or a call that writes a dict it
-    only reads, shows up.  After each call every
-    operand equals the deep copy taken before it, and every result passes
+    An SPoly's rows are coefficient dicts that it may share with RPolys
+    and with other SPolys, so a walk that writes a row it did not create
+    changes values far from its operands.  Operands are drawn from two
+    pools, of SPolys and of RPolys, which start with y + s for unit and
+    non-unit s, SPoly.one(), one-term rows with coefficients of absolute
+    value over 1 and random elements.  Every result joins its pool, and
+    so does every RPoly an SPoly is built from (by SPoly(...),
+    SPoly.from_rpoly, y_plus_s or StaffordInstance) and every RPoly that
+    row() and rows() hand back, so shared dicts come back as operands: a
+    result that shares a dict with an operand, or a call that writes a
+    dict it only reads, shows up.  After each call every operand equals
+    the deep copy taken before it, and every result passes
     assert_normalised; at the end every value ever pooled equals the deep
-    copy taken when it joined.  Returns how many calls each operation made.
+    copy taken when it joined.  Returns how many calls each operation
+    made.
     """
     rng = random.Random(seed)
-    spolys: List[SPoly] = [
-        SPoly.one(), y_plus_s(RPoly.monomial(-1, -1)), y_plus_s(rand_rpoly(rng, nonzero=True)),
-        y_plus_s(RPoly.monomial(2, -3)), SPoly({1: RPoly.monomial(-1, 4), 0: RPoly.monomial(3, -7)}),
-    ]
-    rpolys: List[RPoly] = [RPoly.one(), RPoly.monomial(2, -1), RPoly.monomial(-3, 5)]
+    spolys: List[SPoly] = []
+    rpolys: List[RPoly] = []
     pooled = []
 
     def join(*values) -> None:
@@ -1177,20 +1186,28 @@ def check_operands_unchanged(cases: int, seed: int = SEED) -> Counter:
                 (spolys if isinstance(v, SPoly) else rpolys).append(v)
                 pooled.append((v, copy.deepcopy(v)))
 
-    join(*(_rand_safety_spoly(rng) for _ in range(6)), *(_rand_safety_row(rng) for _ in range(6)))
+    def built(rows: Dict[int, RPoly]) -> SPoly:
+        join(*rows.values())
+        return SPoly(rows)
+
+    s_values = RPoly.monomial(-1, -1), rand_rpoly(rng, nonzero=True), RPoly.monomial(2, -3)
+    join(RPoly.one(), RPoly.monomial(2, -1), RPoly.monomial(-3, 5), *s_values)
+    join(SPoly.one(), *map(y_plus_s, s_values), built({1: RPoly.monomial(-1, 4), 0: RPoly.monomial(3, -7)}))
+    join(*(built(_rand_safety_rows(rng)) for _ in range(6)), *(_rand_safety_row(rng) for _ in range(6)))
     ops: Counter = Counter()
+    kinds = ("spoly_mul", "spoly_add", "divide", "in_V", "quotient", "parse_spoly", "rpoly_ops", "spoly_build")
     for i in range(cases):
-        op = ("spoly_mul", "spoly_add", "divide", "in_V", "quotient", "parse_spoly", "rpoly_ops")[i % 7]
+        op = kinds[i % len(kinds)]
         f, g = rng.choice(spolys), rng.choice(spolys)
         a, b = rng.choice(rpolys), rng.choice(rpolys)
         if rng.random() < 0.2:
-            f, g = _rand_safety_spoly(rng), _rand_safety_spoly(rng)
+            f, g = built(_rand_safety_rows(rng)), built(_rand_safety_rows(rng))
         operands = (f, g, a, b)
         before = copy.deepcopy(operands)
         if op == "spoly_mul":
             results = (f * g, g * f, y_plus_s(a) * f)
         elif op == "spoly_add":
-            results = (f + g, f - g, f - f)
+            results = (f + g, f - g, f - f, -f)
         elif op == "divide":
             q, _, rem = divide(f, a)
             results = (q, rem)
@@ -1202,8 +1219,16 @@ def check_operands_unchanged(cases: int, seed: int = SEED) -> Counter:
         elif op == "parse_spoly":
             results = (parse_spoly(str(f)),)
             assert results[0] == f, (i, str(f))
-        else:
+        elif op == "rpoly_ops":
             results = (a * b, a + b, a - b, -a, a.sigma(), a.shift(3))
+        else:
+            m = rng.randint(-3, 3)
+            inst = StaffordInstance.from_factors((SPoly.from_rpoly(b), y_plus_s(a)))
+            assert inst == StaffordInstance(b, a), (i, str(a), str(b))
+            results = (
+                SPoly({m: a, m + 1: b}), SPoly.from_rpoly(a, m), y_plus_s(b), inst.r, inst.s,
+                f.row(m), *(row for _, row in g.rows()),
+            )
         assert operands == before, (i, op, [str(v) for v in before])
         join(*results)
         ops[op] += 1

@@ -13,13 +13,16 @@ First the unedited copy runs the whole suite, which must pass and must
 import kleinverify from the copy; otherwise no verdict on a mutant
 means anything.  Then a mutant is killed when the suite fails or runs
 past TIMEOUT seconds, and survives when it passes.  The gate exits 1 when
-an anchor text does not occur exactly once in its file, when the
-unedited copy fails, or when any mutant survives; else 0.  Stdlib only.
+its runs, each at TIMEOUT, could outlast the CI job that runs it (the
+timeout-minutes of the mutants job in WORKFLOW), when an anchor text does
+not occur exactly once in its file, when the unedited copy fails, or when
+any mutant survives; else 0.  Stdlib only.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -29,10 +32,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 PYTEST = ("-X", "dev", "-W", "error", "-m", "pytest", "-q", "-p", "no:cacheprovider")
-# Seconds per suite run.  The unedited suite takes about 20 s; fourteen
-# runs (the import check, the unedited suite and twelve mutants) at this
-# bound stay under the CI job's 20 minutes.
+# Seconds per suite run.  The unedited suite takes about 20 s.  The import
+# check, the unedited suite and every mutant, each at this bound, must fit
+# the CI job's timeout-minutes; budget_error checks that.
 TIMEOUT = 80
 
 MUTANTS = (
@@ -63,14 +67,14 @@ MUTANTS = (
     (
         "the degree-one quotient r*r in place of r*sigma(r)",
         "src/kleinverify/division.py",
-        "SPoly._of_rows({0: r * r_bar})",
-        "SPoly._of_rows({0: r * r})",
+        "SPoly._of_rows({0: (r * r_bar)._coeffs})",
+        "SPoly._of_rows({0: (r * r)._coeffs})",
     ),
     (
         "the monic quotient r in place of sigma(r)",
         "src/kleinverify/division.py",
-        "SPoly._of_rows({0: inst.r.sigma()})",
-        "SPoly._of_rows({0: inst.r})",
+        "SPoly._of_rows({0: inst.r.sigma()._coeffs})",
+        "SPoly._of_rows({0: inst.r._coeffs})",
     ),
     (
         "a splitting product's factors swapped: (y + s)*alpha for alpha*(y + s)",
@@ -108,6 +112,41 @@ MUTANTS = (
         "stack.append(letter if type(letter) is tuple else (name, exp))",
         "stack.append(letter)",
     ),
+    (
+        "divide's one-term step adding into f's row below in place",
+        "src/kleinverify/division.py",
+        """            row = {}
+            for e, v in c.items():
+                row[x + e] = minus_c * v
+            if below:
+                get = row.get
+                for e, v in below.items():
+                    v += get(e, 0)""",
+        """            row = below if below else {}
+            get = row.get
+            for e, v in c.items():
+                e += x
+                v = get(e, 0) + minus_c * v
+                if v:
+                    row[e] = v
+                else:
+                    del row[e]
+            if False:
+                for e, v in below.items():
+                    v += get(e, 0)""",
+    ),
+    (
+        "klein._spoly without its zero scan",
+        "src/kleinverify/klein.py",
+        "if 0 in row.values():",
+        "if False:",
+    ),
+    (
+        "a row only the subtrahend of SPoly.__sub__ has kept with its sign",
+        "src/kleinverify/klein.py",
+        "out[m] = b if sign == 1 else {e: -c for e, c in b.items()}",
+        "out[m] = b",
+    ),
 )
 
 # Known equivalent mutants, left out of MUTANTS because no result of the
@@ -115,6 +154,20 @@ MUTANTS = (
 # - klein._mul_rows_into keeping a cancelled coefficient ("row[e2] = v"
 #   for "del row[e2]"): every caller wraps the rows by klein._spoly, whose
 #   laurent._nonzero drops the zero, so only the time differs.
+
+
+def budget_error() -> str | None:
+    """Why the gate's runs, each at TIMEOUT, could outlast the mutants job
+    of WORKFLOW, or None when they fit its timeout-minutes."""
+    text = WORKFLOW.read_text(encoding="utf-8")
+    job = re.search(r"^  mutants:\n((?:    .*\n|\n)*)", text, re.M)
+    found = job and re.search(r"^    timeout-minutes: (\d+)$", job.group(1), re.M)
+    if not found:
+        return f"no timeout-minutes for the mutants job in {WORKFLOW}"
+    runs, minutes = len(MUTANTS) + 2, int(found.group(1))
+    if runs * TIMEOUT > minutes * 60:
+        return f"{runs} runs at {TIMEOUT} s take up to {runs * TIMEOUT} s, over the job's {minutes} minutes"
+    return None
 
 
 def anchor_errors() -> list[str]:
@@ -181,6 +234,10 @@ def run_mutant(file: str, old: str, new: str) -> str:
 
 
 def main() -> int:
+    error = budget_error()
+    if error:
+        print(f"budget: {error}")
+        return 1
     errors = anchor_errors()
     for line in errors:
         print(f"anchor: {line}")

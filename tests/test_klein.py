@@ -13,11 +13,12 @@ from kleinverify import (
     parse_word,
 )
 from kleinverify import FreeCombo, Presentation, boundary_data, boundary_matrices, fox_derivative
-from kleinverify import PolySyntaxError, divide, division, klein, y_plus_s
+from kleinverify import PolySyntaxError, StaffordInstance, divide, division, klein, y_plus_s
 
 from helpers import (
     SEED,
     Combo,
+    assert_normalised,
     check_boundary_data_matches_oracle,
     check_eval_homomorphism,
     check_one_term_rows,
@@ -254,9 +255,9 @@ def test_spoly_parse_error_positions():
 def test_spoly_constructor_copies_and_drops_zero_rows():
     rows = {0: RPoly({0: 1}), 1: RPoly.zero(), 2: RPoly({0: 0, 1: False})}
     f = SPoly(rows)
-    assert f._rows == {0: RPoly({0: 1})}
+    assert f._rows == {0: {0: 1}}
     rows[0], rows[3] = RPoly({0: 2}), RPoly({1: 1})
-    assert f._rows == {0: RPoly({0: 1})} and str(f) == "(1)"
+    assert f._rows == {0: {0: 1}} and str(f) == "(1)"
     assert SPoly({4: RPoly({2: False})}).is_zero()
 
 
@@ -288,10 +289,51 @@ def test_spoly_constructors_reject_a_row_that_is_not_an_rpoly(build, message):
 
 def test_public_constructors_drop_a_zero_row():
     assert y_plus_s(RPoly.zero()) == SPoly({1: RPoly.one()})
-    assert y_plus_s(RPoly.zero())._rows == {1: RPoly.one()}
+    assert y_plus_s(RPoly.zero())._rows == {1: {0: 1}}
     assert SPoly.from_rpoly(RPoly.zero(), 3)._rows == {} and SPoly.from_rpoly(RPoly.zero(), 3).is_zero()
-    assert SPoly.from_rpoly(RPoly({1: 2}), -2)._rows == {-2: RPoly({1: 2})}
+    assert SPoly.from_rpoly(RPoly({1: 2}), -2)._rows == {-2: {1: 2}}
     assert y_plus_s(RPoly({-1: -1})) == parse_spoly("y - x^-1")
+
+
+def test_rows_are_coefficient_dicts_shared_at_the_edges():
+    # A row is the RPoly's zero-free dict itself: the public constructors
+    # unwrap it and row(), rows() and from_factors wrap it, all with no copy.
+    a, b = RPoly({0: 1, 2: -3}), RPoly({-1: 5})
+    f = SPoly({1: a, 0: b})
+    assert f._rows[1] is a._coeffs and f._rows[0] is b._coeffs
+    assert SPoly.from_rpoly(a, 2)._rows == {2: a._coeffs} and SPoly.from_rpoly(a, 2)._rows[2] is a._coeffs
+    assert y_plus_s(b)._rows[0] is b._coeffs
+    assert f.row(1) == a and f.row(1)._coeffs is a._coeffs and f.row(7) == RPoly.zero()
+    assert [(m, row._coeffs) for m, row in f.rows()] == [(1, a._coeffs), (0, b._coeffs)]
+    assert all(type(row) is RPoly for _, row in f.rows())
+    inst = StaffordInstance.from_factors((SPoly.from_rpoly(a), y_plus_s(b)))
+    assert inst == StaffordInstance(a, b) and inst.r._coeffs is a._coeffs and inst.s._coeffs is b._coeffs
+
+
+def test_walks_over_1000_rows_build_no_rpoly():
+    # Products, sums and comparisons of 1000-row elements read and write
+    # coefficient dicts only: no RPoly is built and none is compared; a
+    # division builds one, its remainder.
+    rng = random.Random(SEED)
+    rows = {m: rand_rpoly(rng, nonzero=True, max_terms=6, exp_range=(-8, 8)) for m in range(1000)}
+    f, g = SPoly(rows), SPoly({m: rand_rpoly(rng, nonzero=True, max_terms=3) for m in range(1, 1001)})
+    same = SPoly({m: RPoly(a._coeffs) for m, a in rows.items()})
+    unit, two_terms = RPoly.monomial(-1, -1), RPoly({0: 2, 1: -1})
+    ys_unit, ys_two = y_plus_s(unit), y_plus_s(two_terms)
+    names = ("__init__", "_of_nonzero", "__eq__")
+    with counting(RPoly, *names) as built:
+        values = (ys_unit * f, f * ys_two, ys_two * f, f + g, f - g, -f, f - same)
+        equal, unequal = f == same, f == g
+    assert built == dict.fromkeys(names, 0), built
+    assert equal and not unequal
+    for v in values:
+        assert_normalised(v)
+    assert values[-1].is_zero() and values[3] - g == f and values[5] + f == SPoly.zero()
+    for s, product in ((unit, values[0]), (two_terms, values[2])):
+        with counting(RPoly, *names) as built:
+            res = divide(product, s)
+        assert built == {"__init__": 0, "_of_nonzero": 1, "__eq__": 0}, (str(s), built)
+        assert res == (f, 0, RPoly.zero())
 
 
 def test_sub_matches_add_neg():
@@ -324,8 +366,8 @@ def test_boundary_data_foreign_generator():
 
 
 def test_operands_unchanged():
-    ops = check_operands_unchanged(700)
-    assert sum(ops.values()) == 700 and all(n >= 100 for n in ops.values()), ops
+    ops = check_operands_unchanged(800)
+    assert sum(ops.values()) == 800 and len(ops) == 8 and all(n >= 100 for n in ops.values()), ops
 
 
 def test_one_term_rows_against_oracle():

@@ -18,6 +18,7 @@ from helpers import (
     check_rpoly_mul_matches_oracle,
     check_sigma_involution,
     check_sub_matches_add_neg,
+    counting,
     parse_rpoly_oracle,
     rand_rpoly,
 )
@@ -79,6 +80,33 @@ def test_divides_sparse_gap():
     c = quotient(a, parse_rpoly("x^100000000 - 1"))
     assert c == RPoly({10000 * k: 1 for k in range(10000)})
     assert not divides(a, parse_rpoly("x^100000001 - 1"))
+
+
+def test_long_quotient_is_fast_on_a_long_dividend():
+    # x + 1 is below the Kronecker crossover, so (x + 1)*g goes to long
+    # division.  Finding each step's top by a scan of the remainder took
+    # about 4 s at 20000 terms; the heap of pending exponents takes
+    # milliseconds.
+    rng = random.Random(SEED + 7)
+    g = RPoly({e: rng.choice((1, -1)) * rng.randint(1, 9) for e in range(30000)})
+    a = parse_rpoly("x + 1")
+    b = a * g
+    with counting(laurent, "_long_quotient") as calls:
+        start = time.perf_counter()
+        got = quotient(a, b)
+        assert time.perf_counter() - start < 1.0
+        assert quotient(a, b + RPoly.monomial(-1)) is None
+    assert got == g and calls == {"_long_quotient": 2}
+
+
+def test_long_quotient_refills_a_cancelled_exponent():
+    # 2 + 2x^2 + 2x^4 over -1 + x - x^2: the first step cancels x^2 and
+    # the second writes it again, so x^2 waits in the heap twice and is
+    # skipped once.  The quotient is -2(1 + x + x^2).
+    den, num = {0: -1, 1: 1, 2: -1}, {0: 2, 2: 2, 4: 2}
+    assert laurent._long_quotient(num, den) == {0: -2, 1: -2, 2: -2}
+    assert laurent._long_quotient({**num, 1: 1}, den) is None
+    assert laurent._long_quotient({**num, 5: 1}, den) is None
 
 
 def test_mul_matches_oracle():

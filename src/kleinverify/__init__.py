@@ -24,7 +24,7 @@ _EXPORTS = {
     "klein": ("SPoly", "boundary_data", "eval_combo", "eval_word", "parse_spoly"),
     "division": (
         "DivisionResult", "StaffordInstance", "divide", "in_V", "monic_witness",
-        "no_monic_degree_one", "witnesses", "y_plus_s",
+        "no_monic_degree_one", "y_plus_s",
     ),
     "certificates": (
         "CertFactor", "ConjugacyCertificate", "boundary_factor", "certificate_from_dict",
@@ -33,8 +33,7 @@ _EXPORTS = {
     "verify": (
         "BezoutWitness", "ChainData", "NonFreenessReport", "StaffordVerdict",
         "build_chain_data", "chain_composites_vanish", "default_witness", "full_report",
-        "psi", "splitting_check", "splitting_projector", "stafford_verdict",
-        "verify_bezout", "verify_factorization",
+        "psi", "splitting_check", "stafford_verdict", "verify_bezout", "verify_factorization",
     ),
     "builtin": (),
     "cli": (),

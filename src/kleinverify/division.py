@@ -18,13 +18,14 @@ Each step writes -sigma^k(s) * c plus f's row below into a fresh dict.
 When s has one term, the step does it inline: one loop writes
 -sigma^k(s) * c, a second adds f's row below and deletes each
 coefficient that cancels, so no kernel is called and no zero is left to
-scan for.  Otherwise the kernel laurent._mul_into adds the product into a
-copy of the row below; the coefficient domain is Z[x, x^-1].  The walk
-holds the rows as SPoly keeps them, plain coefficient dicts: it reads
-f's rows and never copies or writes them (they may be shared with RPolys
-and other SPolys), and it writes only the dicts its steps create.  A
-popped row becomes a quotient row as it is, so no row is wrapped; the
-one RPoly built is the remainder.
+scan for.  Otherwise the kernel laurent._mul_into adds the product by
+-s, negated once per division, into a copy of the row below; the
+coefficient domain is Z[x, x^-1].  The walk holds the rows as SPoly
+keeps them, plain coefficient dicts: it reads f's rows and never copies
+or writes them (they may be shared with RPolys and other SPolys), and
+it writes only the dicts its steps create.  A popped row becomes a
+quotient row as it is, so no row is wrapped; the one RPoly built is the
+remainder.
 
 V holds two elements in closed form, each with the quotient q that puts
 r*v in the ideal, so one product r*v == (y + s)*q checks its membership,
@@ -37,17 +38,19 @@ with no division:
 The first holds because r*y = y*sigma(r) and the coefficient ring is
 commutative; the last because y^2 is central and
 (y + s)*(y - sigma(s)) = y^2 - s*sigma(s).  Condition (ii) asks whether
-c exists, that is whether r divides s*sigma(r); stafford_verdict asks it
-once, through _degree_one_cofactor, and hands c to the monic element.
+c exists, that is whether r divides s*sigma(r).  _witness_pairs asks it
+once, builds sigma(r) and s*sigma(r) once for the quotient and both
+elements, and returns c with both (element, quotient) pairs:
+stafford_verdict checks the pairs in one loop, and no_monic_degree_one
+and monic_witness read the rest.
 
 Each element and its quotient are built by SPoly._of_rows from the
 dicts of RPolys, with no row checked or filtered again: every row is 1,
 r, s (which StaffordInstance checks are nonzero RPolys), a sigma of one,
 the nonzero cofactor c, or a product of these, and the coefficient ring
-is a domain.
-The signs of -s*sigma(s) and -sigma(s)*r are carried by the one factor
--sigma(s), so no product is negated.  The two sides of the check,
-y + s and r, are built by y_plus_s and SPoly.from_rpoly.
+is a domain.  The signs of -s*sigma(s) and -sigma(s)*r are carried by
+the one factor -sigma(s), so no product is negated.  The two sides of
+the check, y + s and r, are built by y_plus_s and SPoly.from_rpoly.
 """
 
 from __future__ import annotations
@@ -122,6 +125,8 @@ def divide(f: SPoly, s: RPoly) -> DivisionResult:
     if one_term:
         [(s_exp, s_coeff)] = s_terms.items()
         minus_c = -s_coeff
+    else:
+        minus_s = {e: -c for e, c in s_terms.items()}
     # One step per y-degree.  Each step writes only the row just below
     # top, where only f's row can be, and that row is nonzero unless it
     # cancels exactly (S is a domain).  After a cancellation only a row of
@@ -149,7 +154,7 @@ def divide(f: SPoly, s: RPoly) -> DivisionResult:
                     else:
                         del row[e]
         else:
-            row = _nonzero(_mul_into(dict(below or {}), s_terms, c, -1 if top % 2 else 1, -1))
+            row = _nonzero(_mul_into(dict(below or {}), minus_s, c, -1 if top % 2 else 1))
         if row:
             rows[top] = row
         else:
@@ -171,62 +176,41 @@ def in_V(v: SPoly, inst: StaffordInstance) -> bool:
     return divide(SPoly.from_rpoly(inst.r) * v, inst.s).remainder.is_zero()
 
 
-def _degree_one_cofactor(inst: StaffordInstance) -> RPoly | None:
-    """s*sigma(r) / r, or None when r does not divide s*sigma(r).
+def _witness_pairs(inst: StaffordInstance) -> tuple[RPoly | None, tuple[tuple[SPoly, SPoly], ...]]:
+    """Condition (ii)'s cofactor s*sigma(r)/r, or None when r does not
+    divide s*sigma(r), and the degree-1 and the monic element of V, each
+    as the pair (element, quotient) of the module docstring.
 
     An element y*a1 + a0 of V with a1 a unit forces r*a0 = s*sigma(r)*a1,
     so one exists iff r divides s*sigma(r) (divisibility in the Laurent
-    ring absorbs units), and y + s*sigma(r)/r is then one.
+    ring absorbs units), and y + s*sigma(r)/r is then one.  sigma(r) and
+    s*sigma(r) are built once, for the quotient and for the elements.
+    The pairs are not checked here; stafford_verdict checks them.
     """
-    return quotient(inst.r, inst.s * inst.r.sigma())
+    r, r_bar = inst.r, inst.r.sigma()
+    s_r_bar = inst.s * r_bar
+    cofactor = quotient(r, s_r_bar)
+    degree_one = (
+        SPoly._of_rows({1: r._coeffs, 0: s_r_bar._coeffs}),
+        SPoly._of_rows({0: (r * r_bar)._coeffs}),
+    )
+    if cofactor is not None:
+        monic = SPoly._of_rows({1: _ONE, 0: cofactor._coeffs}), SPoly._of_rows({0: r_bar._coeffs})
+    else:
+        minus_s_bar = -inst.s.sigma()
+        monic = (
+            SPoly._of_rows({2: _ONE, 0: (inst.s * minus_s_bar)._coeffs}),
+            SPoly._of_rows({1: r._coeffs, 0: (minus_s_bar * r)._coeffs}),
+        )
+    return cofactor, (degree_one, monic)
 
 
 def no_monic_degree_one(inst: StaffordInstance) -> bool:
     """True iff V contains no element y*a1 + a0 with a1 a unit."""
-    return _degree_one_cofactor(inst) is None
-
-
-def _monic(inst: StaffordInstance, cofactor: RPoly | None) -> tuple[SPoly, SPoly]:
-    """The monic element of V and its quotient (see the module docstring):
-    y + cofactor when r divides s*sigma(r), else y^2 - s*sigma(s)."""
-    if cofactor is not None:
-        return (
-            SPoly._of_rows({1: _ONE, 0: cofactor._coeffs}),
-            SPoly._of_rows({0: inst.r.sigma()._coeffs}),
-        )
-    minus_s_bar = -inst.s.sigma()
-    return (
-        SPoly._of_rows({2: _ONE, 0: (inst.s * minus_s_bar)._coeffs}),
-        SPoly._of_rows({1: inst.r._coeffs, 0: (minus_s_bar * inst.r)._coeffs}),
-    )
-
-
-def _checked_witnesses(inst: StaffordInstance, cofactor: RPoly | None) -> tuple[SPoly, SPoly]:
-    """witnesses, given cofactor = _degree_one_cofactor(inst)."""
-    r, r_bar = inst.r, inst.r.sigma()
-    degree_one = (
-        SPoly._of_rows({1: r._coeffs, 0: (inst.s * r_bar)._coeffs}),
-        SPoly._of_rows({0: (r * r_bar)._coeffs}),
-    )
-    pairs = degree_one, _monic(inst, cofactor)
-    ys, left = y_plus_s(inst.s), SPoly.from_rpoly(r)
-    for v, q in pairs:
-        if left * v != ys * q:
-            raise ValueError("a witness fails r*v = (y + s)*q; convention bug")
-    return pairs[0][0], pairs[1][0]
-
-
-def witnesses(inst: StaffordInstance) -> tuple[SPoly, SPoly]:
-    """A degree-1 element of V and a monic-in-y element of V.
-
-    Both are closed forms, each built with its quotient q and checked by
-    the one product r*v == (y + s)*q (see the module docstring).  Raises
-    ValueError when either identity fails.
-    """
-    return _checked_witnesses(inst, _degree_one_cofactor(inst))
+    return _witness_pairs(inst)[0] is None
 
 
 def monic_witness(inst: StaffordInstance) -> SPoly:
-    """The monic element of witnesses(inst): y + s*sigma(r)/r, of
-    y-degree 1, when r divides s*sigma(r), else y^2 - s*sigma(s)."""
-    return witnesses(inst)[1]
+    """The monic element of V: y + s*sigma(r)/r, of y-degree 1, when r
+    divides s*sigma(r), else y^2 - s*sigma(s)."""
+    return _witness_pairs(inst)[1][1][0]

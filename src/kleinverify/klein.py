@@ -32,12 +32,13 @@ sums several products into one set of rows.  It multiplies a one-term
 row (of y + s, say) inline, one loop over the other row and no call per
 row, and hands every other pair to laurent._mul_into.  A sum or a
 difference is built in one pass into fresh dicts, with no negated copy of
-the subtrahend, and equality is one C-level comparison of the dicts.
+the subtrahend: a row both operands have goes through laurent._sum, as
+RPoly sums do.  Equality is one C-level comparison of the dicts.
 """
 
 from __future__ import annotations
 
-from .laurent import RPoly, _mul_into
+from .laurent import RPoly, _mul_into, _sum
 
 # FreeCombo and Presentation appear only in annotations, which are never
 # evaluated, and boundary_data imports Word itself, so the ring alone loads
@@ -174,22 +175,15 @@ def _sum_rows(
     """The rows of f + sign*g, for sign 1 or -1, in a copy of f's dict of
     rows.  A row only f has is kept as it is, and a row only g has is
     kept (sign 1) or negated into a fresh dict.  A row both have is summed
-    into a fresh dict, each coefficient that cancels deleted, and dropped
-    when it cancels whole.  No row of f or g is written."""
+    by laurent._sum into a fresh dict, and dropped when it cancels whole.
+    No row of f or g is written."""
     out = dict(f)
     for m, b in g.items():
         a = out.get(m)
         if a is None:
             out[m] = b if sign == 1 else {e: -c for e, c in b.items()}
             continue
-        row = dict(a)
-        get = row.get
-        for e, c in b.items():
-            v = get(e, 0) + sign * c
-            if v:
-                row[e] = v
-            else:
-                del row[e]
+        row = _sum(a, b, sign)
         if row:
             out[m] = row
         else:

@@ -14,14 +14,15 @@ bytes, so the digits pass through one array.array of signed items, put in
 little-endian order whatever sys.byteorder is; wider digits take one
 int.to_bytes or int.from_bytes call each.
 
-One kernel, _mul_into(out, a, b, flip, sign), adds sign * a(x^flip) * b
-into the coefficient dict out, by Kronecker substitution or the
-schoolbook double loop.  RPoly.__mul__ calls it with an empty out,
-klein.SPoly.__mul__ with flip -1 for sigma.  A one-term row, most
-products on the verify path (a row of y + s, or a unit s), makes no
-kernel call: klein's row walk and division.divide's steps multiply such
-a row inline, one loop per row.  No product, negation or sum is built
-only to be added, and a difference is summed in one pass, as a sum is.
+One kernel, _mul_into(out, a, b, flip), adds a(x^flip) * b into the
+coefficient dict out, by Kronecker substitution or the schoolbook double
+loop.  RPoly.__mul__ calls it with an empty out, klein.SPoly.__mul__
+with flip -1 for sigma.  A one-term row, most products on the verify
+path (a row of y + s, or a unit s), makes no kernel call: klein's row
+walk and division.divide's steps multiply such a row inline, one loop
+per row.  No product is built only to be added.  One pass, _sum, adds
+or subtracts: RPoly sums and differences and the rows klein's sums
+share, with no negated copy of the subtrahend.
 
 The kernel writes only out, a dict its caller built: a dict reachable
 from an RPoly is never passed as out, because values share their dicts
@@ -34,12 +35,16 @@ scan finds one, and RPoly._of_nonzero wraps it with no copy.  The public
 RPoly(...) copies its argument and rejects any exponent or coefficient
 that is not an int.
 
-Divisibility is decided exactly, with no rational arithmetic: units x^k are
-divided out first.  On the Kronecker path a None is sound, because a | b in
-Z[x] implies a(N) | b(N), and a(N) != 0 since its top digit outweighs the
-rest.  A quotient is returned only after a * q == b has been checked;
-when that check fails (a digit width too narrow for q, or a(N) | b(N) by
-coincidence), long division decides.
+Divisibility is decided exactly, with no rational arithmetic, on the
+operands' own dicts: units x^k need no shifted copy, because the
+quotient's lowest exponent is min(b) - min(a).  Long division stops
+below it, and the Kronecker path packs each operand from its lowest
+exponent and reads the quotient's digits from it.  On the Kronecker path
+a None is sound, because a | b in Z[x] implies a(N) | b(N), and
+a(N) != 0 since its top digit outweighs the rest.  A quotient is
+returned only after a * q == b has been checked; when that check fails
+(a digit width too narrow for q, or a(N) | b(N) by coincidence), long
+division decides.
 """
 
 from __future__ import annotations
@@ -126,22 +131,13 @@ class RPoly:
         return isinstance(other, RPoly) and self._coeffs == other._coeffs
 
     def __add__(self, other: "RPoly") -> "RPoly":
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return RPoly._of_nonzero(_nonzero(out))
+        return RPoly._of_nonzero(_sum(self._coeffs, other._coeffs, 1))
 
     def __neg__(self) -> "RPoly":
         return RPoly._of_nonzero({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: "RPoly") -> "RPoly":
-        """self - other, in one pass over other into a copy of self's dict,
-        as __add__ sums: no negated copy of other is built."""
-        out = dict(self._coeffs)
-        get = out.get
-        for e, c in other._coeffs.items():
-            out[e] = get(e, 0) - c
-        return RPoly._of_nonzero(_nonzero(out))
+        return RPoly._of_nonzero(_sum(self._coeffs, other._coeffs, -1))
 
     def __mul__(self, other: "RPoly") -> "RPoly":
         return RPoly._of_nonzero(_nonzero(_mul_into({}, self._coeffs, other._coeffs)))
@@ -275,11 +271,24 @@ def _nonzero(coeffs: dict[int, int]) -> dict[int, int]:
     return {e: c for e, c in coeffs.items() if c} if 0 in coeffs.values() else coeffs
 
 
-def _mul_into(
-    out: dict[int, int], a: dict[int, int], b: dict[int, int], flip: int = 1, sign: int = 1
-) -> dict[int, int]:
-    """Add sign * a(x^flip) * b into out and return the sum, for flip and
-    sign in {1, -1}.
+def _sum(a: dict[int, int], b: dict[int, int], sign: int) -> dict[int, int]:
+    """a + sign*b, for sign 1 or -1, in one pass over b into a copy of a,
+    each coefficient that cancels deleted: no negated copy of b is built.
+    The one sum of the ring layer: RPoly sums and differences, and the
+    rows that klein's sums share.  a and b are only read."""
+    out = dict(a)
+    get = out.get
+    for e, c in b.items():
+        v = get(e, 0) + sign * c
+        if v:
+            out[e] = v
+        else:
+            del out[e]
+    return out
+
+
+def _mul_into(out: dict[int, int], a: dict[int, int], b: dict[int, int], flip: int = 1) -> dict[int, int]:
+    """Add a(x^flip) * b into out and return the sum, for flip in {1, -1}.
 
     The one multiply kernel: RPoly products, SPoly row products by a
     several-term row (flip -1 is sigma), quotient checks and division's
@@ -298,7 +307,7 @@ def _mul_into(
     digits keep theirs, and _nonzero drops them.
     """
     if len(a) >= _KRONECKER_TERMS and len(b) >= _KRONECKER_TERMS and _dense(a) and _dense(b):
-        lo, digits = _kronecker_mul(a, b, flip, sign)
+        lo, digits = _kronecker_mul(a, b, flip)
         if not out:
             return dict(enumerate(digits, lo))
         get = out.get
@@ -308,7 +317,6 @@ def _mul_into(
     get = out.get
     for e1, c1 in a.items():
         e1 *= flip
-        c1 *= sign
         for e2, c2 in b.items():
             e = e1 + e2
             v = get(e, 0) + c1 * c2
@@ -319,10 +327,8 @@ def _mul_into(
     return out
 
 
-def _kronecker_mul(
-    a: dict[int, int], b: dict[int, int], flip: int, sign: int
-) -> tuple[int, list[int]]:
-    """The lowest exponent and the coefficients of sign * a(x^flip) * b."""
+def _kronecker_mul(a: dict[int, int], b: dict[int, int], flip: int) -> tuple[int, list[int]]:
+    """The lowest exponent and the coefficients of a(x^flip) * b."""
     # No product coefficient exceeds max|a| * max|b| * min(terms), since
     # each exponent pairs at most that many terms; so no digit carries.
     # a(x^-1) is packed by reading a from its top exponent down.
@@ -331,38 +337,26 @@ def _kronecker_mul(
     a_start = a_lo if flip > 0 else a_hi
     width = _item_width(_width(_max_abs(a) * _max_abs(b) * min(len(a), len(b))))
     product = _pack(a, a_start, a_n, width, flip) * _pack(b, b_lo, b_n, width)
-    if sign < 0:
-        product = -product
     return flip * a_start + b_lo, _unpack(product, width, a_n + b_n - 1)
 
 
-def _exact_poly_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, int] | None:
-    # Ordinary polynomials (min exponent 0, nonzero constant term for den).
-    if (
-        len(den) >= _KRONECKER_TERMS
-        and max(num) - max(den) + 1 >= _KRONECKER_TERMS
-        and _dense(num)
-        and _dense(den)
-    ):
-        return _kronecker_quotient(num, den)
-    return _long_quotient(num, den)
-
-
-def _long_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, int] | None:
-    # Long division from the top; every quotient coefficient must be an
-    # exact integer and the remainder must vanish.  The remainder's
-    # exponents wait in a heap, negated for heapq's min-heap, so each step
-    # pops the next top with no scan of the remainder and costs
-    # O(terms(den) * log(terms(rem))).  Zero gaps are jumped over:
-    # x^100000000 - 1 over x^10000 - 1 takes 10^4 steps, not 10^8.  An
-    # exponent is pushed when it enters rem, and one whose coefficient
-    # cancelled is skipped when popped; a step writes only below its top,
-    # so a popped exponent never comes back.  heapq loads at the first
-    # call, and a plain import costs less per call than a from-import.
+def _long_quotient(num: dict[int, int], den: dict[int, int], lo: int) -> dict[int, int] | None:
+    # Long division from the top, down to the quotient's lowest exponent
+    # lo; every quotient coefficient must be an exact integer and the
+    # remainder must vanish.  The remainder's exponents wait in a heap,
+    # negated for heapq's min-heap, so each step pops the next top with
+    # no scan of the remainder and costs O(terms(den) * log(terms(rem))).
+    # Zero gaps are jumped over: x^100000000 - 1 over x^10000 - 1 takes
+    # 10^4 steps, not 10^8.  An exponent is pushed when it enters rem, and
+    # one whose coefficient cancelled is skipped when popped; a step
+    # writes only below its top, so a popped exponent never comes back.
+    # heapq loads at the first call, and a plain import costs less per
+    # call than a from-import.
     import heapq
 
     dmax = max(den)
     dlead = den[dmax]
+    stop = dmax + lo
     lower = dict(den)
     del lower[dmax]
     rem = dict(num)
@@ -375,7 +369,7 @@ def _long_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, int] |
         top = rem.pop(rmax, 0)
         if not top:
             continue
-        if rmax < dmax:
+        if rmax < stop:
             return None
         c, leftover = divmod(top, dlead)
         if leftover:
@@ -395,44 +389,51 @@ def _long_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, int] |
     return quot
 
 
-def _kronecker_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, int] | None:
+def _kronecker_quotient(num: dict[int, int], den: dict[int, int], lo: int) -> dict[int, int] | None:
     # None when den(N) does not divide num(N), which is exact (see the
-    # module docstring).  Otherwise the integer quotient is unpacked to a
-    # candidate, returned only if den * candidate == num.  The width fits
-    # both operands; that it also fits the quotient is a guess, and a
-    # candidate that fails the check goes to long division.
-    num_n, den_n = max(num) + 1, max(den) + 1
+    # module docstring).  Each operand is packed from its lowest exponent,
+    # and the digits of the integer quotient are the candidate's
+    # coefficients from lo up, returned only if den * candidate == num.
+    # The width fits both operands; that it also fits the quotient is a
+    # guess, and a candidate that fails the check goes to long division.
+    den_lo = min(den)
+    num_lo = den_lo + lo
+    num_n, den_n = max(num) - num_lo + 1, max(den) - den_lo + 1
     width = _item_width(_width(max(_max_abs(num) * len(num), _max_abs(den))))
-    big_q, big_rem = divmod(_pack(num, 0, num_n, width), _pack(den, 0, den_n, width))
+    big_q, big_rem = divmod(_pack(num, num_lo, num_n, width), _pack(den, den_lo, den_n, width))
     if big_rem:
         return None
     digits = _unpack(big_q, width, num_n - den_n + 1)
     if digits is not None:
-        quot = _nonzero(dict(enumerate(digits)))
+        quot = _nonzero(dict(enumerate(digits, lo)))
         if _nonzero(_mul_into({}, den, quot)) == num:
             return quot
-    return _long_quotient(num, den)
+    return _long_quotient(num, den, lo)
 
 
 def quotient(a: RPoly, b: RPoly) -> RPoly | None:
     """Exact quotient c with b = a * c, or None when a does not divide b.
 
-    Requires a nonzero.  Units x^k are absorbed by shifting both operands
-    to ordinary polynomials with nonzero constant term first.
+    Requires a nonzero.  Units x^k are absorbed with no shifted copy: both
+    paths divide the operands' own dicts, down to the quotient's lowest
+    exponent min(b) - min(a).
     """
     if a.is_zero():
         raise ValueError("division by the zero polynomial")
     if b.is_zero():
         return RPoly.zero()
-    a_shift = a.min_exp
-    b_shift = b.min_exp
-    a0 = {e - a_shift: c for e, c in a._coeffs.items()}
-    b0 = {e - b_shift: c for e, c in b._coeffs.items()}
-    q = _exact_poly_quotient(b0, a0)
-    if q is None:
-        return None
-    k = b_shift - a_shift
-    return RPoly._of_nonzero({e + k: c for e, c in q.items()} if k else q)
+    num, den = b._coeffs, a._coeffs
+    lo = min(num) - min(den)
+    if (
+        len(den) >= _KRONECKER_TERMS
+        and max(num) - max(den) - lo + 1 >= _KRONECKER_TERMS
+        and _dense(num)
+        and _dense(den)
+    ):
+        q = _kronecker_quotient(num, den, lo)
+    else:
+        q = _long_quotient(num, den, lo)
+    return None if q is None else RPoly._of_nonzero(q)
 
 
 def divides(a: RPoly, b: RPoly) -> bool:

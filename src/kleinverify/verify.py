@@ -9,7 +9,7 @@ psi(u, v) = (y + s) * u + r * v.
 
 Each check builds y + s and r once, by y_plus_s and SPoly.from_rpoly,
 and the constant 1 is built once per process, so a warm full_report
-makes its 18 SPoly and 5 RPoly products and one quotient, and no
+makes its 18 SPoly and 4 RPoly products and one quotient, and no
 SPoly(...) construction or negated copy around them.
 """
 
@@ -20,7 +20,7 @@ from collections.abc import Sequence
 
 from . import builtin
 from .certificates import ConjugacyCertificate, _row_factors, equivalence_verdict
-from .division import StaffordInstance, _checked_witnesses, _degree_one_cofactor, y_plus_s
+from .division import StaffordInstance, _witness_pairs, y_plus_s
 from .klein import SPoly, _mul_rows_into, _spoly, boundary_data
 from .presentations import Presentation, euler_characteristic
 
@@ -31,6 +31,8 @@ class BezoutWitness:
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: SPoly, beta: SPoly):
+        if not (isinstance(alpha, SPoly) and isinstance(beta, SPoly)):
+            raise ValueError("witness requires alpha and beta to be SPolys")
         self.alpha, self.beta = alpha, beta
 
 
@@ -99,15 +101,6 @@ def verify_bezout(w: BezoutWitness, inst: StaffordInstance) -> bool:
     return psi(w.beta, w.alpha, inst) == _ONE
 
 
-def splitting_projector(w: BezoutWitness, inst: StaffordInstance) -> list[list[SPoly]]:
-    """id - t . psi, where t(c) = (beta*c, alpha*c) sections psi."""
-    ys, r = y_plus_s(inst.s), SPoly.from_rpoly(inst.r)
-    return [
-        [_ONE - w.beta * ys, -(w.beta * r)],
-        [-(w.alpha * ys), _ONE - w.alpha * r],
-    ]
-
-
 def splitting_check(w: BezoutWitness, inst: StaffordInstance) -> bool:
     """The witness splits psi: psi.t = id, pi^2 = pi, psi.pi = 0.
 
@@ -119,8 +112,8 @@ def splitting_check(w: BezoutWitness, inst: StaffordInstance) -> bool:
     other products, so it checks the witness and SPoly multiplication a
     second way.
 
-    The columns of psi.pi are those of psi applied to splitting_projector,
-    written with no negated entry:
+    The columns of psi.pi, for the projector pi = id - t.psi, written
+    with no negated entry:
         (y + s)*(1 - beta*(y + s)) - r*(alpha*(y + s))
         r*(1 - alpha*r) - (y + s)*(beta*r)
     Each is zero exactly when its two products are equal, so the eight
@@ -155,14 +148,13 @@ def stafford_verdict(
     y + s*sigma(r)/r when it does.
     """
     condition_i = bool(w is not None and verify_bezout(w, inst))
-    cofactor = _degree_one_cofactor(inst)
+    cofactor, pairs = _witness_pairs(inst)
     condition_ii = cofactor is None
     degree_one = monic = None
-    try:
-        degree_one, monic = _checked_witnesses(inst, cofactor)
-    except ValueError:
-        witnesses_ok = False
-    else:
+    witnesses_ok = False
+    ys, left = y_plus_s(inst.s), SPoly.from_rpoly(inst.r)
+    if all(left * v == ys * q for v, q in pairs):
+        (degree_one, _), (monic, _) = pairs
         witnesses_ok = (
             degree_one.span() == 1
             and not degree_one.row(degree_one.max_degree).is_unit()

@@ -18,7 +18,10 @@ replaced: character by character, one coefficient parse per term.
 The algebra that only the tests need lives here too: Combo adds sums,
 one-sided products and the anti-involution to the library's FreeCombo,
 the certificate algebra replays the reverse certificate, lift_kernel
-builds kernel elements, and certificate_to_dict writes certificate files.
+builds kernel elements, witnesses reads the two elements of V from
+stafford_verdict, splitting_projector builds the projector that
+splitting_check is held to, and certificate_to_dict writes certificate
+files.
 """
 
 from __future__ import annotations
@@ -54,15 +57,14 @@ from kleinverify import (
     fox_derivative,
     in_V,
     laurent,
+    monic_witness,
     parse_rpoly,
     parse_spoly,
     psi,
     quotient,
     splitting_check,
-    splitting_projector,
     stafford_verdict,
     verify_bezout,
-    witnesses,
     y_plus_s,
 )
 from kleinverify import builtin
@@ -185,6 +187,23 @@ def lift_kernel(v: SPoly, inst: StaffordInstance) -> SPoly:
     if not res.remainder.is_zero():
         raise ValueError("element is not in V; no kernel lift exists")
     return -res.quotient
+
+
+def witnesses(inst: StaffordInstance) -> Tuple[SPoly, SPoly]:
+    """The degree-1 and the monic element of V that stafford_verdict
+    reports once both pass their product identity."""
+    verdict = stafford_verdict(inst, None)
+    return verdict.degree_one, verdict.monic
+
+
+def splitting_projector(w: BezoutWitness, inst: StaffordInstance) -> List[List[SPoly]]:
+    """id - t . psi, where t(c) = (beta*c, alpha*c) sections psi: the
+    projector whose columns splitting_check writes out."""
+    ys, r, one = y_plus_s(inst.s), SPoly.from_rpoly(inst.r), SPoly.one()
+    return [
+        [one - w.beta * ys, -(w.beta * r)],
+        [-(w.alpha * ys), one - w.alpha * r],
+    ]
 
 
 # ---------------------------------------------------------------- generators
@@ -1280,15 +1299,30 @@ def _rand_quotient_pair(rng: random.Random, i: int) -> Tuple[RPoly, RPoly]:
     return a, b if rng.random() < 0.5 else b + RPoly.monomial(rng.randint(-(10**6), 10**6))
 
 
-def check_quotient_matches_oracle(cases: int, seed: int = SEED) -> None:
-    """quotient against the dict long division.  Each case is counted by
-    the path it took: "long" division alone, or the Kronecker path ending
-    in "integer" non-divisibility, a "checked" candidate, or a
-    "fallback" to long division.  All four must be taken."""
+def _far_exponent(rng: random.Random) -> int:
+    """A unit's exponent far from 0, of either sign: up to 10^6, and one
+    in twenty about 10^18."""
+    if rng.random() < 0.05:
+        return rng.choice((1, -1)) * 10**18 + rng.randint(-50, 50)
+    return rng.randint(-(10**6), 10**6)
+
+
+def check_quotient_matches_oracle(cases: int, seed: int = SEED, far: bool = False) -> Counter:
+    """quotient against the dict long division.  With far, each operand is
+    first multiplied by a unit x^k of _far_exponent, so the lowest
+    exponents sit far from 0 and from each other.  Each case is counted
+    by the path it took: "long" division alone, or the Kronecker path
+    ending in "integer" non-divisibility, a "checked" candidate, or a
+    "fallback" to long division.  All four must be taken; the counts are
+    returned, with "10^18", the cases that had an operand that far out."""
     rng = random.Random(seed)
     paths: Counter = Counter()
     for i in range(cases):
         a, b = _rand_quotient_pair(rng, i)
+        if far:
+            ka, kb = _far_exponent(rng), _far_exponent(rng)
+            a, b = a.shift(ka), b.shift(kb)
+            paths["10^18"] += max(abs(ka), abs(kb)) > 10**17
         with counting(laurent, "_kronecker_quotient", "_long_quotient") as calls:
             got = quotient(a, b)
         assert got == poly_quotient_oracle(a, b), (i, str(a), str(b))
@@ -1299,10 +1333,12 @@ def check_quotient_matches_oracle(cases: int, seed: int = SEED) -> None:
         else:
             paths["integer" if got is None else "checked"] += 1
     assert all(paths[p] for p in ("long", "integer", "checked", "fallback")), paths
+    return paths
 
 
 def mul_into_oracle(out: Dict[int, int], a: Dict[int, int], b: Dict[int, int], flip: int, sign: int) -> Dict[int, int]:
-    """out + sign * a(x^flip) * b by the dict double loop, zeros dropped."""
+    """out + sign * a(x^flip) * b by the dict double loop, zeros dropped;
+    the kernel itself has no sign, and is handed -a for sign -1."""
     res = dict(out)
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -1371,17 +1407,19 @@ def _roundings(calls: Counter, caller: str) -> set:
 
 
 def check_mul_into_matches_oracle(cases: int, seed: int = SEED) -> Counter:
-    """laurent._mul_into against mul_into_oracle for flip and sign +-1.
-    The returned dict is never a or b, and a or b is never written.  Every
-    third case sets out to minus the product, or minus a part of it,
-    so the sum cancels to zero wholly or partly.  a = {0: 1} is counted by
-    flip, sign and whether out has fewer terms than b.  Every fifth case is a
-    dense pair whose digit width rounds up to an array item size or
-    exceeds 8 bytes, with coefficients up to 2^90.  Then, in the same
-    widths, exact quotients a * c / a and products plus a monomial, whose
-    quotient is None, against poly_quotient_oracle.  The Kronecker product
-    and quotient must each round 3 bytes to 4 and 5-7 to 8, and keep a
-    width over 8.  Returns how many cases fell in each class."""
+    """laurent._mul_into against mul_into_oracle for flip and sign +-1,
+    sign -1 by handing the kernel -a, as division's steps by a
+    several-term s do.  The returned dict is never a or b, and a or b is
+    never written.  Every third case sets out to minus the product, or
+    minus a part of it, so the sum cancels to zero wholly or partly.
+    a = {0: 1} is counted by flip, sign and whether out has fewer terms
+    than b.  Every fifth case is a dense pair whose digit width rounds up
+    to an array item size or exceeds 8 bytes, with coefficients up to
+    2^90.  Then, in the same widths, exact quotients a * c / a and
+    products plus a monomial, whose quotient is None, against
+    poly_quotient_oracle.  The Kronecker product and quotient must each
+    round 3 bytes to 4 and 5-7 to 8, and keep a width over 8.  Returns
+    how many cases fell in each class."""
     rng = random.Random(seed)
     seen: Counter = Counter()
     with recording_widths() as calls:
@@ -1395,10 +1433,11 @@ def check_mul_into_matches_oracle(cases: int, seed: int = SEED) -> Counter:
                 out = {e: c for e, c in product.items() if not part or rng.random() < 0.5}
                 seen["cancel"] += 1
             want = mul_into_oracle(out, a, b, flip, sign)
-            before, a_before, b_before = dict(out), dict(a), dict(b)
-            got = laurent._mul_into(out, a, b, flip, sign)
-            assert got is not a and got is not b, (i, before, a, b, flip, sign)
-            assert a == a_before and b == b_before, (i, before, a_before, b_before, flip, sign)
+            signed = a if sign > 0 else {e: -c for e, c in a.items()}
+            before, a_before, b_before = dict(out), dict(signed), dict(b)
+            got = laurent._mul_into(out, signed, b, flip)
+            assert got is not signed and got is not b, (i, before, a, b, flip, sign)
+            assert signed == a_before and b == b_before, (i, before, a_before, b_before, flip, sign)
             assert {e: c for e, c in got.items() if c} == want, (i, before, a, b, flip, sign)
             seen["zero" if not want else "kind %d" % kind] += 1
             if a == {0: 1}:
@@ -1452,24 +1491,28 @@ def _rand_stafford_instance(rng: random.Random, kind: int) -> StaffordInstance:
 
 
 def check_closed_form_witnesses(cases: int, seed: int = SEED) -> Counter:
-    """witnesses and stafford_verdict on instances of the four kinds of
-    _rand_stafford_instance, in turn.  Each element v comes with the
-    quotient q of its closed form, and r*v == (y + s)*q is checked with
-    spoly_mul_oracle; each element also passes in_V, whose long division
-    is the independent membership oracle.  witnesses_ok equals
-    condition_ii, which equals poly_quotient_oracle's answer to whether r
-    divides s*sigma(r), and the monic element has y-degree 1 exactly when
-    condition (ii) fails.  Returns how many cases had condition (ii) true
-    and false, per kind; each kind must reach false, and kind 0 true."""
+    """stafford_verdict and monic_witness on instances of the four kinds
+    of _rand_stafford_instance, in turn.  The degree-1 element is
+    y*r + s*sigma(r), with the product taken by rpoly_mul_oracle, and
+    monic_witness is the verdict's monic element.  Each element v comes
+    with the quotient q of its closed form, and r*v == (y + s)*q is
+    checked with spoly_mul_oracle; each element also passes in_V, whose
+    long division is the independent membership oracle.  witnesses_ok
+    equals condition_ii, which equals poly_quotient_oracle's answer to
+    whether r divides s*sigma(r), and the monic element has y-degree 1
+    exactly when condition (ii) fails.  Returns how many cases had
+    condition (ii) true and false, per kind; each kind must reach false,
+    and kind 0 true."""
     rng = random.Random(seed)
     seen: Counter = Counter()
     for i in range(cases):
         kind = i % 4
         inst = _rand_stafford_instance(rng, kind)
         r, s = inst.r, inst.s
-        degree_one, monic = witnesses(inst)
         verdict = stafford_verdict(inst, None)
-        assert (verdict.degree_one, verdict.monic) == (degree_one, monic), (i, str(r), str(s))
+        degree_one, monic = verdict.degree_one, verdict.monic
+        assert degree_one == SPoly({1: r, 0: rpoly_mul_oracle(s, r.sigma())}), (i, str(r), str(s))
+        assert monic_witness(inst) == monic, (i, str(r), str(s))
         condition_ii = poly_quotient_oracle(r, rpoly_mul_oracle(s, r.sigma())) is None
         assert verdict.condition_ii == verdict.witnesses_ok == condition_ii, (i, str(r), str(s))
         assert (monic.max_degree == 1) == (not condition_ii), (i, str(r), str(s))

@@ -73,8 +73,8 @@ MUTANTS = (
     (
         "the monic quotient r in place of sigma(r)",
         "src/kleinverify/division.py",
-        "SPoly._of_rows({0: inst.r.sigma()._coeffs})",
-        "SPoly._of_rows({0: inst.r._coeffs})",
+        "SPoly._of_rows({0: r_bar._coeffs})",
+        "SPoly._of_rows({0: r._coeffs})",
     ),
     (
         "a splitting product's factors swapped: (y + s)*alpha for alpha*(y + s)",
@@ -147,6 +147,44 @@ MUTANTS = (
         "out[m] = b if sign == 1 else {e: -c for e, c in b.items()}",
         "out[m] = b",
     ),
+    (
+        "laurent._sum keeping a coefficient that cancels",
+        "src/kleinverify/laurent.py",
+        """        v = get(e, 0) + sign * c
+        if v:
+            out[e] = v
+        else:
+            del out[e]""",
+        """        v = get(e, 0) + sign * c
+        if v:
+            out[e] = v
+        else:
+            out[e] = v""",
+    ),
+    (
+        "long division stopping one exponent above the quotient's lowest",
+        "src/kleinverify/laurent.py",
+        "stop = dmax + lo",
+        "stop = dmax + lo + 1",
+    ),
+    (
+        "Kronecker quotient digits read from exponent 0, not from lo",
+        "src/kleinverify/laurent.py",
+        "quot = _nonzero(dict(enumerate(digits, lo)))",
+        "quot = _nonzero(dict(enumerate(digits)))",
+    ),
+    (
+        "divide's several-term step by s, not -s",
+        "src/kleinverify/division.py",
+        "minus_s = {e: -c for e, c in s_terms.items()}",
+        "minus_s = s_terms",
+    ),
+    (
+        "stafford_verdict checking only the degree-one pair",
+        "src/kleinverify/verify.py",
+        "for v, q in pairs)",
+        "for v, q in pairs[:1])",
+    ),
 )
 
 # Known equivalent mutants, left out of MUTANTS because no result of the
@@ -154,6 +192,10 @@ MUTANTS = (
 # - klein._mul_rows_into keeping a cancelled coefficient ("row[e2] = v"
 #   for "del row[e2]"): every caller wraps the rows by klein._spoly, whose
 #   laurent._nonzero drops the zero, so only the time differs.
+# - laurent._long_quotient stopping one exponent below the quotient's
+#   lowest ("stop = dmax + lo - 1"): a step there gives the quotient a
+#   term below min(b) - min(a), so a * q has a term below min(b) and
+#   the remainder cannot vanish; the answer is None either way.
 
 
 def budget_error() -> str | None:

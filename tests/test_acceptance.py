@@ -24,7 +24,6 @@ from kleinverify import (
     stafford_verdict,
     verify_bezout,
     verify_factorization,
-    witnesses,
 )
 from kleinverify import builtin
 from kleinverify.certificates import CertFactor, ConjugacyCertificate
@@ -95,7 +94,7 @@ def test_a06_divisibility_obstruction():
 def test_a07_witness_structure():
     """y*r + s*sigma(r) lies in V with y-span 1 and a non-unit top
     coefficient; y^2 - 1 lies in V and is monic; 1 is not in V."""
-    degree_one, monic = witnesses(INST)
+    degree_one, monic = helpers.witnesses(INST)
     assert degree_one == SPoly({1: INST.r, 0: INST.s * INST.r.sigma()})
     assert in_V(degree_one, INST)
     assert degree_one.span() == 1

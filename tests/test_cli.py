@@ -479,8 +479,9 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys, command):
 
 # An input too large to compute on exits 2 with one error line, not 1,
 # which would read as a failed check.  The MemoryError is raised by a
-# patched condition (ii) quotient, division._degree_one_cofactor as
-# stafford_verdict reads it, so no real memory is exhausted.
+# patched builder of condition (ii)'s quotient and the witnesses,
+# division._witness_pairs as stafford_verdict reads it, so no real memory
+# is exhausted.
 @pytest.mark.parametrize("text, message", [("", "error: out of memory"), ("no room", "error: no room")])
 def test_memory_error_exits_2(monkeypatch, capsys, text, message):
     from kleinverify import verify
@@ -488,7 +489,7 @@ def test_memory_error_exits_2(monkeypatch, capsys, text, message):
     def exhausted(inst):
         raise MemoryError(text) if text else MemoryError
 
-    monkeypatch.setattr(verify, "_degree_one_cofactor", exhausted)
+    monkeypatch.setattr(verify, "_witness_pairs", exhausted)
     assert run(["stafford", "--s", "x^2000000 + 1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -14,7 +14,6 @@ from kleinverify import (
     parse_rpoly,
     parse_spoly,
     psi,
-    witnesses,
     y_plus_s,
 )
 from kleinverify import builtin
@@ -29,6 +28,7 @@ from helpers import (
     lift_kernel,
     rand_rpoly,
     rand_spoly,
+    witnesses,
 )
 
 INST = builtin.stafford_instance()

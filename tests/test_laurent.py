@@ -103,10 +103,15 @@ def test_long_quotient_refills_a_cancelled_exponent():
     # 2 + 2x^2 + 2x^4 over -1 + x - x^2: the first step cancels x^2 and
     # the second writes it again, so x^2 waits in the heap twice and is
     # skipped once.  The quotient is -2(1 + x + x^2).
+    # The quotient's lowest exponent, 0, is the third argument.
     den, num = {0: -1, 1: 1, 2: -1}, {0: 2, 2: 2, 4: 2}
-    assert laurent._long_quotient(num, den) == {0: -2, 1: -2, 2: -2}
-    assert laurent._long_quotient({**num, 1: 1}, den) is None
-    assert laurent._long_quotient({**num, 5: 1}, den) is None
+    assert laurent._long_quotient(num, den, 0) == {0: -2, 1: -2, 2: -2}
+    assert laurent._long_quotient({**num, 1: 1}, den, 0) is None
+    assert laurent._long_quotient({**num, 5: 1}, den, 0) is None
+    # The same division shifted by x^-7 and x^10^6: no copy is shifted.
+    den, num = {e - 7: c for e, c in den.items()}, {e + 10**6: c for e, c in num.items()}
+    assert laurent._long_quotient(num, den, 10**6 + 7) == {10**6 + 7 + e: -2 for e in range(3)}
+    assert laurent._long_quotient({**num, 10**6 - 1: 1}, den, 10**6 + 7 - 1) is None
 
 
 def test_mul_matches_oracle():
@@ -115,6 +120,16 @@ def test_mul_matches_oracle():
 
 def test_quotient_matches_oracle():
     check_quotient_matches_oracle(700)
+
+
+def test_quotient_far_from_zero_matches_oracle():
+    # Lowest exponents up to about 10^6 from 0, of both signs, and about
+    # one case in ten with an operand 10^18 out, on the long and the
+    # Kronecker path.
+    paths = check_quotient_matches_oracle(560, SEED + 5, far=True)
+    kronecker = paths["integer"] + paths["checked"] + paths["fallback"]
+    assert paths["long"] + kronecker == 560 and paths["long"] >= 100 and kronecker >= 200, paths
+    assert paths["10^18"] >= 25, paths
 
 
 def test_mul_into_matches_oracle():

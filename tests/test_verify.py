@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from kleinverify import (
     BezoutWitness,
     Presentation,
@@ -18,7 +20,6 @@ from kleinverify import (
     parse_word,
     psi,
     splitting_check,
-    splitting_projector,
     stafford_verdict,
     verify_bezout,
     verify_factorization,
@@ -34,6 +35,7 @@ from helpers import (
     counting,
     lift_kernel,
     rand_spoly,
+    splitting_projector,
 )
 
 INST = builtin.stafford_instance()
@@ -135,6 +137,16 @@ def test_bezout_trivial_instance():
     assert splitting_check(w, inst)
 
 
+def test_bezout_witness_requires_spolys():
+    # alpha and beta are multiplied as SPolys, so the witness checks them,
+    # as StaffordInstance checks r and s; otherwise an RPoly alpha would
+    # raise AttributeError out of full_report, which never re-raises
+    for alpha, beta in ((RPoly({0: 1}), SPoly.one()), (SPoly.one(), 1), (None, SPoly.zero())):
+        with pytest.raises(ValueError) as err:
+            BezoutWitness(alpha, beta)
+        assert str(err.value) == "witness requires alpha and beta to be SPolys"
+
+
 def test_splitting_check():
     assert splitting_check(WITNESS, INST)
 
@@ -148,9 +160,9 @@ def test_splitting_check_matches_projector():
 
 def test_full_report_work_is_pinned():
     # Each check computes its products: 4 factorization, 2 unit
-    # combination, 8 splitting and 4 witness SPoly products; s*sigma(r)
-    # and four witness rows as RPoly products; condition (ii)'s one
-    # quotient.  Around them nothing goes through the public SPoly(...)
+    # combination, 8 splitting and 4 witness SPoly products; s*sigma(r),
+    # once for condition (ii) and the degree-1 element, and three more
+    # witness rows as RPoly products; condition (ii)'s one quotient.  Around them nothing goes through the public SPoly(...)
     # or negates an SPoly.
     full_report()
     with counting(SPoly, "__mul__", "__init__", "__neg__") as spoly, \
@@ -158,7 +170,7 @@ def test_full_report_work_is_pinned():
         report = full_report()
     assert report.all_ok
     assert spoly == {"__mul__": 18, "__init__": 0, "__neg__": 0}
-    assert rpoly == {"__mul__": 5}
+    assert rpoly == {"__mul__": 4}
     assert division_calls == {"quotient": 1}
 
 
@@ -505,13 +517,13 @@ def test_stafford_verdict_asks_degree_one_divisibility_once():
 def test_full_report_corrupt_witness_quotient_reads_false(monkeypatch):
     # A monic witness whose quotient is off by one fails r*v == (y + s)*q,
     # so witnesses_ok reads false; no other flag depends on it.
-    monic = division._monic
+    build = verify._witness_pairs
 
-    def corrupted(inst, cofactor):
-        v, q = monic(inst, cofactor)
-        return v, q + SPoly.one()
+    def corrupted(inst):
+        cofactor, (degree_one, (v, q)) = build(inst)
+        return cofactor, (degree_one, (v, q + SPoly.one()))
 
-    monkeypatch.setattr(division, "_monic", corrupted)
+    monkeypatch.setattr(verify, "_witness_pairs", corrupted)
     report = full_report()
     assert not report.witnesses_ok and not report.all_ok
     assert all(ok for name, ok in report.flags() if name != "witnesses_ok")

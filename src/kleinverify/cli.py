@@ -6,6 +6,14 @@ it in one pass and builds the usage text from it.  An option takes its
 value as "--opt value" or "--opt=value", spelled in full.  A token that
 does not start with "--" is a value, so "--s -x^-1" needs no quoting.
 
+Output goes through one function, _emit, which is handed the JSON
+payload and the text as zero-argument callables and builds only the one
+it prints.  The six commands that answer with one value (chi,
+normal-form, fox, member, divides, certificate) hand it theirs through
+_answer: the value as text, or the JSON object {"command", inputs...,
+"value"}, whose inputs are formatted only for JSON.  stafford lists its
+verdict's five fields once, for both formats.
+
 Exit status: 0 when every requested check passes, 1 when a check fails,
 2 on input or parse errors, usage errors included, and on an input too
 large to compute on (MemoryError).
@@ -42,6 +50,22 @@ def _emit(args, payload: Callable[[], dict], text: Callable[[], str]) -> None:
         print(text())
 
 
+def _answer(args, value, inputs: Callable[[], dict] = dict) -> int:
+    """Print a one-value command's answer and return its exit status.
+
+    Text output is the value alone; JSON output is the object
+    {"command", inputs..., "value"}, and only it calls inputs, which
+    formats the operands.  A yes/no value prints as true or false (pass
+    or fail for certificate) and exits 0 or 1; any other value exits 0.
+    """
+    if isinstance(value, bool):
+        text = (("fail", "pass") if args.command == "certificate" else ("false", "true"))[value]
+    else:
+        text = str(value)
+    _emit(args, lambda: {"command": args.command, **inputs(), "value": value}, lambda: text)
+    return 1 if value is False else 0
+
+
 def cmd_verify_paper(args) -> int:
     from .verify import full_report
 
@@ -53,21 +77,15 @@ def cmd_verify_paper(args) -> int:
 def cmd_chi(args) -> int:
     from .presentations import euler_characteristic
 
-    p = _resolve_presentation(args.presentation)
-    value = euler_characteristic(p)
-    _emit(args, lambda: {"command": "chi", "value": value}, lambda: str(value))
-    return 0
+    return _answer(args, euler_characteristic(_resolve_presentation(args.presentation)))
 
 
 def cmd_normal_form(args) -> int:
     from .klein import eval_word
     from .words import Word, parse_word
 
-    w = parse_word(args.word, ("x", "y"))
-    m, n = eval_word(w)
-    nf = str(Word((("y", m), ("x", n))))
-    _emit(args, lambda: {"command": "normal-form", "word": args.word, "value": nf}, lambda: nf)
-    return 0
+    m, n = eval_word(parse_word(args.word, ("x", "y")))
+    return _answer(args, str(Word((("y", m), ("x", n)))), lambda: {"word": args.word})
 
 
 def cmd_fox(args) -> int:
@@ -78,13 +96,7 @@ def cmd_fox(args) -> int:
     if len(letters) != 1 or letters[0][1] != 1:
         raise ValueError(f"the generator must be a single letter such as x, not {args.generator!r}")
     combo = fox_derivative(parse_word(args.word), letters[0][0])
-    _emit(
-        args,
-        lambda: {"command": "fox", "word": args.word, "generator": args.generator,
-                 "value": str(combo)},
-        lambda: str(combo),
-    )
-    return 0
+    return _answer(args, str(combo), lambda: {"word": args.word, "generator": args.generator})
 
 
 def _instance_from(args) -> StaffordInstance:
@@ -107,14 +119,7 @@ def cmd_member(args) -> int:
 
     inst = _instance_from(args)
     v = parse_spoly(args.element)
-    ok = in_V(v, inst)
-    _emit(
-        args,
-        lambda: {"command": "member", "element": str(v), "r": str(inst.r),
-                 "s": str(inst.s), "value": ok},
-        lambda: "true" if ok else "false",
-    )
-    return 0 if ok else 1
+    return _answer(args, in_V(v, inst), lambda: {"element": str(v), "r": str(inst.r), "s": str(inst.s)})
 
 
 def cmd_divides(args) -> int:
@@ -122,32 +127,18 @@ def cmd_divides(args) -> int:
 
     a = parse_rpoly(args.a)
     b = parse_rpoly(args.b)
-    ok = divides(a, b)
-    _emit(
-        args,
-        lambda: {"command": "divides", "a": str(a), "b": str(b), "value": ok},
-        lambda: "true" if ok else "false",
-    )
-    return 0 if ok else 1
+    return _answer(args, divides(a, b), lambda: {"a": str(a), "b": str(b)})
 
 
 def cmd_certificate(args) -> int:
     from .certificates import check_certificate, load_certificate
 
     cert = load_certificate(args.certificate)
-    if args.presentation is not None:
-        src = _resolve_presentation(args.presentation)
-    elif cert.source is not None:
-        src = _resolve_presentation(cert.source)
-    else:
+    source = cert.source if args.presentation is None else args.presentation
+    if source is None:
         raise ValueError("certificate names no source; pass --presentation")
-    ok = check_certificate(src, cert)
-    _emit(
-        args,
-        lambda: {"command": "certificate", "target": str(cert.target), "value": ok},
-        lambda: "pass" if ok else "fail",
-    )
-    return 0 if ok else 1
+    ok = check_certificate(_resolve_presentation(source), cert)
+    return _answer(args, ok, lambda: {"target": str(cert.target)})
 
 
 def cmd_stafford(args) -> int:
@@ -157,34 +148,20 @@ def cmd_stafford(args) -> int:
     inst = _instance_from(args)
     witness = default_witness() if inst == builtin.stafford_instance() else None
     verdict = stafford_verdict(inst, witness)
-    degree_one = str(verdict.degree_one) if verdict.degree_one else None
-    monic = str(verdict.monic) if verdict.monic else None
-
-    def payload() -> dict:
-        return {
-            "command": "stafford",
-            "r": str(inst.r),
-            "s": str(inst.s),
-            "condition_i": verdict.condition_i,
-            "condition_ii": verdict.condition_ii,
-            "witnesses_ok": verdict.witnesses_ok,
-            "degree_one": degree_one,
-            "monic": monic,
-        }
+    # The verdict's five fields, each as both formats print it: a flag as
+    # it is, a witness element as text, or None.
+    fields = {name: value if isinstance(value, bool) else str(value) if value else None
+              for name, value in verdict._asdict().items()}
 
     def text() -> str:
-        return "\n".join([
-            f"condition_i   {'ok' if verdict.condition_i else 'FAIL'}"
-            + ("" if witness else "  (no unit-combination witness for this instance)"),
-            f"condition_ii  {'ok' if verdict.condition_ii else 'FAIL'}",
-            f"witnesses_ok  {'ok' if verdict.witnesses_ok else 'FAIL'}",
-            f"degree_one    {degree_one}",
-            f"monic         {monic}",
-        ])
+        lines = [f"{name:<13} {'ok' if value is True else 'FAIL' if value is False else value}"
+                 for name, value in fields.items()]
+        if not witness:
+            lines[0] += "  (no unit-combination witness for this instance)"
+        return "\n".join(lines)
 
-    _emit(args, payload, text)
-    ok = verdict.condition_i and verdict.condition_ii and verdict.witnesses_ok
-    return 0 if ok else 1
+    _emit(args, lambda: {"command": "stafford", "r": str(inst.r), "s": str(inst.s), **fields}, text)
+    return 0 if all(verdict[:3]) else 1
 
 
 # A stand-in default for an option that must be given.
@@ -243,7 +220,8 @@ def _help_text() -> str:
 
 
 class _Args:
-    """The parsed command line: one attribute per positional and option."""
+    """The parsed command line: one attribute per positional and option,
+    and command, its name."""
 
     def __init__(self, values: dict):
         self.__dict__.update(values)
@@ -292,7 +270,8 @@ def _parse_args(argv: list[str]):
         _usage_error(command, f"option --{missing} is required")
     if values["format"] not in ("json", "text"):
         _usage_error(command, f"--format must be json or text, not {values['format']!r}")
-    values.update(zip(positionals, given))
+    # The command's name joins the values only now, so no option can set it.
+    values.update(zip(positionals, given), command=command)
     return handler, _Args(values)
 
 

@@ -38,11 +38,12 @@ with no division:
 The first holds because r*y = y*sigma(r) and the coefficient ring is
 commutative; the last because y^2 is central and
 (y + s)*(y - sigma(s)) = y^2 - s*sigma(s).  Condition (ii) asks whether
-c exists, that is whether r divides s*sigma(r).  _witness_pairs asks it
-once, builds sigma(r) and s*sigma(r) once for the quotient and both
-elements, and returns c with both (element, quotient) pairs:
-stafford_verdict checks the pairs in one loop, and no_monic_degree_one
-and monic_witness read the rest.
+c exists, that is whether r divides s*sigma(r).  _cofactor asks it once
+and returns sigma(r) and s*sigma(r) with c; no_monic_degree_one reads c
+alone.  _witness_pairs builds both elements and their quotients on
+those, and returns c with both (element, quotient) pairs:
+stafford_verdict checks the pairs in one loop, and monic_witness reads
+the monic element.
 
 Each element and its quotient are built by SPoly._of_rows from the
 dicts of RPolys, with no row checked or filtered again: every row is 1,
@@ -176,20 +177,30 @@ def in_V(v: SPoly, inst: StaffordInstance) -> bool:
     return divide(SPoly.from_rpoly(inst.r) * v, inst.s).remainder.is_zero()
 
 
-def _witness_pairs(inst: StaffordInstance) -> tuple[RPoly | None, tuple[tuple[SPoly, SPoly], ...]]:
-    """Condition (ii)'s cofactor s*sigma(r)/r, or None when r does not
-    divide s*sigma(r), and the degree-1 and the monic element of V, each
-    as the pair (element, quotient) of the module docstring.
+def _cofactor(inst: StaffordInstance) -> tuple[RPoly, RPoly, RPoly | None]:
+    """sigma(r), s*sigma(r), and condition (ii)'s cofactor s*sigma(r)/r,
+    or None when r does not divide s*sigma(r).
 
     An element y*a1 + a0 of V with a1 a unit forces r*a0 = s*sigma(r)*a1,
     so one exists iff r divides s*sigma(r) (divisibility in the Laurent
-    ring absorbs units), and y + s*sigma(r)/r is then one.  sigma(r) and
-    s*sigma(r) are built once, for the quotient and for the elements.
-    The pairs are not checked here; stafford_verdict checks them.
+    ring absorbs units), and y + s*sigma(r)/r is then one.
     """
-    r, r_bar = inst.r, inst.r.sigma()
+    r_bar = inst.r.sigma()
     s_r_bar = inst.s * r_bar
-    cofactor = quotient(r, s_r_bar)
+    return r_bar, s_r_bar, quotient(inst.r, s_r_bar)
+
+
+def _witness_pairs(inst: StaffordInstance) -> tuple[RPoly | None, tuple[tuple[SPoly, SPoly], ...]]:
+    """Condition (ii)'s cofactor, as _cofactor gives it, and the degree-1
+    and the monic element of V, each as the pair (element, quotient) of
+    the module docstring.
+
+    sigma(r) and s*sigma(r) come from _cofactor, built once for the
+    quotient and for the elements.  The pairs are not checked here;
+    stafford_verdict checks them.
+    """
+    r = inst.r
+    r_bar, s_r_bar, cofactor = _cofactor(inst)
     degree_one = (
         SPoly._of_rows({1: r._coeffs, 0: s_r_bar._coeffs}),
         SPoly._of_rows({0: (r * r_bar)._coeffs}),
@@ -206,8 +217,9 @@ def _witness_pairs(inst: StaffordInstance) -> tuple[RPoly | None, tuple[tuple[SP
 
 
 def no_monic_degree_one(inst: StaffordInstance) -> bool:
-    """True iff V contains no element y*a1 + a0 with a1 a unit."""
-    return _witness_pairs(inst)[0] is None
+    """True iff V contains no element y*a1 + a0 with a1 a unit: condition
+    (ii)'s quotient alone, with no witness built."""
+    return _cofactor(inst)[2] is None
 
 
 def monic_witness(inst: StaffordInstance) -> SPoly:

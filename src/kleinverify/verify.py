@@ -36,18 +36,11 @@ class BezoutWitness:
         self.alpha, self.beta = alpha, beta
 
 
-class ChainData:
-    """Boundary rows for the one- and two-relator complexes.
-
-    d2_p is the single row of the one-relator boundary, d2_q the two rows
-    of the two-relator boundary, d1 the edge boundary column; all are
-    tuples indexed by the (x, y) edge order.
-    """
-
-    __slots__ = ("d2_p", "d2_q", "d1")
-
-    def __init__(self, d2_p: tuple, d2_q: tuple, d1: tuple):
-        self.d2_p, self.d2_q, self.d1 = d2_p, d2_q, d1
+# Boundary rows for the one- and two-relator complexes: d2_p is the single
+# row of the one-relator boundary, d2_q the two rows of the two-relator
+# boundary, d1 the edge boundary column; all are tuples indexed by the
+# (x, y) edge order.
+ChainData = namedtuple("ChainData", "d2_p d2_q d1")
 
 
 def build_chain_data(p: Presentation, q: Presentation) -> ChainData:
@@ -124,13 +117,9 @@ def splitting_check(w: BezoutWitness, inst: StaffordInstance) -> bool:
     return ys * (_ONE - beta * ys) == r * (alpha * ys) and r * (_ONE - alpha * r) == ys * (beta * r)
 
 
-class StaffordVerdict:
-    __slots__ = ("condition_i", "condition_ii", "witnesses_ok", "degree_one", "monic")
-
-    def __init__(self, condition_i: bool, condition_ii: bool, witnesses_ok: bool,
-                 degree_one: SPoly | None, monic: SPoly | None):
-        self.condition_i, self.condition_ii = condition_i, condition_ii
-        self.witnesses_ok, self.degree_one, self.monic = witnesses_ok, degree_one, monic
+# The two non-freeness conditions, whether the two closed-form elements of
+# V pass, and those elements (None where their product check fails).
+StaffordVerdict = namedtuple("StaffordVerdict", "condition_i condition_ii witnesses_ok degree_one monic")
 
 
 def stafford_verdict(

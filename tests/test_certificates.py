@@ -165,6 +165,14 @@ def test_equivalence_verdict():
     assert not equivalence_verdict(P, Q, [CERT1, CERT2], [])
 
 
+def test_equivalence_verdict_skips_an_out_of_range_certificate():
+    # A certificate naming a relator the source lacks counts as not
+    # certifying its target: the verdict reads on to the next one.
+    stray = ConjugacyCertificate(REVERSE.target, (CertFactor(Word(), 5, 1),))
+    assert equivalence_verdict(P, Q, [CERT1, CERT2], [stray, REVERSE])
+    assert not equivalence_verdict(P, Q, [CERT1, CERT2], [stray])
+
+
 def _trivial_certs(p):
     return [
         ConjugacyCertificate(rel, (CertFactor(Word(), i, 1),))

@@ -80,6 +80,26 @@ def test_fox(capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+@pytest.mark.parametrize(
+    "argv, items, status",
+    [
+        (["chi"], [("command", "chi"), ("value", 1)], 0),
+        (["normal-form", "y^-1 x y"], [("command", "normal-form"), ("word", "y^-1 x y"), ("value", "x^-1")], 0),
+        (["fox", "y^-1 x y x", "x"], [("command", "fox"), ("word", "y^-1 x y x"), ("generator", "x"),
+                                      ("value", "1*(y^-1) + 1*(y^-1 x y)")], 0),
+        (["member", "(1)"], [("command", "member"), ("element", "(1)"), ("r", "x^3 - x - 1"),
+                             ("s", "-x^-1"), ("value", False)], 1),
+        (["divides", "x+1", "x^2-1"], [("command", "divides"), ("a", "x + 1"), ("b", "x^2 - 1"),
+                                       ("value", True)], 0),
+    ],
+    ids=["chi", "normal-form", "fox", "member", "divides"],
+)
+def test_one_value_json(capsys, argv, items, status):
+    # The command's name first, then its inputs, then the value.
+    assert run(argv + ["--format", "json"]) == status
+    assert list(json.loads(capsys.readouterr().out).items()) == items
+
+
 def test_member(capsys):
     assert run(["member", "y^2*(1) + (-1)"]) == 0
     assert capsys.readouterr().out.strip() == "true"
@@ -113,6 +133,15 @@ def test_parse_error_exit_code(capsys):
     assert all(line.startswith("error: ") for line in lines), captured.err
 
 
+def test_presentation_file_not_an_object_exit_2(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(["x", "y"]), encoding="utf-8")
+    assert run(["chi", "--presentation", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: presentation JSON needs an object with 'generators' and 'relators'\n"
+
+
 def test_missing_file_exit_code():
     assert run(["chi", "--presentation", "no_such_file.json"]) == 2
 
@@ -129,6 +158,20 @@ def test_certificate_command(tmp_path, capsys):
     path.write_text(json.dumps(broken), encoding="utf-8")
     assert run(["certificate", "--certificate", str(path)]) == 1
     assert capsys.readouterr().out.strip() == "fail"
+
+
+def test_certificate_without_source_exit_2(tmp_path, capsys):
+    data = certificate_to_dict(builtin.forward_certificates()[0])
+    data.pop("source", None)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(["certificate", "--certificate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: certificate names no source; pass --presentation\n"
+    # --presentation names the source the file lacks
+    assert run(["certificate", "--certificate", str(path), "--presentation", "P", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"command": "certificate", "target": data["target"], "value": True}
 
 
 def test_stafford_default(capsys):
@@ -203,6 +246,9 @@ def test_help_exits_0_and_lists_every_command(capsys, argv):
         # Options are spelled in full: no abbreviation is accepted.
         (["divides", "x", "x", "--form", "json"], "unknown option --form"),
         (["certificate", "--cert", "c.json"], "unknown option --cert"),
+        # The command's name is not an option, though a JSON answer names it.
+        (["chi", "--command", "x"], "unknown option --command"),
+        (["divides", "x", "x", "--command=divides"], "unknown option --command"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, reason):

@@ -16,7 +16,7 @@ from kleinverify import (
     psi,
     y_plus_s,
 )
-from kleinverify import builtin
+from kleinverify import builtin, division
 
 from helpers import (
     SEED,
@@ -25,6 +25,7 @@ from helpers import (
     check_division_recomposition,
     check_single_degree_span,
     check_v_right_module,
+    counting,
     lift_kernel,
     rand_rpoly,
     rand_spoly,
@@ -134,6 +135,17 @@ def test_no_monic_degree_one():
     assert no_monic_degree_one(StaffordInstance(RPoly.one(), S)) is False
     # s = r makes s*sigma(r) = r*sigma(r), trivially divisible by r
     assert no_monic_degree_one(StaffordInstance(INST.r, INST.r)) is False
+
+
+def test_no_monic_degree_one_builds_no_witness():
+    # Condition (ii)'s quotient alone: s*sigma(r) is the one RPoly product
+    # and the quotient by r the one quotient; neither r*sigma(r) nor any
+    # element of V is built.
+    for inst in (INST, StaffordInstance(RPoly.one(), S)):
+        with counting(RPoly, "__mul__") as products, counting(division, "quotient") as quotients, \
+                counting(SPoly, "_of_rows") as spolys:
+            no_monic_degree_one(inst)
+        assert (products, quotients, spolys) == ({"__mul__": 1}, {"quotient": 1}, {"_of_rows": 0})
 
 
 def test_witnesses_default_instance():

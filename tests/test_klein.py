@@ -84,6 +84,12 @@ def test_monic_product():
     assert (y + s) * (y + x) == parse_spoly("y^2 - 1")
 
 
+def test_zero_has_no_y_degree():
+    for name in ("min_degree", "max_degree"):
+        with pytest.raises(ValueError, match="the zero element has no y-degree"):
+            getattr(SPoly.zero(), name)
+
+
 def test_multiplicative_identity():
     rng = random.Random(SEED + 2)
     for _ in range(100):

@@ -73,6 +73,13 @@ def test_divides_roundtrip():
         assert c is not None and a * c == b
 
 
+def test_quotient_by_zero_raises():
+    # Zero divides nothing, not even zero: no quotient is returned.
+    for b in (RPoly.zero(), R):
+        with pytest.raises(ValueError, match="division by the zero polynomial"):
+            quotient(RPoly.zero(), b)
+
+
 def test_divides_sparse_gap():
     # The quotient has 10^4 terms spread over 10^8 exponents; long division
     # jumps the gaps between them instead of walking every exponent.

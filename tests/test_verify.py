@@ -77,6 +77,17 @@ def test_psi_right_linearity():
 def test_chain_data_invariants():
     chains = build_chain_data(P, Q)
     assert chain_composites_vanish(chains)
+    # a record read by field name or by position, in the order d2_p, d2_q, d1
+    assert chains == (chains.d2_p, chains.d2_q, chains.d1)
+    assert len(chains.d2_p) == len(chains.d1) == 2 and len(chains.d2_q) == 2
+
+
+@pytest.mark.parametrize("generators", [("x",), ("y", "x")])
+def test_chain_data_rejects_other_generators(generators):
+    # Fewer generators, or the same ones in another order, give another
+    # edge boundary column, so the two complexes share no basis.
+    with pytest.raises(ValueError, match="presentations disagree on the edge boundary"):
+        build_chain_data(P, Presentation(generators, ()))
 
 
 def test_verify_factorization():
@@ -193,6 +204,9 @@ def test_stafford_verdict_default_instance():
     assert verdict.condition_ii
     assert verdict.witnesses_ok
     assert verdict.monic == parse_spoly("y^2 - 1")
+    # a record read by field name or by position, in the order below
+    assert verdict._fields == ("condition_i", "condition_ii", "witnesses_ok", "degree_one", "monic")
+    assert verdict == (True, True, True, verdict.degree_one, verdict.monic)
 
 
 def test_stafford_verdict_unit_r():

@@ -11,12 +11,16 @@ PYTHONPATH at its src.  The checkout itself is never written.
 
 First the unedited copy runs the whole suite, which must pass and must
 import kleinverify from the copy; otherwise no verdict on a mutant
-means anything.  Then a mutant is killed when the suite fails or runs
-past TIMEOUT seconds, and survives when it passes.  The gate exits 1 when
-its runs, each at TIMEOUT, could outlast the CI job that runs it (the
-timeout-minutes of the mutants job in WORKFLOW), when an anchor text does
-not occur exactly once in its file, when the unedited copy fails, or when
-any mutant survives; else 0.  Stdlib only.
+means anything.  Its wall time sets the bound on each mutant run:
+BOUND_FACTOR times as long.  A mutant is killed when the suite fails or
+runs past that bound, and survives when it passes.  A surviving mutant
+runs the same passing suite, so the bound leaves it a 100% margin.
+
+The gate exits 1 when an anchor text does not occur exactly once in its
+file, when the unedited copy fails, when the time spent so far plus
+every mutant run at the bound could outlast the CI job that runs the
+gate (the timeout-minutes of the mutants job in WORKFLOW), or when any
+mutant survives; else 0.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -34,10 +38,8 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 PYTEST = ("-X", "dev", "-W", "error", "-m", "pytest", "-q", "-p", "no:cacheprovider")
-# Seconds per suite run.  The unedited suite takes about 20 s.  The import
-# check, the unedited suite and every mutant, each at this bound, must fit
-# the CI job's timeout-minutes; budget_error checks that.
-TIMEOUT = 80
+# Each mutant run may take this many times the unedited suite's wall time.
+BOUND_FACTOR = 2
 
 MUTANTS = (
     (
@@ -81,6 +83,48 @@ MUTANTS = (
         "src/kleinverify/verify.py",
         "== r * (alpha * ys)",
         "== r * (ys * alpha)",
+    ),
+    (
+        "a splitting product's factors swapped: (y + s)*beta for beta*(y + s)",
+        "src/kleinverify/verify.py",
+        "(_ONE - beta * ys)",
+        "(_ONE - ys * beta)",
+    ),
+    (
+        "a splitting product's factors swapped: r*alpha for alpha*r",
+        "src/kleinverify/verify.py",
+        "(_ONE - alpha * r)",
+        "(_ONE - r * alpha)",
+    ),
+    (
+        "a splitting product's factors swapped: r*beta for beta*r",
+        "src/kleinverify/verify.py",
+        "(beta * r)",
+        "(r * beta)",
+    ),
+    (
+        "a splitting product's factors swapped: (1 - beta*(y + s))*(y + s)",
+        "src/kleinverify/verify.py",
+        "ys * (_ONE - beta * ys) ==",
+        "(_ONE - beta * ys) * ys ==",
+    ),
+    (
+        "a splitting product's factors swapped: (alpha*(y + s))*r",
+        "src/kleinverify/verify.py",
+        "== r * (alpha * ys)",
+        "== (alpha * ys) * r",
+    ),
+    (
+        "a splitting product's factors swapped: (1 - alpha*r)*r",
+        "src/kleinverify/verify.py",
+        "r * (_ONE - alpha * r) ==",
+        "(_ONE - alpha * r) * r ==",
+    ),
+    (
+        "a splitting product's factors swapped: (beta*r)*(y + s)",
+        "src/kleinverify/verify.py",
+        "== ys * (beta * r)",
+        "== (beta * r) * ys",
     ),
     (
         "boundary_data's x^-1 term at x-exponent u + t, not u - t",
@@ -198,18 +242,24 @@ MUTANTS = (
 #   the remainder cannot vanish; the answer is None either way.
 
 
-def budget_error() -> str | None:
-    """Why the gate's runs, each at TIMEOUT, could outlast the mutants job
-    of WORKFLOW, or None when they fit its timeout-minutes."""
+def job_minutes() -> int | None:
+    """The timeout-minutes of the mutants job in WORKFLOW, or None."""
     text = WORKFLOW.read_text(encoding="utf-8")
     job = re.search(r"^  mutants:\n((?:    .*\n|\n)*)", text, re.M)
     found = job and re.search(r"^    timeout-minutes: (\d+)$", job.group(1), re.M)
-    if not found:
-        return f"no timeout-minutes for the mutants job in {WORKFLOW}"
-    runs, minutes = len(MUTANTS) + 2, int(found.group(1))
-    if runs * TIMEOUT > minutes * 60:
-        return f"{runs} runs at {TIMEOUT} s take up to {runs * TIMEOUT} s, over the job's {minutes} minutes"
-    return None
+    return int(found.group(1)) if found else None
+
+
+def budget(spent: float, suite: float, mutants: int, minutes: int) -> tuple[float, str | None]:
+    """The bound on each mutant run, BOUND_FACTOR times suite, the unedited
+    suite's wall time in seconds; and why spent seconds plus mutants runs
+    at that bound could outlast minutes, or None when they fit."""
+    bound = BOUND_FACTOR * suite
+    total = spent + mutants * bound
+    if total > minutes * 60:
+        return bound, (f"{spent:.0f} s spent and {mutants} runs at {bound:.1f} s take up to"
+                       f" {total:.0f} s, over the job's {minutes} minutes")
+    return bound, None
 
 
 def anchor_errors() -> list[str]:
@@ -232,68 +282,79 @@ def _copy(dest: Path) -> None:
             shutil.copy2(src, dest / part)
 
 
-def _run(copy: Path, args: tuple[str, ...]) -> subprocess.CompletedProcess | None:
+def _run(copy: Path, args: tuple[str, ...], timeout: float) -> subprocess.CompletedProcess | None:
     """args run by this interpreter in copy, with PYTHONPATH at its src;
-    None when the run passes TIMEOUT."""
+    None when the run passes timeout seconds."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     try:
         return subprocess.run(
-            [sys.executable, *args], cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT
+            [sys.executable, *args], cwd=copy, env=env, capture_output=True, text=True, timeout=timeout
         )
     except subprocess.TimeoutExpired:
         return None
 
 
-def baseline_error() -> str | None:
-    """Why the unedited copy cannot judge mutants, or None when it passes
-    the whole suite with kleinverify imported from the copy."""
+def baseline(timeout: float) -> tuple[float, str | None]:
+    """The unedited suite's wall time in seconds, and why the unedited copy
+    cannot judge mutants, or None when it passes the whole suite with
+    kleinverify imported from the copy."""
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
         _copy(copy)
-        where = _run(copy, ("-c", "import kleinverify; print(kleinverify.__file__)"))
+        where = _run(copy, ("-c", "import kleinverify; print(kleinverify.__file__)"), timeout)
         if where is None or where.returncode or not Path(where.stdout.strip()).is_relative_to(copy):
-            return f"kleinverify is not imported from the copy: {where and (where.stdout + where.stderr)}"
-        result = _run(copy, PYTEST)
+            return 0.0, f"kleinverify is not imported from the copy: {where and (where.stdout + where.stderr)}"
+        start = time.perf_counter()
+        result = _run(copy, PYTEST, timeout)
+        elapsed = time.perf_counter() - start
         if result is None:
-            return f"the unedited suite ran past {TIMEOUT} s"
+            return elapsed, f"the unedited suite ran past {timeout:.0f} s"
         if result.returncode:
-            return "the unedited suite fails:\n" + result.stdout[-2000:]
-    return None
+            return elapsed, "the unedited suite fails:\n" + result.stdout[-2000:]
+    return elapsed, None
 
 
-def run_mutant(file: str, old: str, new: str) -> str:
+def run_mutant(file: str, old: str, new: str, bound: float) -> str:
     """'killed', 'killed (timeout)' or 'SURVIVED' for the copy with old
-    replaced by new in file."""
+    replaced by new in file, its suite run for at most bound seconds."""
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
         _copy(copy)
         target = copy / file
         target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
-        result = _run(copy, (*PYTEST, "-x"))
+        result = _run(copy, (*PYTEST, "-x"), bound)
     if result is None:
         return "killed (timeout)"
     return "killed" if result.returncode else "SURVIVED"
 
 
 def main() -> int:
-    error = budget_error()
-    if error:
-        print(f"budget: {error}")
+    start = time.perf_counter()
+    minutes = job_minutes()
+    if minutes is None:
+        print(f"budget: no timeout-minutes for the mutants job in {WORKFLOW}")
         return 1
     errors = anchor_errors()
     for line in errors:
         print(f"anchor: {line}")
     if errors:
         return 1
-    error = baseline_error()
+    suite, error = baseline(minutes * 60)
     if error:
         print(f"baseline: {error}")
         return 1
-    print("baseline: the unedited suite passes")
+    spent = time.perf_counter() - start
+    bound, error = budget(spent, suite, len(MUTANTS), minutes)
+    if error:
+        print(f"budget: {error}")
+        return 1
+    print(f"baseline: the unedited suite passes in {suite:.1f} s")
+    print(f"budget: {len(MUTANTS)} runs of at most {bound:.1f} s each after {spent:.0f} s spent:"
+          f" up to {spent + len(MUTANTS) * bound:.0f} s of the job's {minutes} minutes")
     survivors = 0
     for name, file, old, new in MUTANTS:
         start = time.perf_counter()
-        verdict = run_mutant(file, old, new)
+        verdict = run_mutant(file, old, new, bound)
         survivors += verdict == "SURVIVED"
         print(f"{verdict:<17} {time.perf_counter() - start:6.1f} s  {name}")
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")

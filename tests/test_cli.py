@@ -31,7 +31,7 @@ def test_verify_paper_json_roundtrip(capsys):
 def test_only_the_printed_format_is_rendered(capsys):
     # text member prints true or false and formats no operand; JSON
     # verify-paper builds no report text, and text no JSON payload
-    # CI's 2000-row element (y^2 - 1) * sum_k y^k x^(k mod 5), in V for r = 1, s = -x^-1
+    # a 2000-row element, (y^2 - 1) * sum_k y^k x^(k mod 5), in V for r = 1, s = -x^-1
     element = " + ".join("y^%d*(%s)" % (d, " ".join(
         "%sx^%d" % (sign, k % 5) for sign, k in (("+", d - 2), ("-", d)) if 0 <= k < 1998))
         for d in range(2000))
@@ -52,6 +52,9 @@ def test_only_the_printed_format_is_rendered(capsys):
 
 
 def test_chi_builtin(capsys):
+    # With no option, chi reads Q, the chi = 1 complex.
+    assert run(["chi"]) == 0
+    assert capsys.readouterr().out == "1\n"
     assert run(["chi", "--presentation", "Q"]) == 0
     assert capsys.readouterr().out.strip() == "1"
     assert run(["chi", "--presentation", "P"]) == 0
@@ -70,11 +73,15 @@ def test_normal_form(capsys):
     assert capsys.readouterr().out.strip() == "x^-1"
     assert run(["normal-form", "y^-2 x y^2 x^-1"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+    assert run(["normal-form", "y^-1 x y x^2"]) == 0
+    assert capsys.readouterr().out == "x\n"
 
 
 def test_fox(capsys):
     assert run(["fox", "x y", "y"]) == 0
     assert capsys.readouterr().out.strip() == "1*(x)"
+    assert run(["fox", "y^-1 x y x", "x"]) == 0
+    assert capsys.readouterr().out == "1*(y^-1) + 1*(y^-1 x y)\n"
     # the derivative by a generator the word does not use is 0
     assert run(["fox", "x y", "z"]) == 0
     assert capsys.readouterr().out.strip() == "0"
@@ -159,6 +166,13 @@ def test_certificate_command(tmp_path, capsys):
     assert run(["certificate", "--certificate", str(path)]) == 1
     assert capsys.readouterr().out.strip() == "fail"
 
+    # The reverse certificate writes P's relator over its source, Q.
+    reverse = certificate_to_dict(builtin.reverse_certificates()[0])
+    assert reverse["source"] == "Q"
+    path.write_text(json.dumps(reverse), encoding="utf-8")
+    assert run(["certificate", "--certificate", str(path)]) == 0
+    assert capsys.readouterr().out == "pass\n"
+
 
 def test_certificate_without_source_exit_2(tmp_path, capsys):
     data = certificate_to_dict(builtin.forward_certificates()[0])
@@ -176,10 +190,13 @@ def test_certificate_without_source_exit_2(tmp_path, capsys):
 
 def test_stafford_default(capsys):
     assert run(["stafford"]) == 0
-    out = capsys.readouterr().out
-    assert "condition_i   ok" in out
-    assert "condition_ii  ok" in out
-    assert "no unit-combination witness" not in out
+    assert capsys.readouterr().out == (
+        "condition_i   ok\n"
+        "condition_ii  ok\n"
+        "witnesses_ok  ok\n"
+        "degree_one    y*(x^3 - x - 1) + (x^-1 + x^-2 - x^-4)\n"
+        "monic         y^2*(1) + (-1)\n"
+    )
 
 
 def test_stafford_custom_instance(capsys):

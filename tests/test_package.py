@@ -12,7 +12,10 @@ import pytest
 import kleinverify
 import kleinverify.words
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+# The directory kleinverify was imported from: src in a checkout, or
+# site-packages for an installed package.  The subprocesses below import
+# it from there, so they test the same copy as this process.
+SRC = Path(kleinverify.__file__).resolve().parents[1]
 
 
 def test_all_names_bound():

@@ -1,0 +1,136 @@
+"""Kronecker substitution for dense products and quotients in Z[x, x^-1].
+
+laurent loads this module only when both operands of a product or
+quotient are dense with at least _KRONECKER_TERMS terms, so a start-up
+that multiplies only small or sparse polynomials, as verify-paper does,
+never compiles it.
+
+Each polynomial is read as one integer p(N), N = 2^(8*width), with
+balanced digits wide enough that no digit carries, and Python's exact
+big-int product or division does the work.  Widths round up to 1, 2, 4
+or 8 bytes, so the digits pass through one array.array of signed items,
+put in little-endian order whatever sys.byteorder is; wider digits take
+one int.to_bytes or int.from_bytes call each.
+
+A quotient packs each operand from its lowest exponent and reads the
+candidate's digits from the quotient's lowest exponent.  A None is
+sound, because a | b in Z[x] implies a(N) | b(N), and a(N) != 0 since
+its top digit outweighs the rest.  A candidate is returned only after
+a * q == b has been checked; when that check fails (a digit width too
+narrow for q, or a(N) | b(N) by coincidence), laurent's long division
+decides.
+"""
+
+from __future__ import annotations
+
+import sys
+from array import array
+
+from . import laurent
+from .laurent import _mul_into, _nonzero
+
+
+def _max_abs(coeffs: dict[int, int]) -> int:
+    return max(map(abs, coeffs.values()))
+
+
+def _width(bound: int) -> int:
+    """Bytes per balanced digit holding every integer of absolute value <= bound."""
+    return (bound.bit_length() + 8) // 8
+
+
+# Signed array item codes by size in bytes: C's char, short, int and long
+# long, 1, 2, 4 and 8 bytes wherever CPython builds.
+_ITEM_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _item_width(width: int) -> int:
+    """width rounded up to the next array item size: 1, 2, 4 or 8 bytes;
+    a width over 8 bytes stays as it is."""
+    return next((size for size in _ITEM_CODES if width <= size), width)
+
+
+def _array(code: str, data: list[int] | bytes):
+    """array(code, data), byte-swapped on a big-endian host: ints become
+    little-endian bytes and little-endian bytes become ints."""
+    items = array(code, data)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return items
+
+
+def _bias(width: int, n: int) -> int:
+    """2^(8*width - 1) in each of n digits: the offset that makes balanced digits nonnegative."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+def _pack(coeffs: dict[int, int], start: int, n: int, width: int, step: int = 1) -> int:
+    """sum coeffs[start + step*i] * 2^(8*width*i) over 0 <= i < n, in linear time.
+
+    Each coefficient must fit a balanced digit of width bytes.  The digits
+    are written in two's complement, by one array of signed items at an
+    item width, else one int.to_bytes call each.  XOR with the bias flips
+    each digit's top bit, adding 2^(8*width - 1) to it with no carry.
+    """
+    get = coeffs.get
+    exps = range(start, start + step * n, step)
+    code = _ITEM_CODES.get(width)
+    if code is None:
+        raw = b"".join(get(e, 0).to_bytes(width, "little", signed=True) for e in exps)
+    else:
+        raw = _array(code, [get(e, 0) for e in exps]).tobytes()
+    bias = _bias(width, n)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _unpack(value: int, width: int, n: int) -> list[int] | None:
+    """The n balanced digits of value, lowest first, or None when it has none.
+
+    The inverse of _pack: XOR with the bias gives two's complement digits,
+    read by one array of signed items at an item width.
+    """
+    bias = _bias(width, n)
+    value += bias
+    if value < 0 or value.bit_length() > 8 * width * n:
+        return None
+    raw = (value ^ bias).to_bytes(width * n, "little")
+    code = _ITEM_CODES.get(width)
+    if code is None:
+        return [int.from_bytes(raw[i:i + width], "little", signed=True) for i in range(0, width * n, width)]
+    return _array(code, raw).tolist()
+
+
+def _kronecker_mul(a: dict[int, int], b: dict[int, int], flip: int) -> tuple[int, list[int]]:
+    """The lowest exponent and the coefficients of a(x^flip) * b."""
+    # No product coefficient exceeds max|a| * max|b| * min(terms), since
+    # each exponent pairs at most that many terms; so no digit carries.
+    # a(x^-1) is packed by reading a from its top exponent down.
+    a_lo, a_hi, b_lo = min(a), max(a), min(b)
+    a_n, b_n = a_hi - a_lo + 1, max(b) - b_lo + 1
+    a_start = a_lo if flip > 0 else a_hi
+    width = _item_width(_width(_max_abs(a) * _max_abs(b) * min(len(a), len(b))))
+    product = _pack(a, a_start, a_n, width, flip) * _pack(b, b_lo, b_n, width)
+    return flip * a_start + b_lo, _unpack(product, width, a_n + b_n - 1)
+
+
+def _kronecker_quotient(num: dict[int, int], den: dict[int, int], lo: int) -> dict[int, int] | None:
+    # None when den(N) does not divide num(N), which is exact (see the
+    # module docstring).  Each operand is packed from its lowest exponent,
+    # and the digits of the integer quotient are the candidate's
+    # coefficients from lo up, returned only if den * candidate == num.
+    # The width fits both operands; that it also fits the quotient is a
+    # guess, and a candidate that fails the check goes to long division.
+    den_lo = min(den)
+    num_lo = den_lo + lo
+    num_n, den_n = max(num) - num_lo + 1, max(den) - den_lo + 1
+    width = _item_width(_width(max(_max_abs(num) * len(num), _max_abs(den))))
+    big_q, big_rem = divmod(_pack(num, num_lo, num_n, width), _pack(den, den_lo, den_n, width))
+    if big_rem:
+        return None
+    digits = _unpack(big_q, width, num_n - den_n + 1)
+    if digits is not None:
+        quot = _nonzero(dict(enumerate(digits, lo)))
+        if _nonzero(_mul_into({}, den, quot)) == num:
+            return quot
+    return laurent._long_quotient(num, den, lo)

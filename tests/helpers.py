@@ -67,7 +67,7 @@ from kleinverify import (
     verify_bezout,
     y_plus_s,
 )
-from kleinverify import builtin
+from kleinverify import builtin, kronecker
 
 SEED = 20230717
 
@@ -1005,7 +1005,7 @@ def check_rpoly_mul_matches_oracle(cases: int, seed: int = SEED) -> None:
     """RPoly products, Kronecker and schoolbook, against the dict double
     loop; both methods must be taken."""
     rng = random.Random(seed)
-    with counting(laurent, "_kronecker_mul") as calls:
+    with counting(kronecker, "_kronecker_mul") as calls:
         for i in range(cases):
             a, b = _rand_mul_pair(rng, i)
             got = a * b
@@ -1042,15 +1042,15 @@ def check_spoly_dense_mul_matches_oracle(cases: int, seed: int = SEED) -> None:
     whose y-row sums a plain and a flipped product of a and b to zero."""
     rng = random.Random(seed)
     zero = SPoly.zero()
-    kronecker: Counter = Counter()
+    packed: Counter = Counter()
     for i in range(cases):
         kind = i % 4
         f = _rand_dense_spoly(rng, _ANY)
         if kind < 3:
             g = _rand_dense_spoly(rng, (_EVEN, _ODD, _ANY)[kind])
-            with counting(laurent, "_kronecker_mul") as calls:
+            with counting(kronecker, "_kronecker_mul") as calls:
                 got = f * g
-            kronecker[kind] += calls["_kronecker_mul"]
+            packed[kind] += calls["_kronecker_mul"]
             assert got == spoly_mul_oracle(f, g), (i, str(f), str(g))
         else:
             a, b = _rand_dense_row(rng), _rand_dense_row(rng)
@@ -1059,14 +1059,14 @@ def check_spoly_dense_mul_matches_oracle(cases: int, seed: int = SEED) -> None:
             assert got == SPoly({2: b, 0: -rpoly_mul_oracle(a, sa_b)}), (i, str(a), str(b))
             assert_cancelled(((f - f) * f, f * (f - f)), zero)
         assert_normalised(got)
-    assert kronecker[0] and kronecker[1], kronecker
+    assert packed[0] and packed[1], packed
 
 
 def check_divide_dense_twists(cases: int, seed: int = SEED) -> None:
     """divide by twists of 1-40 terms recomposes, with the product taken by
     the group-algebra oracle; the Kronecker branch must run."""
     rng = random.Random(seed)
-    with counting(laurent, "_kronecker_mul") as calls:
+    with counting(kronecker, "_kronecker_mul") as calls:
         for i in range(cases):
             twist = _rand_dense_row(rng) or RPoly.monomial(rng.randint(-5, 5), rng.choice((1, -1)))
             f = _rand_dense_spoly(rng, _ANY)
@@ -1323,10 +1323,10 @@ def check_quotient_matches_oracle(cases: int, seed: int = SEED, far: bool = Fals
             ka, kb = _far_exponent(rng), _far_exponent(rng)
             a, b = a.shift(ka), b.shift(kb)
             paths["10^18"] += max(abs(ka), abs(kb)) > 10**17
-        with counting(laurent, "_kronecker_quotient", "_long_quotient") as calls:
+        with counting(kronecker, "_kronecker_quotient") as packed, counting(laurent, "_long_quotient") as calls:
             got = quotient(a, b)
         assert got == poly_quotient_oracle(a, b), (i, str(a), str(b))
-        if not calls["_kronecker_quotient"]:
+        if not packed["_kronecker_quotient"]:
             paths["long"] += 1
         elif calls["_long_quotient"]:
             paths["fallback"] += 1
@@ -1383,20 +1383,20 @@ def _rand_kernel_case(rng: random.Random, kind: int):
 @contextlib.contextmanager
 def recording_widths() -> Iterator[Counter]:
     """Count the (caller, digit width, rounded width) triples of the
-    laurent._item_width calls made while the block runs: one per Kronecker
+    kronecker._item_width calls made while the block runs: one per Kronecker
     product (_kronecker_mul) or quotient (_kronecker_quotient)."""
     calls: Counter = Counter()
-    item_width = laurent._item_width
+    item_width = kronecker._item_width
 
     def record(width: int) -> int:
         calls[sys._getframe(1).f_code.co_name, width, item_width(width)] += 1
         return item_width(width)
 
-    laurent._item_width = record
+    kronecker._item_width = record
     try:
         yield calls
     finally:
-        laurent._item_width = item_width
+        kronecker._item_width = item_width
 
 
 def _roundings(calls: Counter, caller: str) -> set:

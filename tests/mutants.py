@@ -213,9 +213,21 @@ MUTANTS = (
     ),
     (
         "Kronecker quotient digits read from exponent 0, not from lo",
-        "src/kleinverify/laurent.py",
+        "src/kleinverify/kronecker.py",
         "quot = _nonzero(dict(enumerate(digits, lo)))",
         "quot = _nonzero(dict(enumerate(digits)))",
+    ),
+    (
+        "_mul_into's dense branch never taken: no product reaches the Kronecker module",
+        "src/kleinverify/laurent.py",
+        "if len(a) >= _KRONECKER_TERMS and len(b) >= _KRONECKER_TERMS and _dense(a) and _dense(b):",
+        "if False:",
+    ),
+    (
+        "run handing every command verify-paper's handler",
+        "src/kleinverify/cli.py",
+        "    handler, args = parsed\n",
+        "    args = parsed[1]\n    handler = cmd_verify_paper\n",
     ),
     (
         "divide's several-term step by s, not -s",

@@ -225,6 +225,38 @@ def test_usage_error_is_exit_2():
 COMMAND_NAMES = ("verify-paper", "chi", "normal-form", "fox", "member", "divides",
                  "certificate", "stafford")
 
+# The whole help text, byte for byte.
+HELP = """\
+usage: kleinverify COMMAND [ARGUMENT ...] [--format json|text]
+
+Exact checks around the Klein bottle group ring: presentation equivalence
+certificates, boundary factorizations, and the stably-free-not-free verdict
+for the kernel module.
+
+commands:
+  verify-paper
+      run the whole replication suite
+  chi [--presentation PRESENTATION]
+      Euler characteristic of P, Q (the default) or a presentation JSON file
+  normal-form WORD
+      normal form y^m x^n of a word in x, y, e.g. 'y^-1 x y'
+  fox WORD GENERATOR
+      free derivative of a word by a generator
+  member ELEMENT [--r R] [--s S]
+      whether a twisted-ring element lies in V; r, s default to the paper's
+  divides A B
+      exact divisibility of b by a in Z[x, x^-1]
+  certificate --certificate CERTIFICATE [--presentation PRESENTATION]
+      check a certificate file over its source or over P, Q or a file
+  stafford [--r R] [--s S]
+      non-freeness conditions for an instance (r, s), by default the paper's
+
+An option takes its value as "--s -x^-1" or "--s=-x^-1", spelled in full.
+Every command prints text, or JSON with --format json.  Exit status: 0 when
+every check passes, 1 when one fails, 2 on bad input.  -h or --help prints
+this text.
+"""
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -234,7 +266,7 @@ COMMAND_NAMES = ("verify-paper", "chi", "normal-form", "fox", "member", "divides
 def test_help_exits_0_and_lists_every_command(capsys, argv):
     assert run(argv) == 0
     captured = capsys.readouterr()
-    assert captured.err == "" and captured.out.startswith("usage: kleinverify ")
+    assert captured.err == "" and captured.out == HELP
     # A command's line is indented by two spaces, its summary by six.
     lines = captured.out.splitlines()
     listed = [line.split()[0] for line in lines if line.startswith("  ") and line[2] != " "]
@@ -277,6 +309,36 @@ def test_usage_errors_exit_2(capsys, argv, reason):
     usage, error = captured.err.splitlines()
     assert usage.startswith("usage: kleinverify ")
     assert error.startswith("kleinverify: error: ") and reason in error, error
+
+
+# The whole stderr of a usage error, byte for byte: every message, and the
+# usage line of each command and of none.
+ANY = "COMMAND [ARGUMENT ...]"
+CERTIFICATE = "certificate --certificate CERTIFICATE [--presentation PRESENTATION]"
+
+
+@pytest.mark.parametrize(
+    "argv, synopsis, message",
+    [
+        ([], ANY, "a command is required (kleinverify --help lists them)"),
+        (["no-such-command"], ANY, "unknown command 'no-such-command' (kleinverify --help lists them)"),
+        (["chi", "--r", "1"], "chi [--presentation PRESENTATION]", "unknown option --r"),
+        (["member", "(1)", "--s"], "member ELEMENT [--r R] [--s S]", "option --s needs a value"),
+        (["divides", "x"], "divides A B", "missing argument B"),
+        (["normal-form"], "normal-form WORD", "missing argument WORD"),
+        (["fox", "x", "x", "y"], "fox WORD GENERATOR", "unexpected argument 'y'"),
+        (["stafford", "--format", "xml"], "stafford [--r R] [--s S]", "--format must be json or text, not 'xml'"),
+        (["verify-paper", "-x"], "verify-paper", "unexpected argument '-x'"),
+        (["certificate"], CERTIFICATE, "option --certificate is required"),
+    ],
+)
+def test_usage_error_text_is_pinned(capsys, argv, synopsis, message):
+    with pytest.raises(SystemExit):
+        run(argv)
+    assert capsys.readouterr().err == (
+        f"usage: kleinverify {synopsis} [--format json|text]\n"
+        f"kleinverify: error: {message}\n"
+    )
 
 
 @pytest.mark.parametrize(

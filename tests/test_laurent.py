@@ -5,7 +5,7 @@ from array import array
 import pytest
 
 from kleinverify import RPoly, divides, parse_rpoly, parse_word, quotient
-from kleinverify import laurent, syntax
+from kleinverify import kronecker, laurent, syntax
 from kleinverify.laurent import PolySyntaxError
 
 from helpers import (
@@ -134,8 +134,8 @@ def test_quotient_far_from_zero_matches_oracle():
     # one case in ten with an operand 10^18 out, on the long and the
     # Kronecker path.
     paths = check_quotient_matches_oracle(560, SEED + 5, far=True)
-    kronecker = paths["integer"] + paths["checked"] + paths["fallback"]
-    assert paths["long"] + kronecker == 560 and paths["long"] >= 100 and kronecker >= 200, paths
+    packed = paths["integer"] + paths["checked"] + paths["fallback"]
+    assert paths["long"] + packed == 560 and paths["long"] >= 100 and packed >= 200, paths
     assert paths["10^18"] >= 25, paths
 
 
@@ -194,29 +194,29 @@ def test_balanced_digits_roundtrip():
     for width in (1, 2, 3, 4, 8, 9):
         half = 1 << (8 * width - 1)
         digits = [half - 1, -(half - 1), 0, -1, 1, half - 1]
-        packed = laurent._pack(dict(enumerate(digits)), 0, len(digits), width)
-        assert laurent._unpack(packed, width, len(digits)) == digits
-        assert laurent._unpack(-packed, width, len(digits)) == [-c for c in digits]
+        packed = kronecker._pack(dict(enumerate(digits)), 0, len(digits), width)
+        assert kronecker._unpack(packed, width, len(digits)) == digits
+        assert kronecker._unpack(-packed, width, len(digits)) == [-c for c in digits]
         # one past the top digit, or below the bottom one, has no n-digit form
         top = half << (8 * width * (len(digits) - 1))
-        assert laurent._unpack(packed + top, width, len(digits)) is None
-        assert laurent._unpack(-packed - top, width, len(digits)) is None
-    assert laurent._width(127) == 1 and laurent._width(128) == 2
-    assert laurent._width(2**15 - 1) == 2 and laurent._width(2**15) == 3
+        assert kronecker._unpack(packed + top, width, len(digits)) is None
+        assert kronecker._unpack(-packed - top, width, len(digits)) is None
+    assert kronecker._width(127) == 1 and kronecker._width(128) == 2
+    assert kronecker._width(2**15 - 1) == 2 and kronecker._width(2**15) == 3
     # Array item widths and the wider int.to_bytes digits: the lowest and
     # highest balanced digit of each width, and 2^63 at 9 bytes and over.
     for width in (1, 2, 4, 8, 9, 12):
         half = 1 << (8 * width - 1)
         digits = [-half, half - 1, 0, -1, 1, -half, half - 1]
-        packed = laurent._pack(dict(enumerate(digits)), 0, len(digits), width)
+        packed = kronecker._pack(dict(enumerate(digits)), 0, len(digits), width)
         assert packed == sum(c << (8 * width * i) for i, c in enumerate(digits))
-        assert laurent._unpack(packed, width, len(digits)) == digits
+        assert kronecker._unpack(packed, width, len(digits)) == digits
         # the n-digit range ends at all digits -half and all half - 1
-        low, high = (laurent._pack(dict.fromkeys(range(7), c), 0, 7, width) for c in (-half, half - 1))
-        assert laurent._unpack(low, width, 7) == [-half] * 7 and laurent._unpack(high, width, 7) == [half - 1] * 7
-        assert laurent._unpack(low - 1, width, 7) is None and laurent._unpack(high + 1, width, 7) is None
-    assert [laurent._item_width(w) for w in range(1, 11)] == [1, 2, 4, 4, 8, 8, 8, 8, 9, 10]
-    assert {array(code).itemsize: code for code in laurent._ITEM_CODES.values()} == laurent._ITEM_CODES
+        low, high = (kronecker._pack(dict.fromkeys(range(7), c), 0, 7, width) for c in (-half, half - 1))
+        assert kronecker._unpack(low, width, 7) == [-half] * 7 and kronecker._unpack(high, width, 7) == [half - 1] * 7
+        assert kronecker._unpack(low - 1, width, 7) is None and kronecker._unpack(high + 1, width, 7) is None
+    assert [kronecker._item_width(w) for w in range(1, 11)] == [1, 2, 4, 4, 8, 8, 8, 8, 9, 10]
+    assert {array(code).itemsize: code for code in kronecker._ITEM_CODES.values()} == kronecker._ITEM_CODES
 
 
 def _residue(a: RPoly, t: int, p: int) -> int:

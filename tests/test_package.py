@@ -43,31 +43,41 @@ def test_unknown_name_raises_attribute_error():
 # The library modules each command loads (none for a bare import); the rest
 # stay uncompiled.  -S, as below, keeps site .pth files out.  {cert} stands
 # for the README's example certificate, written to a file.  Only a command
-# that parses polynomial text loads grammar.
+# that parses polynomial text loads grammar.  A command other than
+# verify-paper loads its handler's module, cli_ring or cli_words; only
+# --help and a usage error load cli_usage, and only a dense operand
+# loads kronecker.
 ALL_MODULES = [
-    "builtin", "certificates", "cli", "division", "grammar", "klein", "laurent",
-    "presentations", "syntax", "verify", "words",
+    "builtin", "certificates", "cli", "cli_ring", "cli_usage", "cli_words", "division",
+    "grammar", "klein", "kronecker", "laurent", "presentations", "syntax", "verify", "words",
 ]
-REPORT_MODULES = [m for m in ALL_MODULES if m != "grammar"]
-CHI_MODULES = ["builtin", "cli", "presentations", "syntax", "words"]
+REPORT_MODULES = [m for m in ALL_MODULES if m not in ("cli_ring", "cli_usage", "cli_words", "grammar", "kronecker")]
+STAFFORD_MODULES = sorted(REPORT_MODULES + ["cli_ring"])
+CHI_MODULES = ["builtin", "cli", "cli_words", "presentations", "syntax", "words"]
+# Two 24-term operands, g(x)(1 + x^18) and g(x)(1 - x^36) with
+# g = 1 + x + ... + x^11.  Both are dense, and their quotient 1 - x^18
+# spans 19 exponents, so divides takes the Kronecker quotient.
+DENSE_A = " + ".join(f"x^{e}" for e in (*range(12), *range(18, 30)))
+DENSE_B = " + ".join(f"x^{e}" for e in range(12)) + "".join(f" - x^{e}" for e in range(36, 48))
 COMMAND_MODULES = [
     ([], []),
-    (["--help"], ["cli"]),
-    (["divides", "x+1", "x^2-1"], ["cli", "grammar", "laurent", "syntax"]),
+    (["--help"], ["cli", "cli_usage"]),
+    (["divides", "x+1", "x^2-1"], ["cli", "cli_ring", "grammar", "laurent", "syntax"]),
+    (["divides", DENSE_A, DENSE_B], ["cli", "cli_ring", "grammar", "kronecker", "laurent", "syntax"]),
     (["member", "y - x^-1", "--r", "1", "--s", "-x^-1"],
-     ["cli", "division", "grammar", "klein", "laurent", "syntax"]),
+     ["cli", "cli_ring", "division", "grammar", "klein", "laurent", "syntax"]),
     # r and s default to the paper's, read from the forward certificates.
     (["member", "y^2*(1) + (-1)"],
-     ["builtin", "certificates", "cli", "division", "grammar", "klein", "laurent",
+     ["builtin", "certificates", "cli", "cli_ring", "division", "grammar", "klein", "laurent",
       "presentations", "syntax", "words"]),
-    (["normal-form", "y^-1 x y"], ["cli", "klein", "laurent", "syntax", "words"]),
-    (["fox", "y^-1 x y x", "x"], ["cli", "presentations", "syntax", "words"]),
+    (["normal-form", "y^-1 x y"], ["cli", "cli_words", "klein", "laurent", "syntax", "words"]),
+    (["fox", "y^-1 x y x", "x"], ["cli", "cli_words", "presentations", "syntax", "words"]),
     (["chi"], CHI_MODULES),
     (["certificate", "--certificate", "{cert}"], sorted(CHI_MODULES + ["certificates"])),
     (["verify-paper"], REPORT_MODULES),
     (["verify-paper", "--format", "json"], REPORT_MODULES),
-    (["stafford"], REPORT_MODULES),
-    (["stafford", "--r", "x^3 - x - 1"], ALL_MODULES),
+    (["stafford"], STAFFORD_MODULES),
+    (["stafford", "--r", "x^3 - x - 1"], sorted(STAFFORD_MODULES + ["grammar"])),
 ]
 README_CERTIFICATE = {
     "target": "y^-2 x y^2 x^-1", "source": "P",
@@ -101,6 +111,35 @@ def test_each_command_loads_only_its_modules(tmp_path):
     for argv, expected in COMMAND_MODULES:
         argv = [arg.replace("{cert}", str(cert)) for arg in argv]
         assert _printed_json(code, *argv) == [expected, False], argv
+
+
+def test_no_command_imports_cli_a_second_time(tmp_path):
+    # python -m kleinverify.cli runs cli as __main__, so an import of
+    # kleinverify.cli would compile the module again.  Each command runs
+    # here as -m runs it, and the name must never enter sys.modules.
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(README_CERTIFICATE), encoding="utf-8")
+    commands = [
+        ["verify-paper"], ["chi"], ["normal-form", "y^-1 x y"], ["fox", "y^-1 x y x", "x"],
+        ["member", "y^2*(1) + (-1)"], ["divides", DENSE_A, DENSE_B],
+        ["certificate", "--certificate", str(cert)], ["stafford", "--format", "json"],
+        ["--help"], ["divides", "x"],
+    ]
+    code = (
+        "import contextlib, io, json, runpy, sys\n"
+        "seen = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    sys.argv = ['kleinverify', *argv]\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+        "        try:\n"
+        "            runpy.run_module('kleinverify.cli', run_name='__main__')\n"
+        "        except SystemExit as exc:\n"
+        "            seen.append([argv[0], exc.code, 'kleinverify.cli' in sys.modules])\n"
+        "print(json.dumps(seen))\n"
+    )
+    expected = [[argv[0], 2 if argv == ["divides", "x"] else 0, False] for argv in commands]
+    assert _printed_json(code, json.dumps(commands)) == expected
 
 
 def test_ring_layer_imports_no_regex():

@@ -15,10 +15,20 @@ one int.to_bytes or int.from_bytes call each.
 A quotient packs each operand from its lowest exponent and reads the
 candidate's digits from the quotient's lowest exponent.  A None is
 sound, because a | b in Z[x] implies a(N) | b(N), and a(N) != 0 since
-its top digit outweighs the rest.  A candidate is returned only after
-a * q == b has been checked; when that check fails (a digit width too
-narrow for q, or a(N) | b(N) by coincidence), laurent's long division
-decides.
+its top digit outweighs the rest.  A candidate q is exact with no
+product when max|a| * max|q| * min(terms) is under the digit's
+half-range: then no digit of a(N) * q(N) = b(N) carries, so its digits
+are the coefficients of a * q, and balanced digits are unique, so they
+are b's.  That is the bound every product here meets.  Any other
+candidate is returned only after a * q == b has been checked; when that
+check fails (a digit width too narrow for q, or a(N) | b(N) by
+coincidence), laurent's long division decides.
+
+The lowest and highest exponent of each operand come from laurent's
+dense test, found once.  When an operand's keys already run through
+every exponent of its range in the packing order, or in the reverse
+one, as Kronecker products, sigma and parsed text often leave them,
+_pack reads its values as they stand, with no lookup per exponent.
 """
 
 from __future__ import annotations
@@ -68,18 +78,28 @@ def _bias(width: int, n: int) -> int:
 def _pack(coeffs: dict[int, int], start: int, n: int, width: int, step: int = 1) -> int:
     """sum coeffs[start + step*i] * 2^(8*width*i) over 0 <= i < n, in linear time.
 
-    Each coefficient must fit a balanced digit of width bytes.  The digits
-    are written in two's complement, by one array of signed items at an
-    item width, else one int.to_bytes call each.  XOR with the bias flips
-    each digit's top bit, adding 2^(8*width - 1) to it with no carry.
+    Each coefficient must fit a balanced digit of width bytes.  When the
+    keys of coeffs are already the n exponents in this order or the
+    reverse one, its values are the digits, read with no lookup; else
+    each exponent is looked up.  The digits are written in two's
+    complement, by one array of signed items at an item width, else one
+    int.to_bytes call each.  XOR with the bias flips each digit's top
+    bit, adding 2^(8*width - 1) to it with no carry.
     """
-    get = coeffs.get
     exps = range(start, start + step * n, step)
+    keys = list(coeffs) if len(coeffs) == n else None
+    if keys and keys == list(exps):
+        values = list(coeffs.values())
+    elif keys and keys == list(exps[::-1]):
+        values = list(coeffs.values())[::-1]
+    else:
+        get = coeffs.get
+        values = [get(e, 0) for e in exps]
     code = _ITEM_CODES.get(width)
     if code is None:
-        raw = b"".join(get(e, 0).to_bytes(width, "little", signed=True) for e in exps)
+        raw = b"".join(c.to_bytes(width, "little", signed=True) for c in values)
     else:
-        raw = _array(code, [get(e, 0) for e in exps]).tobytes()
+        raw = _array(code, values).tobytes()
     bias = _bias(width, n)
     return (int.from_bytes(raw, "little") ^ bias) - bias
 
@@ -101,36 +121,44 @@ def _unpack(value: int, width: int, n: int) -> list[int] | None:
     return _array(code, raw).tolist()
 
 
-def _kronecker_mul(a: dict[int, int], b: dict[int, int], flip: int) -> tuple[int, list[int]]:
-    """The lowest exponent and the coefficients of a(x^flip) * b."""
+def _kronecker_mul(
+    a: dict[int, int], a_lo: int, a_hi: int, b: dict[int, int], b_lo: int, b_hi: int, flip: int
+) -> tuple[int, list[int]]:
+    """The lowest exponent and the coefficients of a(x^flip) * b, given
+    the lowest and highest exponent of a and of b."""
     # No product coefficient exceeds max|a| * max|b| * min(terms), since
     # each exponent pairs at most that many terms; so no digit carries.
     # a(x^-1) is packed by reading a from its top exponent down.
-    a_lo, a_hi, b_lo = min(a), max(a), min(b)
-    a_n, b_n = a_hi - a_lo + 1, max(b) - b_lo + 1
+    a_n, b_n = a_hi - a_lo + 1, b_hi - b_lo + 1
     a_start = a_lo if flip > 0 else a_hi
     width = _item_width(_width(_max_abs(a) * _max_abs(b) * min(len(a), len(b))))
     product = _pack(a, a_start, a_n, width, flip) * _pack(b, b_lo, b_n, width)
     return flip * a_start + b_lo, _unpack(product, width, a_n + b_n - 1)
 
 
-def _kronecker_quotient(num: dict[int, int], den: dict[int, int], lo: int) -> dict[int, int] | None:
+def _kronecker_quotient(
+    num: dict[int, int], num_lo: int, num_hi: int, den: dict[int, int], den_lo: int, den_hi: int
+) -> dict[int, int] | None:
     # None when den(N) does not divide num(N), which is exact (see the
     # module docstring).  Each operand is packed from its lowest exponent,
     # and the digits of the integer quotient are the candidate's
-    # coefficients from lo up, returned only if den * candidate == num.
-    # The width fits both operands; that it also fits the quotient is a
-    # guess, and a candidate that fails the check goes to long division.
-    den_lo = min(den)
-    num_lo = den_lo + lo
-    num_n, den_n = max(num) - num_lo + 1, max(den) - den_lo + 1
-    width = _item_width(_width(max(_max_abs(num) * len(num), _max_abs(den))))
+    # coefficients from num_lo - den_lo up.  The width fits both operands;
+    # that it also fits the quotient is a guess.  A candidate under the
+    # no-carry bound is exact as it is; any other is multiplied back, and
+    # one that fails goes to long division.
+    lo = num_lo - den_lo
+    num_n, den_n = num_hi - num_lo + 1, den_hi - den_lo + 1
+    den_max = _max_abs(den)
+    width = _item_width(_width(max(_max_abs(num) * len(num), den_max)))
     big_q, big_rem = divmod(_pack(num, num_lo, num_n, width), _pack(den, den_lo, den_n, width))
     if big_rem:
         return None
     digits = _unpack(big_q, width, num_n - den_n + 1)
     if digits is not None:
         quot = _nonzero(dict(enumerate(digits, lo)))
-        if _nonzero(_mul_into({}, den, quot)) == num:
+        if (
+            den_max * _max_abs(quot) * min(len(den), len(quot)) < 1 << (8 * width - 1)
+            or _nonzero(_mul_into({}, den, quot)) == num
+        ):
             return quot
     return laurent._long_quotient(num, den, lo)

@@ -9,6 +9,7 @@ finds each step's top in a heap of the remainder's exponents.  Dense
 operands with at least _KRONECKER_TERMS terms use Kronecker substitution,
 whose code lives in the kronecker module: it loads at the first dense
 product or quotient, so a start-up on small operands never compiles it.
+A one-term factor needs neither: its product is one shift loop.
 
 One kernel, _mul_into(out, a, b, flip), adds a(x^flip) * b into the
 coefficient dict out, by Kronecker substitution or the schoolbook double
@@ -33,9 +34,14 @@ that is not an int.
 
 Divisibility is decided exactly, with no rational arithmetic, on the
 operands' own dicts: units x^k need no shifted copy, because the
-quotient's lowest exponent is min(b) - min(a).  Long division stops
-below it, and the Kronecker path reads the quotient's digits from it
-and checks the candidate before returning it.
+quotient's lowest exponent is min(b) - min(a).  Two shortcuts come
+before any division, each a proof: operands of equal span are settled
+by one comparison, and a(1) != 0 not dividing b(1) refutes.  Long
+division stops below the lowest exponent; the Kronecker path reads the
+quotient's digits from it and accepts a candidate under the no-carry
+bound that makes every Kronecker product exact, multiplying back any
+other.  So verify-paper, whose one quotient has operands of equal span,
+never divides, and never loads heapq.
 """
 
 from __future__ import annotations
@@ -176,8 +182,9 @@ _KRONECKER_TERMS = 18
 _DENSE_FILL = 4
 
 
-def _dense(coeffs: dict[int, int]) -> bool:
-    return max(coeffs) - min(coeffs) < _DENSE_FILL * len(coeffs)
+def _dense(lo: int, hi: int, terms: int) -> bool:
+    """Whether an operand of terms terms, from exponent lo to hi, is dense."""
+    return hi - lo < _DENSE_FILL * terms
 
 
 def _nonzero(coeffs: dict[int, int]) -> dict[int, int]:
@@ -215,23 +222,42 @@ def _mul_into(out: dict[int, int], a: dict[int, int], b: dict[int, int], flip: i
     RPolys share their dicts and never copy them, so out is a dict the
     caller built, or one that this kernel returned.
 
-    Dense operands of at least _KRONECKER_TERMS terms each take Kronecker
-    substitution, from the kronecker module, which this branch imports;
-    any other pair takes the schoolbook double loop.  The
+    Into an empty out, a one-term factor sends each term of the other to
+    an exponent of its own, so one shift loop writes the product with no
+    lookup and nothing to cancel: a plain loop, since on CPython 3.11 a
+    comprehension is a function call, which costs more than it saves on
+    the paper's one- to three-term operands.  Dense operands of at least
+    _KRONECKER_TERMS terms each take Kronecker substitution, from the
+    kronecker module, which this branch imports; the lowest and highest
+    exponent of each operand, found once, serve the dense test and the
+    packer.  Any other pair takes the schoolbook double loop.  The
     in-place loop deletes a coefficient that cancels, so a product that
     cancels down to a few terms leaves no zeros to filter; Kronecker
     digits keep theirs, and _nonzero drops them.
     """
-    if len(a) >= _KRONECKER_TERMS and len(b) >= _KRONECKER_TERMS and _dense(a) and _dense(b):
-        from .kronecker import _kronecker_mul
-
-        lo, digits = _kronecker_mul(a, b, flip)
-        if not out:
-            return dict(enumerate(digits, lo))
-        get = out.get
-        for e, c in enumerate(digits, lo):
-            out[e] = get(e, 0) + c
+    if not out and (len(a) == 1 or len(b) == 1):
+        if len(a) == 1:
+            [(e1, c1)] = a.items()
+            e1 *= flip
+            for e, c in b.items():
+                out[e1 + e] = c1 * c
+        else:
+            [(e2, c2)] = b.items()
+            for e, c in a.items():
+                out[flip * e + e2] = c * c2
         return out
+    if len(a) >= _KRONECKER_TERMS and len(b) >= _KRONECKER_TERMS:
+        a_lo, a_hi, b_lo, b_hi = min(a), max(a), min(b), max(b)
+        if _dense(a_lo, a_hi, len(a)) and _dense(b_lo, b_hi, len(b)):
+            from .kronecker import _kronecker_mul
+
+            lo, digits = _kronecker_mul(a, a_lo, a_hi, b, b_lo, b_hi, flip)
+            if not out:
+                return dict(enumerate(digits, lo))
+            get = out.get
+            for e, c in enumerate(digits, lo):
+                out[e] = get(e, 0) + c
+            return out
     get = out.get
     for e1, c1 in a.items():
         e1 *= flip
@@ -297,25 +323,51 @@ def _long_quotient(num: dict[int, int], den: dict[int, int], lo: int) -> dict[in
 def quotient(a: RPoly, b: RPoly) -> RPoly | None:
     """Exact quotient c with b = a * c, or None when a does not divide b.
 
-    Requires a nonzero.  Units x^k are absorbed with no shifted copy: both
-    paths divide the operands' own dicts, down to the quotient's lowest
-    exponent min(b) - min(a).
+    Requires a nonzero.  Units x^k are absorbed with no shifted copy:
+    every path reads the operands' own dicts, and the quotient's lowest
+    exponent is lo = min(b) - min(a).  Before any division, two exact
+    shortcuts:
+
+    - The spans.  A quotient spans span(b) - span(a), because the top and
+      bottom terms of a product never cancel.  So b is no multiple of a
+      when its span is smaller, and when the spans are equal the
+      quotient can only be c*x^lo, c = lead(b)/lead(a): one dict
+      comparison with c*x^lo * a settles it.  Condition (ii) with a unit
+      s is such a case.
+    - Evaluation at 1.  b = a*c gives b(1) = a(1)*c(1) in Z, so when
+      a(1) is nonzero and does not divide b(1), there is no quotient.
+
+    Then dense operands take the Kronecker quotient, whose candidate q
+    is exact as it is when max|a| * max|q| * min(terms) is under the
+    digit's half-range, so that no digit of a * q carries, and is
+    multiplied back otherwise (see the kronecker module).  The others
+    take integer long division.
     """
     if a.is_zero():
         raise ValueError("division by the zero polynomial")
     if b.is_zero():
         return RPoly.zero()
     num, den = b._coeffs, a._coeffs
-    lo = min(num) - min(den)
+    num_lo, num_hi, den_lo, den_hi = min(num), max(num), min(den), max(den)
+    lo = num_lo - den_lo
+    span = num_hi - num_lo - den_hi + den_lo
+    if span <= 0:
+        c, leftover = divmod(num[num_hi], den[den_hi])
+        if span or leftover or num != {e + lo: c * v for e, v in den.items()}:
+            return None
+        return RPoly._of_nonzero({lo: c})
+    den_at_1 = sum(den.values())
+    if den_at_1 and sum(num.values()) % den_at_1:
+        return None
     if (
         len(den) >= _KRONECKER_TERMS
-        and max(num) - max(den) - lo + 1 >= _KRONECKER_TERMS
-        and _dense(num)
-        and _dense(den)
+        and span >= _KRONECKER_TERMS - 1
+        and _dense(num_lo, num_hi, len(num))
+        and _dense(den_lo, den_hi, len(den))
     ):
         from .kronecker import _kronecker_quotient
 
-        q = _kronecker_quotient(num, den, lo)
+        q = _kronecker_quotient(num, num_lo, num_hi, den, den_lo, den_hi)
     else:
         q = _long_quotient(num, den, lo)
     return None if q is None else RPoly._of_nonzero(q)

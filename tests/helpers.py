@@ -1257,17 +1257,29 @@ def check_operands_unchanged(cases: int, seed: int = SEED) -> Counter:
 
 
 def _outgrown_quotient(rng: random.Random) -> Tuple[RPoly, RPoly]:
-    """a = (1 - x)^4 g and b = (1 - x^M)^4 g, so b / a is
-    (1 + x + ... + x^(M-1))^4.  b's coefficients stay within 6 max|g|,
-    while the quotient's reach about (2/3) M^3: too wide for the digit
-    width that b sets."""
-    m = rng.randint(45, 60)
+    """a = (1 - x)^4 g and b = (1 - x^M)^4 g, M from 6 to 60, so b / a
+    is (1 + x + ... + x^(M-1))^4.  b's coefficients stay within 6 max|g|,
+    while the quotient's reach about (2/3) M^3: too wide for the no-carry
+    bound at every M, and for the digit width that b sets from M = 38 or
+    so."""
+    m = rng.randint(6, 60)
     g = _dense_rpoly(rng, 16, lambda r: r.choice((1, -1)) * r.randint(1, 3), shift=0)
 
     def quartic(step: int) -> RPoly:  # (1 - x^step)^4
         return RPoly({k * step: c for k, c in enumerate((1, -4, 6, -4, 1))})
 
     return rpoly_mul_oracle(g, quartic(1)), rpoly_mul_oracle(g, quartic(m))
+
+
+def _at_one(a: RPoly) -> int:
+    return sum(c for _, c in a.items())
+
+
+def _screened_monomial(rng: random.Random, a: RPoly, e: int) -> RPoly:
+    """+-a(1)*x^e, or +-x^e when a(1) = 0: added to a multiple of a, it
+    keeps a(1) | b(1), so evaluation at 1 lets the sum through to a
+    division."""
+    return RPoly.monomial(e, rng.choice((1, -1)) * (_at_one(a) or 1))
 
 
 def _rand_quotient_pair(rng: random.Random, i: int) -> Tuple[RPoly, RPoly]:
@@ -1277,11 +1289,12 @@ def _rand_quotient_pair(rng: random.Random, i: int) -> Tuple[RPoly, RPoly]:
         c = _rand_kronecker_operand(rng, rng.randrange(4))
         return a, rpoly_mul_oracle(a, c)
     if kind == 3:
-        # a * c plus one monomial just outside it, or anywhere
+        # a * c plus a monomial just outside it, or anywhere, that the
+        # evaluation screen passes
         a, c = _rand_kronecker_operand(rng, rng.randrange(3)), _dense_rpoly(rng, rng.randint(16, 60))
         b = rpoly_mul_oracle(a, c)
         e = rng.choice((b.min_exp - 1, b.max_exp + 1, rng.randint(b.min_exp, b.max_exp)))
-        return a, b + RPoly.monomial(e, rng.choice((1, -1)))
+        return a, b + _screened_monomial(rng, a, e)
     if kind == 4:
         return _outgrown_quotient(rng)
     if kind == 5:
@@ -1289,14 +1302,14 @@ def _rand_quotient_pair(rng: random.Random, i: int) -> Tuple[RPoly, RPoly]:
         a = _dense_rpoly(rng, rng.randint(1, 40))
         c = _dense_rpoly(rng, rng.randint(1, 2 * laurent._KRONECKER_TERMS))
         b = rpoly_mul_oracle(a, c)
-        return a, b if rng.random() < 0.5 else b + RPoly.monomial(rng.randint(-50, 50))
+        return a, b if rng.random() < 0.5 else b + _screened_monomial(rng, a, rng.randint(-50, 50))
     # sparse, wide gaps: x^k - 1 against products of sparse operands
     a = RPoly({0: -1, rng.randint(1, 10**4): 1}) if rng.random() < 0.5 else rand_rpoly(
         rng, nonzero=True, exp_range=(-(10**5), 10**5)
     )
     c = rand_rpoly(rng, max_terms=20, exp_range=(-(10**6), 10**6))
     b = rpoly_mul_oracle(a, c)
-    return a, b if rng.random() < 0.5 else b + RPoly.monomial(rng.randint(-(10**6), 10**6))
+    return a, b if rng.random() < 0.5 else b + _screened_monomial(rng, a, rng.randint(-(10**6), 10**6))
 
 
 def _far_exponent(rng: random.Random) -> int:
@@ -1307,14 +1320,55 @@ def _far_exponent(rng: random.Random) -> int:
     return rng.randint(-(10**6), 10**6)
 
 
+def quotient_path(a: RPoly, b: RPoly) -> Tuple[Optional[RPoly], str]:
+    """quotient(a, b) and the path that answered it, with the proof a
+    shortcut rests on checked here from the operands alone:
+
+    - "zero": b = 0, whose quotient is 0;
+    - "span": no division, and span(b) <= span(a);
+    - "screen": None with no division, a(1) != 0 and a(1) not dividing b(1);
+    - "bound": a Kronecker candidate returned with no product, and
+      max|a| * max|q| * min(terms) under the half-range of the digit
+      width the quotient packed at;
+    - "integer": None from the Kronecker path, a(N) not dividing b(N);
+    - "checked": a candidate multiplied back and returned;
+    - "fallback": long division after the Kronecker path, with
+      "multiplied back" added to the path when a candidate failed the
+      product first;
+    - "long": long division alone."""
+    with recording_widths() as widths, counting(kronecker, "_kronecker_quotient", "_mul_into") as packed, counting(
+        laurent, "_long_quotient"
+    ) as long:
+        got = quotient(a, b)
+    if long["_long_quotient"]:
+        if not packed["_kronecker_quotient"]:
+            return got, "long"
+        return got, "fallback, multiplied back" if packed["_mul_into"] else "fallback"
+    if packed["_mul_into"]:
+        return got, "checked"
+    if packed["_kronecker_quotient"]:
+        if got is None:
+            return got, "integer"
+        [(_, _, width)] = widths
+        terms = min(len(a.items()), len(got.items()))
+        bound = max(abs(c) for _, c in a.items()) * max(abs(c) for _, c in got.items()) * terms
+        assert bound < 1 << (8 * width - 1), (str(a), str(b), width)
+        return got, "bound"
+    if b.is_zero():
+        return got, "zero"
+    if b.max_exp - b.min_exp <= a.max_exp - a.min_exp:
+        return got, "span"
+    assert got is None and _at_one(a) and _at_one(b) % _at_one(a), (str(a), str(b))
+    return got, "screen"
+
+
 def check_quotient_matches_oracle(cases: int, seed: int = SEED, far: bool = False) -> Counter:
     """quotient against the dict long division.  With far, each operand is
     first multiplied by a unit x^k of _far_exponent, so the lowest
     exponents sit far from 0 and from each other.  Each case is counted
-    by the path it took: "long" division alone, or the Kronecker path
-    ending in "integer" non-divisibility, a "checked" candidate, or a
-    "fallback" to long division.  All four must be taken; the counts are
-    returned, with "10^18", the cases that had an operand that far out."""
+    by its quotient_path; "long", "integer", "bound", "checked" and
+    "fallback" must all be taken.  The counts are returned, with "10^18",
+    the cases that had an operand that far out."""
     rng = random.Random(seed)
     paths: Counter = Counter()
     for i in range(cases):
@@ -1323,16 +1377,113 @@ def check_quotient_matches_oracle(cases: int, seed: int = SEED, far: bool = Fals
             ka, kb = _far_exponent(rng), _far_exponent(rng)
             a, b = a.shift(ka), b.shift(kb)
             paths["10^18"] += max(abs(ka), abs(kb)) > 10**17
-        with counting(kronecker, "_kronecker_quotient") as packed, counting(laurent, "_long_quotient") as calls:
-            got = quotient(a, b)
+        got, path = quotient_path(a, b)
         assert got == poly_quotient_oracle(a, b), (i, str(a), str(b))
-        if not packed["_kronecker_quotient"]:
-            paths["long"] += 1
-        elif calls["_long_quotient"]:
-            paths["fallback"] += 1
+        paths[path.split(",")[0]] += 1
+    assert all(paths[p] for p in ("long", "integer", "bound", "checked", "fallback")), paths
+    return paths
+
+
+def _rand_span_pair(rng: random.Random, i: int) -> Tuple[RPoly, RPoly]:
+    """b with span(b) <= span(a), for check_quotient_shortcuts_match_oracle:
+    c*x^k*a, or that with one coefficient moved or one term added inside
+    the span, or b of a smaller span, over random, unit, a(1) = 0 and
+    Kronecker-size a; and the content case 2x + 2 over x + 1, both ways."""
+    kind = i % 8
+    if kind == 7:
+        pair = (RPoly({1: 1, 0: 1}), RPoly({1: 2, 0: 2}))
+        return pair if rng.random() < 0.5 else pair[::-1]
+    if kind == 0:
+        a = RPoly.monomial(rng.randint(-9, 9), rng.choice((1, -1)))
+    elif kind == 1:
+        a = rpoly_mul_oracle(RPoly({1: 1, 0: -1}), rand_rpoly(rng, nonzero=True, exp_range=(-6, 6)))
+    elif kind == 2:
+        a = _rand_kronecker_operand(rng, rng.randrange(3))
+    else:
+        a = rand_rpoly(rng, nonzero=True, max_terms=6, exp_range=(-9, 9), coeff_range=(-9, 9))
+    k, c = rng.randint(-50, 50), rng.choice((1, -1)) * rng.randint(1, 12)
+    b = {e + k: c * v for e, v in a.items()}
+    move = rng.randrange(4)
+    if move == 1:
+        e = rng.choice(list(b))
+        b[e] += rng.choice((1, -1)) * rng.randint(1, 5)
+    elif move == 2:
+        e = rng.randint(min(b), max(b))
+        b[e] = b.get(e, 0) + rng.choice((1, -1)) * rng.randint(1, 5)
+    elif move == 3 and a.max_exp > a.min_exp:
+        b = rand_rpoly(rng, nonzero=True, exp_range=(0, a.max_exp - a.min_exp - 1))._coeffs
+    return a, RPoly(b) or RPoly.monomial(k)
+
+
+def _rand_screen_pair(rng: random.Random, i: int) -> Tuple[RPoly, RPoly]:
+    """b = a*c + m*x^e with a(1) not in {0, 1, -1}, m not a multiple of
+    a(1), and span(c) >= 2, so span(b) > span(a) and a(1) does not divide
+    b(1); a small or of Kronecker size, with negative exponents."""
+    while True:
+        if i % 2:
+            a = _dense_rpoly(rng, rng.randint(laurent._KRONECKER_TERMS, 40), shift=rng.randint(-40, 0))
         else:
-            paths["integer" if got is None else "checked"] += 1
-    assert all(paths[p] for p in ("long", "integer", "checked", "fallback")), paths
+            a = rand_rpoly(rng, nonzero=True, max_terms=5, exp_range=(-9, 9), coeff_range=(-9, 9))
+        if abs(_at_one(a)) > 1:
+            break
+    c = _dense_rpoly(rng, rng.randint(3, 40), shift=rng.randint(-20, 20))
+    b = rpoly_mul_oracle(a, c)
+    m = rng.choice((1, -1)) * rng.randint(1, abs(_at_one(a)) - 1)
+    return a, b + RPoly.monomial(rng.randint(b.min_exp + 1, b.max_exp - 1), m)
+
+
+def _rand_bound_pair(rng: random.Random) -> Tuple[RPoly, RPoly]:
+    """a and a*c, dense with at least _KRONECKER_TERMS terms each, c
+    spanning at least as many exponents, coefficients of up to 70 bits
+    or at a byte edge, negative exponents.  The leading coefficients of a
+    and c are their largest in absolute value, so b's leading one is
+    max|a| * max|c|, and the width that b sets meets the no-carry bound."""
+
+    def operand(terms: int) -> RPoly:
+        if rng.random() < 0.3:
+            coeffs = _rand_kronecker_operand(rng, 0)._coeffs
+        else:
+            coeffs = _dense_bits(rng, terms, rng.choice((3, 7, 15, 31, 70)), rng.randint(-60, 10))
+        top = max(coeffs)
+        coeffs = dict(coeffs)
+        coeffs[top] = rng.choice((1, -1)) * max(map(abs, coeffs.values()))
+        return RPoly(coeffs)
+
+    a = operand(rng.randint(laurent._KRONECKER_TERMS, 40))
+    return a, rpoly_mul_oracle(a, operand(rng.randint(laurent._KRONECKER_TERMS, 40)))
+
+
+def check_quotient_shortcuts_match_oracle(cases: int, seed: int = SEED) -> Counter:
+    """Each shortcut of quotient against poly_quotient_oracle, one family
+    of cases per path, drawn in turn: the equal-span quotient
+    (_rand_span_pair), the evaluation screen's None (_rand_screen_pair),
+    the Kronecker candidate accepted by the no-carry bound
+    (_rand_bound_pair), and the candidate multiplied back
+    (_outgrown_quotient, where a(1) = 0), which is returned or,
+    when it fails, handed to long division.  Each family must take its
+    path, with the proof quotient_path checks.  Returns the paths taken,
+    with "span None", "span c" and "a(1) = 0" counted too."""
+    rng = random.Random(seed)
+    paths: Counter = Counter()
+    for i in range(cases):
+        family = i % 4
+        if family == 0:
+            a, b = _rand_span_pair(rng, i // 4)
+        elif family == 1:
+            a, b = _rand_screen_pair(rng, i // 4)
+        elif family == 2:
+            a, b = _rand_bound_pair(rng)
+        else:
+            a, b = _outgrown_quotient(rng)
+            while len(a.items()) < laurent._KRONECKER_TERMS:  # a zero in (1 - x)^4 g
+                a, b = _outgrown_quotient(rng)
+        got, path = quotient_path(a, b)
+        assert got == poly_quotient_oracle(a, b), (i, str(a), str(b))
+        assert path.startswith(("span", "screen", "bound", ("checked", "fallback, multiplied back"))[family]), (i, path)
+        paths[path] += 1
+        paths["a(1) = 0"] += family == 0 and not _at_one(a)
+        if family == 0:
+            paths["span None" if got is None else "span c"] += 1
     return paths
 
 
@@ -1363,13 +1514,16 @@ def _rand_one_term(rng: random.Random) -> Dict[int, int]:
 
 def _rand_kernel_case(rng: random.Random, kind: int):
     """(out, a, b) for check_mul_into_matches_oracle, by kind: a one-term a
-    with 0 an empty out, 1 one smaller than b, 2 one at least as large;
-    3 small operands; 4 dense operands whose digit width is drawn from 1 to
-    13 bytes, with an empty or a dense out."""
+    with 0 an empty out (half of these swapped, so b has the one term),
+    1 one smaller than b, 2 one at least as large; 3 small operands; 4
+    dense operands whose digit width is drawn from 1 to 13 bytes, with an
+    empty or a dense out."""
     if kind < 3:
         a, b = _rand_one_term(rng), rand_rpoly(rng, max_terms=30, coeff_range=(-50, 50))._coeffs
         size = (0, rng.randint(1, max(len(b) - 1, 1)), len(b) + rng.randint(0, 5))[kind]
         out = {rng.randint(-40, 40): rng.randint(-9, 9) for _ in range(size)}
+        if kind == 0 and rng.random() < 0.5:
+            return out, b, a
         return (out if kind != 1 or len(out) < len(b) else {}), a, b
     if kind == 3:
         a = rand_rpoly(rng, max_terms=laurent._KRONECKER_TERMS - 1)._coeffs
@@ -1440,6 +1594,7 @@ def check_mul_into_matches_oracle(cases: int, seed: int = SEED) -> Counter:
             assert signed == a_before and b == b_before, (i, before, a_before, b_before, flip, sign)
             assert {e: c for e, c in got.items() if c} == want, (i, before, a, b, flip, sign)
             seen["zero" if not want else "kind %d" % kind] += 1
+            seen["one-term b, flip %+d" % flip] += len(b) == 1 < len(a) and not before
             if a == {0: 1}:
                 seen["a = 1, flip %+d, sign %+d, out %s b" % (flip, sign, "<" if len(before) < len(b) else ">=")] += 1
             seen["kind 4, a coefficient >= 2^63"] += kind == 4 and max(map(abs, a.values())) >= 1 << 63

@@ -220,8 +220,68 @@ MUTANTS = (
     (
         "_mul_into's dense branch never taken: no product reaches the Kronecker module",
         "src/kleinverify/laurent.py",
-        "if len(a) >= _KRONECKER_TERMS and len(b) >= _KRONECKER_TERMS and _dense(a) and _dense(b):",
+        "if _dense(a_lo, a_hi, len(a)) and _dense(b_lo, b_hi, len(b)):",
         "if False:",
+    ),
+    (
+        "quotient without its evaluation screen at x = 1",
+        "src/kleinverify/laurent.py",
+        "if den_at_1 and sum(num.values()) % den_at_1:",
+        "if False:",
+    ),
+    (
+        "the equal-span quotient returned as c*x^lo without comparing the rows",
+        "src/kleinverify/laurent.py",
+        "if span or leftover or num != {e + lo: c * v for e, v in den.items()}:",
+        "if span or leftover:",
+    ),
+    (
+        "the no-carry bound on a Kronecker candidate without its min(terms) factor",
+        "src/kleinverify/kronecker.py",
+        "den_max * _max_abs(quot) * min(len(den), len(quot)) < 1 << (8 * width - 1)",
+        "den_max * _max_abs(quot) < 1 << (8 * width - 1)",
+    ),
+    (
+        "the one-term loop of _mul_into using +e for flip -1 (a one-term)",
+        "src/kleinverify/laurent.py",
+        "            e1 *= flip\n            for e, c in b.items():\n                out[e1 + e] = c1 * c",
+        "            for e, c in b.items():\n                out[e1 + e] = c1 * c",
+    ),
+    (
+        "the one-term loop of _mul_into using +e for flip -1 (b one-term)",
+        "src/kleinverify/laurent.py",
+        "out[flip * e + e2] = c * c2",
+        "out[e + e2] = c * c2",
+    ),
+    (
+        "_pack reading values in key order when the keys run the other way",
+        "src/kleinverify/kronecker.py",
+        "values = list(coeffs.values())[::-1]",
+        "values = list(coeffs.values())",
+    ),
+    (
+        "RPoly.__sub__ adding",
+        "src/kleinverify/laurent.py",
+        "return RPoly._of_nonzero(_sum(self._coeffs, other._coeffs, -1))",
+        "return RPoly._of_nonzero(_sum(self._coeffs, other._coeffs, 1))",
+    ),
+    (
+        "y_plus_s keeping a zero row for s = 0",
+        "src/kleinverify/division.py",
+        "SPoly._of_rows({1: _ONE, 0: s._coeffs} if s._coeffs else {1: _ONE})",
+        "SPoly._of_rows({1: _ONE, 0: s._coeffs})",
+    ),
+    (
+        "SPoly.from_rpoly keeping a zero row",
+        "src/kleinverify/klein.py",
+        "cls._of_rows({degree: a._coeffs} if a._coeffs else {})",
+        "cls._of_rows({degree: a._coeffs})",
+    ),
+    (
+        "StaffordInstance.from_factors without its check of the y-row",
+        "src/kleinverify/division.py",
+        "ys_rows.keys() == {0, 1} and ys_rows[1] == _ONE and",
+        "ys_rows.keys() == {0, 1} and",
     ),
     (
         "run handing every command verify-paper's handler",

@@ -14,6 +14,7 @@ from helpers import (
     check_mul_into_matches_oracle,
     check_parser_matches_oracle,
     check_quotient_matches_oracle,
+    check_quotient_shortcuts_match_oracle,
     check_rpoly_ring_axioms,
     check_rpoly_mul_matches_oracle,
     check_sigma_involution,
@@ -93,7 +94,8 @@ def test_long_quotient_is_fast_on_a_long_dividend():
     # x + 1 is below the Kronecker crossover, so (x + 1)*g goes to long
     # division.  Finding each step's top by a scan of the remainder took
     # about 4 s at 20000 terms; the heap of pending exponents takes
-    # milliseconds.
+    # milliseconds.  The non-divisor b + 2x^-1 keeps 2 = a(1) dividing
+    # its value at 1, so evaluation at 1 passes it to long division too.
     rng = random.Random(SEED + 7)
     g = RPoly({e: rng.choice((1, -1)) * rng.randint(1, 9) for e in range(30000)})
     a = parse_rpoly("x + 1")
@@ -102,7 +104,7 @@ def test_long_quotient_is_fast_on_a_long_dividend():
         start = time.perf_counter()
         got = quotient(a, b)
         assert time.perf_counter() - start < 1.0
-        assert quotient(a, b + RPoly.monomial(-1)) is None
+        assert quotient(a, b + RPoly.monomial(-1, 2)) is None
     assert got == g and calls == {"_long_quotient": 2}
 
 
@@ -134,15 +136,50 @@ def test_quotient_far_from_zero_matches_oracle():
     # one case in ten with an operand 10^18 out, on the long and the
     # Kronecker path.
     paths = check_quotient_matches_oracle(560, SEED + 5, far=True)
-    packed = paths["integer"] + paths["checked"] + paths["fallback"]
-    assert paths["long"] + packed == 560 and paths["long"] >= 100 and packed >= 200, paths
+    packed = paths["integer"] + paths["bound"] + paths["checked"] + paths["fallback"]
+    assert paths["long"] + packed + paths["span"] + paths["zero"] == 560, paths
+    assert paths["long"] >= 100 and packed >= 200, paths
     assert paths["10^18"] >= 25, paths
+
+
+def test_quotient_shortcuts_match_oracle():
+    # 500 cases for each shortcut's path, each answer against the oracle
+    # and each shortcut's proof checked by quotient_path.
+    paths = check_quotient_shortcuts_match_oracle(2000)
+    assert paths["span"] == paths["screen"] == paths["bound"] == 500, paths
+    assert paths["checked"] + paths["fallback, multiplied back"] == 500, paths
+    assert min(paths["checked"], paths["fallback, multiplied back"]) >= 100, paths
+    assert min(paths["span None"], paths["span c"]) >= 100 and paths["a(1) = 0"] >= 50, paths
+
+
+def test_quotient_shortcuts_answer_without_division():
+    # The equal-span quotient is c*x^lo or None by one comparison, and
+    # evaluation at 1 refutes with no division; a(1) = 0 proves nothing.
+    cases = [
+        ("x + 1", "2*x + 2", "2"),
+        ("2*x + 2", "x + 1", None),
+        ("-x^-3", "5*x^4", "-5*x^7"),
+        ("x^2 - 1", "3*x^-1 - 3*x^-3", "3*x^-3"),
+        ("x^2 - 1", "3*x^-1 - 3*x^-2", None),
+        ("x^3 - x - 1", "x^2 + 1", None),
+        ("x + 2", "x^1000 + 1", None),
+        ("x + 1", "x^3 + x + 1", None),
+    ]
+    with counting(kronecker, "_kronecker_quotient") as packed, counting(laurent, "_long_quotient") as calls:
+        for a, b, want in cases:
+            got = quotient(parse_rpoly(a), parse_rpoly(b))
+            assert got == (None if want is None else parse_rpoly(want)), (a, b)
+    assert packed == {"_kronecker_quotient": 0} and calls == {"_long_quotient": 0}
+    with counting(laurent, "_long_quotient") as calls:
+        assert quotient(parse_rpoly("x - 1"), parse_rpoly("x^3 + x - 1")) is None
+    assert calls == {"_long_quotient": 1}
 
 
 def test_mul_into_matches_oracle():
     seen = check_mul_into_matches_oracle(600)
     assert all(seen[k] >= 50 for k in ("cancel", "zero", "kind 0", "kind 1", "kind 2", "kind 4")), seen
     assert seen["quotient"] and seen["quotient None"], seen
+    assert seen["one-term b, flip +1"] >= 10 and seen["one-term b, flip -1"] >= 10, seen
     assert seen["kind 4, a coefficient >= 2^63"] and seen["quotient, a coefficient >= 2^63"], seen
     # a = 1 with both flips, both signs, and out smaller or not smaller than b
     assert all(

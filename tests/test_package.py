@@ -113,6 +113,26 @@ def test_each_command_loads_only_its_modules(tmp_path):
         assert _printed_json(code, *argv) == [expected, False], argv
 
 
+def test_report_commands_load_no_heapq():
+    # Condition (ii) with a unit s divides operands of equal span, which
+    # one comparison settles, so verify-paper and the default stafford
+    # never reach long division or its heap.  The dense divides above
+    # still packs its operands, and the no-carry bound accepts its
+    # quotient with no long division either.
+    code = (
+        "import contextlib, io, sys\n"
+        "from kleinverify.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(sys.argv[1:]) == 0\n"
+        "seen = ['heapq' in sys.modules, 'kleinverify.kronecker' in sys.modules]\n"
+        "import json\n"
+        "print(json.dumps(seen))\n"
+    )
+    for argv in (["verify-paper"], ["verify-paper", "--format", "json"], ["stafford"]):
+        assert _printed_json(code, *argv) == [False, False], argv
+    assert _printed_json(code, "divides", DENSE_A, DENSE_B) == [False, True]
+
+
 def test_no_command_imports_cli_a_second_time(tmp_path):
     # python -m kleinverify.cli runs cli as __main__, so an import of
     # kleinverify.cli would compile the module again.  Each command runs

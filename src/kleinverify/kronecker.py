@@ -25,10 +25,7 @@ check fails (a digit width too narrow for q, or a(N) | b(N) by
 coincidence), laurent's long division decides.
 
 The lowest and highest exponent of each operand come from laurent's
-dense test, found once.  When an operand's keys already run through
-every exponent of its range in the packing order, or in the reverse
-one, as Kronecker products, sigma and parsed text often leave them,
-_pack reads its values as they stand, with no lookup per exponent.
+dense test, found once.
 """
 
 from __future__ import annotations
@@ -78,28 +75,18 @@ def _bias(width: int, n: int) -> int:
 def _pack(coeffs: dict[int, int], start: int, n: int, width: int, step: int = 1) -> int:
     """sum coeffs[start + step*i] * 2^(8*width*i) over 0 <= i < n, in linear time.
 
-    Each coefficient must fit a balanced digit of width bytes.  When the
-    keys of coeffs are already the n exponents in this order or the
-    reverse one, its values are the digits, read with no lookup; else
-    each exponent is looked up.  The digits are written in two's
-    complement, by one array of signed items at an item width, else one
-    int.to_bytes call each.  XOR with the bias flips each digit's top
-    bit, adding 2^(8*width - 1) to it with no carry.
+    Each coefficient must fit a balanced digit of width bytes.  The digits
+    are written in two's complement, by one array of signed items at an
+    item width, else one int.to_bytes call each.  XOR with the bias flips
+    each digit's top bit, adding 2^(8*width - 1) to it with no carry.
     """
+    get = coeffs.get
     exps = range(start, start + step * n, step)
-    keys = list(coeffs) if len(coeffs) == n else None
-    if keys and keys == list(exps):
-        values = list(coeffs.values())
-    elif keys and keys == list(exps[::-1]):
-        values = list(coeffs.values())[::-1]
-    else:
-        get = coeffs.get
-        values = [get(e, 0) for e in exps]
     code = _ITEM_CODES.get(width)
     if code is None:
-        raw = b"".join(c.to_bytes(width, "little", signed=True) for c in values)
+        raw = b"".join(get(e, 0).to_bytes(width, "little", signed=True) for e in exps)
     else:
-        raw = _array(code, values).tobytes()
+        raw = _array(code, [get(e, 0) for e in exps]).tobytes()
     bias = _bias(width, n)
     return (int.from_bytes(raw, "little") ^ bias) - bias
 

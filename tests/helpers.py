@@ -1571,7 +1571,9 @@ def check_mul_into_matches_oracle(cases: int, seed: int = SEED) -> Counter:
     to an array item size or exceeds 8 bytes, with coefficients up to
     2^90.  Then, in the same widths, exact quotients a * c / a and
     products plus a monomial, whose quotient is None, against
-    poly_quotient_oracle.  The Kronecker product and quotient must each
+    poly_quotient_oracle.  The monomial keeps a(1) | b(1), so that
+    evaluation at 1 lets each None through to the Kronecker quotient,
+    counted as "quotient None, packed".  The Kronecker product and quotient must each
     round 3 bytes to 4 and 5-7 to 8, and keep a width over 8.  Returns
     how many cases fell in each class."""
     rng = random.Random(seed)
@@ -1604,10 +1606,12 @@ def check_mul_into_matches_oracle(cases: int, seed: int = SEED) -> Counter:
             seen["quotient, a coefficient >= 2^63"] += max(map(abs, a._coeffs.values())) >= 1 << 63
             b = rpoly_mul_oracle(a, c)
             if i % 2:
-                b = b + RPoly.monomial(rng.randint(b.min_exp, b.max_exp + 1))
-            got = quotient(a, b)
+                b = b + _screened_monomial(rng, a, rng.randint(b.min_exp, b.max_exp + 1))
+            with counting(kronecker, "_kronecker_quotient") as packed:
+                got = quotient(a, b)
             assert got == poly_quotient_oracle(a, b), (i, str(a), str(b))
             seen["quotient" if got is not None else "quotient None"] += 1
+            seen["quotient None, packed"] += got is None and packed["_kronecker_quotient"]
     for caller in ("_kronecker_mul", "_kronecker_quotient"):
         assert _roundings(calls, caller) == {"3->4", "5-7->8", ">8 kept"}, (caller, calls)
     return seen

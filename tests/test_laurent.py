@@ -178,7 +178,7 @@ def test_quotient_shortcuts_answer_without_division():
 def test_mul_into_matches_oracle():
     seen = check_mul_into_matches_oracle(600)
     assert all(seen[k] >= 50 for k in ("cancel", "zero", "kind 0", "kind 1", "kind 2", "kind 4")), seen
-    assert seen["quotient"] and seen["quotient None"], seen
+    assert seen["quotient"] and seen["quotient None"] == seen["quotient None, packed"], seen
     assert seen["one-term b, flip +1"] >= 10 and seen["one-term b, flip -1"] >= 10, seen
     assert seen["kind 4, a coefficient >= 2^63"] and seen["quotient, a coefficient >= 2^63"], seen
     # a = 1 with both flips, both signs, and out smaller or not smaller than b

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,18 @@ def test_report_commands_load_no_heapq():
     for argv in (["verify-paper"], ["verify-paper", "--format", "json"], ["stafford"]):
         assert _printed_json(code, *argv) == [False, False], argv
     assert _printed_json(code, "divides", DENSE_A, DENSE_B) == [False, True]
+
+
+def test_hostile_divides_answers_fast():
+    # x + 2 is 3 at x = 1 and x^1000000000 + 1 is 2, so evaluation at 1
+    # answers false with no division; long division took 10^9 steps.  A
+    # subprocess, so that a regression fails at the timeout, not hangs.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [sys.executable, "-m", "kleinverify.cli", "divides", "x + 2", "x^1000000000 + 1"]
+    start = time.perf_counter()
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=6)
+    assert time.perf_counter() - start < 1.0
+    assert (done.returncode, done.stdout, done.stderr) == (1, "false\n", "")
 
 
 def test_no_command_imports_cli_a_second_time(tmp_path):

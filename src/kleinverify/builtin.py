@@ -133,7 +133,7 @@ def bezout_beta() -> SPoly:
 def boundary_row_factors() -> tuple[SPoly, ...]:
     from .certificates import _row_factors
 
-    return tuple(_row_factors(presentation_p(), forward_certificates()))
+    return tuple(_row_factors(presentation_p(), presentation_q().relators, forward_certificates()))
 
 
 @lru_cache(maxsize=None)

@@ -7,10 +7,11 @@ pure free-group reduction, in one pass over all the factors.
 
 Each factor also has a chain-level shadow: once the relators bound disks,
 the factor (w, j, e) moves disk j by the group image of w^-1 with sign e,
-which is where the boundary factorization identities come from.  When w
-maps to y^m x^n, w^-1 maps to y^-m x^(-(-1)^m n), and the terms are summed
-in one coefficient dict per (relator, y-degree), made by the first term
-that reaches it: no per-factor Word, SPoly or empty dict.
+which is where the boundary factorization identities come from, each row
+factor paired with the relator its certificate names.  When w maps to
+y^m x^n, w^-1 maps to y^-m x^(-(-1)^m n), and the terms are summed in one
+coefficient dict per (relator, y-degree), made by the first term that
+reaches it: no per-factor Word, SPoly or empty dict.
 
 Checking stays in the free-group layer, so importing this module loads
 no ring code: boundary_factor and _row_factors import klein when they
@@ -19,7 +20,7 @@ run, and a command that only checks a certificate never compiles it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 
 from .presentations import Presentation
 from .words import Word, _reduced, parse_word
@@ -124,11 +125,21 @@ def boundary_factor(src: Presentation, cert: ConjugacyCertificate) -> dict[int, 
     return {j: _spoly(rows) for j, rows in shadow.items()}
 
 
-def _row_factors(src: Presentation, certs: Iterable[ConjugacyCertificate]) -> list[SPoly]:
-    """Each certificate's chain shadow on src's relator 0: by Fox calculus, its row factor."""
+def _row_factors(
+    src: Presentation, relators: Sequence[Word], certs: Iterable[ConjugacyCertificate]
+) -> list[SPoly]:
+    """Each certificate's chain shadow on src's relator 0, by Fox calculus
+    its row factor, in the order of the relators the certificates name: a
+    stable sort comparing targets by ==, a certificate naming none last."""
     from .klein import SPoly
 
-    return [boundary_factor(src, c).get(0, SPoly.zero()) for c in certs]
+    def rank(cert: ConjugacyCertificate) -> int:
+        for i, rel in enumerate(relators):
+            if cert.target == rel:
+                return i
+        return len(relators)
+
+    return [boundary_factor(src, c).get(0, SPoly.zero()) for c in sorted(certs, key=rank)]
 
 
 def equivalence_verdict(
@@ -143,25 +154,18 @@ def equivalence_verdict(
         raise ValueError("generator mismatch between presentations")
 
     def covered(relators, src, certs) -> bool:
-        certs = list(certs)
         for rel in relators:
-            ok = False
             for c in certs:
-                if c.target != rel:
-                    continue
                 try:
-                    if check_certificate(src, c):
-                        ok = True
+                    if c.target == rel and check_certificate(src, c):
                         break
-                except IndexError:
-                    continue
-            if not ok:
+                except IndexError:  # a factor names a relator src lacks
+                    pass
+            else:
                 return False
         return True
 
-    return covered(q.relators, p, certs_q_over_p) and covered(
-        p.relators, q, certs_p_over_q
-    )
+    return covered(q.relators, p, list(certs_q_over_p)) and covered(p.relators, q, list(certs_p_over_q))
 
 
 def certificate_from_dict(data: Mapping) -> ConjugacyCertificate:

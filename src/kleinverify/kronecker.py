@@ -8,9 +8,9 @@ never compiles it.
 Each polynomial is read as one integer p(N), N = 2^(8*width), with
 balanced digits wide enough that no digit carries, and Python's exact
 big-int product or division does the work.  Widths round up to 1, 2, 4
-or 8 bytes, so the digits pass through one array.array of signed items,
-put in little-endian order whatever sys.byteorder is; wider digits take
-one int.to_bytes or int.from_bytes call each.
+or 8 bytes, so the digits pass through one struct format of signed
+little-endian items, the same bytes on every host; wider digits take one
+int.to_bytes or int.from_bytes call each.
 
 A quotient packs each operand from its lowest exponent and reads the
 candidate's digits from the quotient's lowest exponent.  A None is
@@ -30,8 +30,7 @@ dense test, found once.
 
 from __future__ import annotations
 
-import sys
-from array import array
+from struct import pack, unpack
 
 from . import laurent
 from .laurent import _mul_into, _nonzero
@@ -46,25 +45,15 @@ def _width(bound: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
-# Signed array item codes by size in bytes: C's char, short, int and long
-# long, 1, 2, 4 and 8 bytes wherever CPython builds.
+# Signed struct item codes by size in bytes, the standard sizes of a
+# format that starts with "<".
 _ITEM_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _item_width(width: int) -> int:
-    """width rounded up to the next array item size: 1, 2, 4 or 8 bytes;
+    """width rounded up to the next struct item size: 1, 2, 4 or 8 bytes;
     a width over 8 bytes stays as it is."""
     return next((size for size in _ITEM_CODES if width <= size), width)
-
-
-def _array(code: str, data: list[int] | bytes):
-    """array(code, data), byte-swapped on a big-endian host: ints become
-    little-endian bytes and little-endian bytes become ints."""
-    items = array(code, data)
-    if _BIG_ENDIAN:
-        items.byteswap()
-    return items
 
 
 def _bias(width: int, n: int) -> int:
@@ -76,9 +65,10 @@ def _pack(coeffs: dict[int, int], start: int, n: int, width: int, step: int = 1)
     """sum coeffs[start + step*i] * 2^(8*width*i) over 0 <= i < n, in linear time.
 
     Each coefficient must fit a balanced digit of width bytes.  The digits
-    are written in two's complement, by one array of signed items at an
-    item width, else one int.to_bytes call each.  XOR with the bias flips
-    each digit's top bit, adding 2^(8*width - 1) to it with no carry.
+    are written in two's complement, by one struct format of signed
+    little-endian items at an item width, else one int.to_bytes call
+    each.  XOR with the bias flips each digit's top bit, adding
+    2^(8*width - 1) to it with no carry.
     """
     get = coeffs.get
     exps = range(start, start + step * n, step)
@@ -86,7 +76,7 @@ def _pack(coeffs: dict[int, int], start: int, n: int, width: int, step: int = 1)
     if code is None:
         raw = b"".join(get(e, 0).to_bytes(width, "little", signed=True) for e in exps)
     else:
-        raw = _array(code, [get(e, 0) for e in exps]).tobytes()
+        raw = pack(f"<{n}{code}", *[get(e, 0) for e in exps])
     bias = _bias(width, n)
     return (int.from_bytes(raw, "little") ^ bias) - bias
 
@@ -95,7 +85,7 @@ def _unpack(value: int, width: int, n: int) -> list[int] | None:
     """The n balanced digits of value, lowest first, or None when it has none.
 
     The inverse of _pack: XOR with the bias gives two's complement digits,
-    read by one array of signed items at an item width.
+    read by one struct format of signed little-endian items at an item width.
     """
     bias = _bias(width, n)
     value += bias
@@ -105,7 +95,7 @@ def _unpack(value: int, width: int, n: int) -> list[int] | None:
     code = _ITEM_CODES.get(width)
     if code is None:
         return [int.from_bytes(raw[i:i + width], "little", signed=True) for i in range(0, width * n, width)]
-    return _array(code, raw).tolist()
+    return list(unpack(f"<{n}{code}", raw))
 
 
 def _kronecker_mul(

@@ -282,6 +282,8 @@ def full_report(
     """Run every check on the built-in data; Q, the forward certificates,
     the instance (r, s) and the witness may be overridden.
 
+    Each row factor goes with the relator of Q its certificate names,
+    whatever the certificates' order; inputs keeps the caller's order.
     The instance is read from the row factors y + s and r, which
     factorization_ok ties to Q; a caller's instance is a claim checked
     against it.  When none is read or the claim differs, the ring checks
@@ -306,7 +308,7 @@ def full_report(
 
     chi_ok = attempt(lambda: euler_characteristic(q) == 1 and euler_characteristic(p) == 0)
     pi1_ok = attempt(lambda: equivalence_verdict(p, q, fwd, rev))
-    derive = builtin.boundary_row_factors if forward_certs is None else lambda: _row_factors(p, fwd)
+    derive = builtin.boundary_row_factors if forward_certs is None else lambda: _row_factors(p, q.relators, fwd)
     factors = attempt(derive, None)  # None when a forward certificate does not check
     factorization_ok = factors is not None and attempt(
         lambda: verify_factorization(build_chain_data(p, q), factors))

@@ -295,6 +295,42 @@ MUTANTS = (
         "for v, q in pairs)",
         "for v, q in pairs[:1])",
     ),
+    (
+        "expand_certificate's range check letting a negative relator index wrap round",
+        "src/kleinverify/certificates.py",
+        "if not 0 <= f.relator < len(src.relators):",
+        "if not f.relator < len(src.relators):",
+    ),
+    (
+        "chain_composites_vanish never returning false",
+        "src/kleinverify/verify.py",
+        "        if _spoly(total):\n            return False",
+        "        if False:\n            return False",
+    ),
+    (
+        "_emit building the payload for text",
+        "src/kleinverify/cli.py",
+        "        print(text())",
+        "        payload()\n        print(text())",
+    ),
+    (
+        "_row_factors pairing factors with relators by list position",
+        "src/kleinverify/certificates.py",
+        "for c in sorted(certs, key=rank)]",
+        "for c in certs]",
+    ),
+    (
+        "equivalence_verdict's covered taking a certificate for any relator",
+        "src/kleinverify/certificates.py",
+        "if c.target == rel and check_certificate(src, c):",
+        "if check_certificate(src, c):",
+    ),
+    (
+        "_pack writing big-endian items",
+        "src/kleinverify/kronecker.py",
+        'raw = pack(f"<{n}{code}"',
+        'raw = pack(f">{n}{code}"',
+    ),
 )
 
 # Known equivalent mutants, left out of MUTANTS because no result of the

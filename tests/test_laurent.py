@@ -1,6 +1,6 @@
 import random
+import struct
 import time
-from array import array
 
 import pytest
 
@@ -10,14 +10,11 @@ from kleinverify.laurent import PolySyntaxError
 
 from helpers import (
     SEED,
-    check_domain_property,
     check_mul_into_matches_oracle,
     check_parser_matches_oracle,
     check_quotient_matches_oracle,
     check_quotient_shortcuts_match_oracle,
-    check_rpoly_ring_axioms,
     check_rpoly_mul_matches_oracle,
-    check_sigma_involution,
     check_sub_matches_add_neg,
     counting,
     parse_rpoly_oracle,
@@ -42,10 +39,6 @@ def test_unit_product():
 def test_sigma_examples():
     assert R.sigma() == parse_rpoly("x^-3 - x^-1 - 1")
     assert RPoly.one().sigma() == RPoly.one()
-
-
-def test_sigma_involution():
-    check_sigma_involution(300)
 
 
 def test_length_examples():
@@ -253,7 +246,7 @@ def test_balanced_digits_roundtrip():
         assert kronecker._unpack(low, width, 7) == [-half] * 7 and kronecker._unpack(high, width, 7) == [half - 1] * 7
         assert kronecker._unpack(low - 1, width, 7) is None and kronecker._unpack(high + 1, width, 7) is None
     assert [kronecker._item_width(w) for w in range(1, 11)] == [1, 2, 4, 4, 8, 8, 8, 8, 9, 10]
-    assert {array(code).itemsize: code for code in kronecker._ITEM_CODES.values()} == kronecker._ITEM_CODES
+    assert {struct.calcsize("<" + code): code for code in kronecker._ITEM_CODES.values()} == kronecker._ITEM_CODES
 
 
 def _residue(a: RPoly, t: int, p: int) -> int:
@@ -337,14 +330,6 @@ def test_dense_matches_sympy():
         got = quotient(a, b)
         assert (got is not None) == _divides_oracle(a, b)
         assert got == (c if i % 2 == 0 else None)
-
-
-def test_domain_and_length_multiplicativity():
-    check_domain_property(1000)
-
-
-def test_ring_axioms():
-    check_rpoly_ring_axioms(500)
 
 
 def test_parse_print_roundtrip():

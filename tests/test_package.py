@@ -86,14 +86,16 @@ README_CERTIFICATE = {
 }
 
 
+def _python(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """This interpreter run with argv and kleinverify importable from SRC,
+    its output captured as text."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, **kwargs)
+
+
 def _printed_json(code: str, *argv: str):
     """The JSON value that code prints, run under -S with argv."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code, *argv],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    return json.loads(out)
+    return json.loads(_python("-S", "-c", code, *argv, check=True).stdout)
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
@@ -138,10 +140,8 @@ def test_hostile_divides_answers_fast():
     # x + 2 is 3 at x = 1 and x^1000000000 + 1 is 2, so evaluation at 1
     # answers false with no division; long division took 10^9 steps.  A
     # subprocess, so that a regression fails at the timeout, not hangs.
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    argv = [sys.executable, "-m", "kleinverify.cli", "divides", "x + 2", "x^1000000000 + 1"]
     start = time.perf_counter()
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=6)
+    done = _python("-m", "kleinverify.cli", "divides", "x + 2", "x^1000000000 + 1", timeout=6)
     assert time.perf_counter() - start < 1.0
     assert (done.returncode, done.stdout, done.stderr) == (1, "false\n", "")
 
@@ -218,11 +218,7 @@ def test_cli_imports_no_heavy_stdlib():
         "dataclasses", "inspect", "ast", "dis",
     )
     code = f"import sys, kleinverify.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    assert _python("-S", "-c", code, check=True).stdout.strip() == "[]"
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -9,6 +9,7 @@ from kleinverify import (
     RPoly,
     SPoly,
     StaffordInstance,
+    Word,
     boundary_factor,
     build_chain_data,
     chain_composites_vanish,
@@ -25,7 +26,7 @@ from kleinverify import (
     verify_factorization,
 )
 from kleinverify import builtin, division, laurent, verify
-from kleinverify.certificates import CertFactor, ConjugacyCertificate
+from kleinverify.certificates import CertFactor, ConjugacyCertificate, _row_factors
 from kleinverify.cli import run
 
 from helpers import (
@@ -80,6 +81,14 @@ def test_chain_data_invariants():
     # a record read by field name or by position, in the order d2_p, d2_q, d1
     assert chains == (chains.d2_p, chains.d2_q, chains.d1)
     assert len(chains.d2_p) == len(chains.d1) == 2 and len(chains.d2_q) == 2
+
+
+@pytest.mark.parametrize("relator", ["x", "y^-1 x y x^-1"])
+def test_chain_composites_fail_for_a_relator_not_trivial_in_the_group(relator):
+    # d1 . d2 maps a relator to its image in K minus 1 (Fox's fundamental
+    # formula), which is nonzero for x and for y^-1 x y x^-1 = x^-2 in K.
+    chains = build_chain_data(P, Presentation(P.generators, (parse_word(relator),)))
+    assert not chain_composites_vanish(chains)
 
 
 @pytest.mark.parametrize("generators", [("x",), ("y", "x")])
@@ -267,20 +276,47 @@ def test_full_report_derives_row_factors_from_given_certificates():
     q_prime = Presentation(P.generators, (rel, c))
     fwd = [ConjugacyCertificate(rel, (CertFactor(parse_word("1"), 0, 1),), "P"),
            ConjugacyCertificate(c, factors, "P")]
-    report = full_report(presentation_q=q_prime, forward_certs=fwd)
-    assert report.factorization_ok
-    assert report.inputs["row_factors"] == [str(SPoly.one()), str(parse_spoly("x^-1 - y + y^-1*(x^-2)"))]
-    assert report.to_text().splitlines()[2] == (
-        "[ok  ] factorization_ok boundary rows: d2'(D1) = d2(D)*[(1)]"
-        " and d2'(D2) = d2(D)*[y*(-1) + (x^-1) + y^-1*(x^-2)]"
-    )
-    # the reverse certificate is over the built-in Q, whose relators Q' lacks
-    # and no instance (r, s) is read from the factors 1 and x^-1 - y + ...:
-    # Q' contains P's relator, so its second homotopy module is free
-    ring_flags_false_only(report, "pi1_ok")
-    assert report.inputs["r"] is None and report.inputs["s"] is None
-    assert report.to_text().splitlines()[3] == (
-        "[FAIL] bezout_ok        unit combination: no instance (r, s) read from the row factors")
+    # each factor goes with the relator its certificate names, in either order
+    for certs in (fwd, fwd[::-1]):
+        report = full_report(presentation_q=q_prime, forward_certs=certs)
+        assert report.factorization_ok
+        assert report.inputs["row_factors"] == [str(SPoly.one()), str(parse_spoly("x^-1 - y + y^-1*(x^-2)"))]
+        assert report.to_text().splitlines()[2] == (
+            "[ok  ] factorization_ok boundary rows: d2'(D1) = d2(D)*[(1)]"
+            " and d2'(D2) = d2(D)*[y*(-1) + (x^-1) + y^-1*(x^-2)]"
+        )
+        # the reverse certificate is over the built-in Q, whose relators Q'
+        # lacks, and no instance (r, s) is read from the factors 1 and
+        # x^-1 - y + ...: Q' contains P's relator, so its second homotopy
+        # module is free
+        ring_flags_false_only(report, "pi1_ok")
+        assert report.inputs["r"] is None and report.inputs["s"] is None
+        assert report.to_text().splitlines()[3] == (
+            "[FAIL] bezout_ok        unit combination: no instance (r, s) read from the row factors")
+
+
+def test_full_report_pairs_certificates_with_the_relators_they_name():
+    # The built-in certificates reversed verify as they are: the factors
+    # follow Q's relators, and only inputs keeps the caller's order.
+    fwd = builtin.forward_certificates()
+    report, reference = full_report(forward_certs=fwd[::-1]), full_report()
+    assert report.all_ok
+    assert report.to_text() == reference.to_text()
+    got, want = report.to_json_dict(), reference.to_json_dict()
+    assert got["inputs"].pop("certificates_Q_over_P") == [str(c.target) for c in fwd[::-1]]
+    want["inputs"].pop("certificates_Q_over_P")
+    assert got == want
+
+
+def test_row_factors_keep_the_place_of_a_certificate_naming_no_relator():
+    # A certificate whose target is none of the relators goes after the
+    # others, which keep their relator order; ties keep the given order.
+    cert1, cert2 = builtin.forward_certificates()
+    stray = ConjugacyCertificate(Word(), ())
+    f1, f2 = FACTORS
+    zero = SPoly.zero()
+    assert _row_factors(P, Q.relators, [stray, cert2, cert1]) == [f1, f2, zero]
+    assert _row_factors(P, Q.relators, [cert2, stray, cert2, cert1]) == [f1, f2, f2, zero]
 
 
 def test_chi_line_follows_presentations():

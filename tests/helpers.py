@@ -22,12 +22,19 @@ builds kernel elements, witnesses reads the two elements of V from
 stafford_verdict, splitting_projector builds the projector that
 splitting_check is held to, and certificate_to_dict writes certificate
 files.
+
+The nine suites that test_a10_property_suites runs, each also asserted by
+a test in its own module at the same size and seed, are wrapped in
+functools.cache: a passing call runs once per process and is remembered
+by its arguments, while a failing call caches nothing and raises again
+for every test that makes it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import inspect
 import random
 import re
@@ -719,6 +726,7 @@ def assert_cancelled(values, zero) -> None:
 
 # ----------------------------------------------------------- property suites
 
+@functools.cache
 def check_free_group_axioms(cases: int, seed: int = SEED) -> None:
     rng = random.Random(seed)
     e = Word()
@@ -765,6 +773,7 @@ def check_reduction_canonical(cases: int, seed: int = SEED) -> None:
     assert min(seen.values()) >= cases // 10, seen
 
 
+@functools.cache
 def check_rpoly_ring_axioms(cases: int, seed: int = SEED) -> None:
     rng = random.Random(seed)
     zero, one = RPoly.zero(), RPoly.one()
@@ -784,6 +793,7 @@ def check_rpoly_ring_axioms(cases: int, seed: int = SEED) -> None:
             assert_normalised(v)
 
 
+@functools.cache
 def check_spoly_ring_axioms(cases: int, seed: int = SEED) -> None:
     rng = random.Random(seed)
     zero, one = SPoly.zero(), SPoly.one()
@@ -886,6 +896,7 @@ def check_splitting_matches_projector(cases: int, seed: int = SEED) -> Counter:
     return seen
 
 
+@functools.cache
 def check_sigma_involution(cases: int, seed: int = SEED) -> None:
     rng = random.Random(seed)
     for _ in range(cases):
@@ -895,6 +906,7 @@ def check_sigma_involution(cases: int, seed: int = SEED) -> None:
         assert (a * b).sigma() == a.sigma() * b.sigma()
 
 
+@functools.cache
 def check_domain_property(cases: int, seed: int = SEED) -> None:
     rng = random.Random(seed)
     for _ in range(cases):
@@ -909,6 +921,7 @@ def check_domain_property(cases: int, seed: int = SEED) -> None:
         assert not (f * g).is_zero()
 
 
+@functools.cache
 def check_division_recomposition(cases: int, seed: int = SEED) -> None:
     rng = random.Random(seed)
     s = builtin.stafford_instance().s
@@ -1625,6 +1638,7 @@ def check_single_degree_span(cases: int, seed: int = SEED) -> None:
         assert (y_plus_s(s) * q).span() >= 1
 
 
+@functools.cache
 def check_v_right_module(cases: int, seed: int = SEED) -> None:
     rng = random.Random(seed)
     inst = builtin.stafford_instance()
@@ -1688,6 +1702,7 @@ def check_closed_form_witnesses(cases: int, seed: int = SEED) -> Counter:
     return seen
 
 
+@functools.cache
 def check_fox_fundamental(cases: int, seed: int = SEED) -> None:
     rng = random.Random(seed)
     e = Word()
@@ -1748,6 +1763,7 @@ def check_splitting_matches_bezout(cases: int, seed: int = SEED) -> None:
         assert (_square(proj) == proj) == expected, (i, str(w.alpha))
 
 
+@functools.cache
 def check_chain_composite_zero(cases: int, seed: int = SEED) -> None:
     rng = random.Random(seed)
     for _ in range(cases):

@@ -22,7 +22,9 @@ from helpers import (
     SEED,
     check_closed_form_witnesses,
     check_divide_dense_twists,
+    check_division_recomposition,
     check_single_degree_span,
+    check_v_right_module,
     counting,
     lift_kernel,
     rand_rpoly,
@@ -52,6 +54,10 @@ def test_divide_nothing_to_reduce():
 def test_divide_zero():
     res = divide(SPoly.zero(), S)
     assert res.quotient.is_zero() and res.remainder.is_zero() and res.rem_degree == 0
+
+
+def test_divide_recomposition():
+    check_division_recomposition(1000)
 
 
 def test_divide_by_dense_twists():
@@ -168,6 +174,10 @@ def test_monic_witness_closed_forms():
 
 def test_closed_form_witnesses():
     check_closed_form_witnesses(600)
+
+
+def test_v_is_right_module():
+    check_v_right_module(500)
 
 
 def test_instance_requires_nonzero():

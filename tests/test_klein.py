@@ -25,6 +25,7 @@ from helpers import (
     check_operands_unchanged,
     check_parser_matches_oracle,
     check_spoly_dense_mul_matches_oracle,
+    check_spoly_ring_axioms,
     check_sub_matches_add_neg,
     counting,
     group_mul,
@@ -94,6 +95,10 @@ def test_multiplicative_identity():
     for _ in range(100):
         f = rand_spoly(rng)
         assert SPoly.one() * f == f
+
+
+def test_ring_axioms_and_oracle():
+    check_spoly_ring_axioms(500)
 
 
 def test_mul_against_group_algebra_oracle():

@@ -10,11 +10,14 @@ from kleinverify.laurent import PolySyntaxError
 
 from helpers import (
     SEED,
+    check_domain_property,
     check_mul_into_matches_oracle,
     check_parser_matches_oracle,
     check_quotient_matches_oracle,
     check_quotient_shortcuts_match_oracle,
+    check_rpoly_ring_axioms,
     check_rpoly_mul_matches_oracle,
+    check_sigma_involution,
     check_sub_matches_add_neg,
     counting,
     parse_rpoly_oracle,
@@ -39,6 +42,10 @@ def test_unit_product():
 def test_sigma_examples():
     assert R.sigma() == parse_rpoly("x^-3 - x^-1 - 1")
     assert RPoly.one().sigma() == RPoly.one()
+
+
+def test_sigma_involution():
+    check_sigma_involution(500)
 
 
 def test_length_examples():
@@ -330,6 +337,14 @@ def test_dense_matches_sympy():
         got = quotient(a, b)
         assert (got is not None) == _divides_oracle(a, b)
         assert got == (c if i % 2 == 0 else None)
+
+
+def test_domain_and_length_multiplicativity():
+    check_domain_property(1000)
+
+
+def test_ring_axioms():
+    check_rpoly_ring_axioms(500)
 
 
 def test_parse_print_roundtrip():

@@ -21,6 +21,8 @@ from kleinverify import builtin
 from helpers import (
     SEED,
     Combo,
+    check_chain_composite_zero,
+    check_fox_fundamental,
     check_fox_product_rule,
     rand_word,
 )
@@ -96,6 +98,10 @@ def test_fox_product_rule():
     check_fox_product_rule(500)
 
 
+def test_fox_fundamental_identity():
+    check_fox_fundamental(500)
+
+
 def test_boundary_matrices_one_relator():
     d2, d1 = boundary_matrices(builtin.presentation_p(), eval_combo)
     assert len(d2) == 1 and len(d2[0]) == 2
@@ -116,6 +122,10 @@ def test_trivial_relator_gives_zero_row():
     p = Presentation(("x", "y"), (Word(),))
     d2, _ = boundary_matrices(p, eval_combo)
     assert all(entry.is_zero() for entry in d2[0])
+
+
+def test_composite_vanishes_on_random_presentations():
+    check_chain_composite_zero(500)
 
 
 def test_star_is_linear_anti_involution():

@@ -6,6 +6,7 @@ from kleinverify import Word, WordSyntaxError, parse_word
 
 from helpers import (
     SEED,
+    check_free_group_axioms,
     conjugate,
     check_reduction_canonical,
     check_word_mul_matches_fold,
@@ -96,6 +97,10 @@ def test_reduction_stores_tuples_and_drops_zero_exponents():
     assert Word([("x", 0), ("y", 0)]).letters == ()
     # a zero exponent between two letters on one generator: they merge
     assert Word([("x", 2), ("y", 0), ("x", -1)]).letters == (("x", 1),)
+
+
+def test_group_axioms():
+    check_free_group_axioms(1000)
 
 
 def test_word_pow():

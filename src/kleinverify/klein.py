@@ -30,7 +30,13 @@ every row pair into one coefficient dict per y-degree and keep each row
 as it is, with no copy and no wrap; _mul_rows_into, their kernel, also
 sums several products into one set of rows.  It multiplies a one-term
 row (of y + s, say) inline, one loop over the other row and no call per
-row, and hands every other pair to laurent._mul_into.  A sum or a
+row, and hands every other pair to laurent._mul_into.  A product's rows
+are zero-free and nonempty where they are made: the kernel returns no
+zero, the inline loop deletes a coefficient that cancels, and
+_mul_rows_into deletes a row the moment it cancels to empty, so
+SPoly.__mul__ wraps its rows with no rescan.  Only the accumulators that
+add terms one at a time (eval_combo, boundary_data, the certificate
+shadows and parse_spoly) pass their rows through _spoly.  A sum or a
 difference is built in one pass into fresh dicts, with no negated copy of
 the subtrahend: a row both operands have goes through laurent._sum, as
 RPoly sums do.  Equality is one C-level comparison of the dicts.
@@ -151,7 +157,7 @@ class SPoly:
 
     def __mul__(self, other: "SPoly") -> "SPoly":
         """(y^m a)(y^p b) = y^(m+p) sigma^p(a) b; see _mul_rows_into."""
-        return _spoly(_mul_rows_into({}, self._rows, other._rows))
+        return SPoly._of_rows(_mul_rows_into({}, self._rows, other._rows))
 
     def __str__(self) -> str:
         if not self._rows:
@@ -206,7 +212,9 @@ def _mul_rows_into(
     yet, c*x^(+-e)*b is written into a fresh dict (for the constant 1,
     one C-level dict(b)); otherwise it is added into the row in place,
     and a coefficient that cancels is deleted.  Every other pair goes
-    through laurent._mul_into.  Plain loops, not comprehensions: on
+    through laurent._mul_into, which returns no zero.  A row that
+    cancels to empty is deleted at once, so out comes back with no zero
+    and no empty row when it had none.  Plain loops, not comprehensions: on
     CPython 3.11 a comprehension is a function call, which costs more
     than it saves on the one- to three-term rows of the paper's instance.
     """
@@ -214,7 +222,11 @@ def _mul_rows_into(
         if len(a) != 1:
             for p, b in g.items():
                 key = m + p
-                out[key] = _mul_into(out.get(key) or {}, a, b, -1 if p % 2 else 1)
+                row = _mul_into(out.get(key) or {}, a, b, -1 if p % 2 else 1)
+                if row:
+                    out[key] = row
+                else:
+                    out.pop(key, None)
             continue
         [(e, c)] = a.items()
         for p, b in g.items():
@@ -237,6 +249,8 @@ def _mul_rows_into(
                         row[e2] = v
                     else:
                         del row[e2]
+                if not row:
+                    del out[key]
     return out
 
 
@@ -253,7 +267,9 @@ def _spoly(rows: dict[int, dict[int, int]]) -> SPoly:
     the caller built and hands over: rows becomes the element's own dict
     of rows.  In place, a row holding a zero (one C-level scan of its
     values) is replaced by a filtered copy and an empty row is dropped; a
-    row is otherwise neither copied nor wrapped."""
+    row is otherwise neither copied nor wrapped.  For the accumulators
+    that add terms one at a time, whose rows may hold zeros; a product's
+    rows need no scan (see _mul_rows_into)."""
     empty = []
     for m, row in rows.items():
         if 0 in row.values():

@@ -135,7 +135,7 @@ def _kronecker_quotient(
         quot = _nonzero(dict(enumerate(digits, lo)))
         if (
             den_max * _max_abs(quot) * min(len(den), len(quot)) < 1 << (8 * width - 1)
-            or _nonzero(_mul_into({}, den, quot)) == num
+            or _mul_into({}, den, quot) == num
         ):
             return quot
     return laurent._long_quotient(num, den, lo)

@@ -27,10 +27,14 @@ and never copy them.  klein.SPoly keeps its rows as such dicts, with no
 RPoly per row, and may share them with RPolys, so the same holds for
 every row: the row walks of klein and division hand the kernel only
 dicts they created.  Each value is built once from a dict the library
-owns: _nonzero drops its zeros, filtering in Python only when a C-level
-scan finds one, and RPoly._of_nonzero wraps it with no copy.  The public
-RPoly(...) copies its argument and rejects any exponent or coefficient
-that is not an int.
+owns, and RPoly._of_nonzero wraps it with no copy.  Zeros are dropped
+where they can arise, so no product is scanned for them afterwards: the
+schoolbook loop and _sum delete a coefficient that cancels, a one-term
+factor cannot make one, and only Kronecker digits can come out 0, which
+_mul_into passes through _nonzero.  _nonzero filters in Python only when
+a C-level scan finds a zero; parse_rpoly and the public RPoly(...) use it
+too, and RPoly(...) copies its argument and rejects any exponent or
+coefficient that is not an int.
 
 Divisibility is decided exactly, with no rational arithmetic, on the
 operands' own dicts: units x^k need no shifted copy, because the
@@ -135,7 +139,7 @@ class RPoly:
         return RPoly._of_nonzero(_sum(self._coeffs, other._coeffs, -1))
 
     def __mul__(self, other: "RPoly") -> "RPoly":
-        return RPoly._of_nonzero(_nonzero(_mul_into({}, self._coeffs, other._coeffs)))
+        return RPoly._of_nonzero(_mul_into({}, self._coeffs, other._coeffs))
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -216,7 +220,8 @@ def _mul_into(out: dict[int, int], a: dict[int, int], b: dict[int, int], flip: i
     several-term row (flip -1 is sigma), quotient checks and division's
     steps by a several-term s run through it.  out may be updated in place
     or replaced, so callers keep the returned dict.  a and b are only
-    read, hold no zero coefficient, and are never returned.
+    read and never returned; a, b and out hold no zero coefficient, and
+    neither does the returned dict, so no caller scans it.
 
     Invariant: a dict reachable from an RPoly is never passed as out.
     RPolys share their dicts and never copy them, so out is a dict the
@@ -232,8 +237,10 @@ def _mul_into(out: dict[int, int], a: dict[int, int], b: dict[int, int], flip: i
     exponent of each operand, found once, serve the dense test and the
     packer.  Any other pair takes the schoolbook double loop.  The
     in-place loop deletes a coefficient that cancels, so a product that
-    cancels down to a few terms leaves no zeros to filter; Kronecker
-    digits keep theirs, and _nonzero drops them.
+    cancels down to a few terms leaves no zeros to filter.  Kronecker
+    digits can come out 0, where the product has no term or the sum
+    cancels, so that branch passes its dict, into an empty out or a
+    nonempty one, through _nonzero.
     """
     if not out and (len(a) == 1 or len(b) == 1):
         if len(a) == 1:
@@ -253,11 +260,12 @@ def _mul_into(out: dict[int, int], a: dict[int, int], b: dict[int, int], flip: i
 
             lo, digits = _kronecker_mul(a, a_lo, a_hi, b, b_lo, b_hi, flip)
             if not out:
-                return dict(enumerate(digits, lo))
-            get = out.get
-            for e, c in enumerate(digits, lo):
-                out[e] = get(e, 0) + c
-            return out
+                out = dict(enumerate(digits, lo))
+            else:
+                get = out.get
+                for e, c in enumerate(digits, lo):
+                    out[e] = get(e, 0) + c
+            return _nonzero(out)
     get = out.get
     for e1, c1 in a.items():
         e1 *= flip

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from . import builtin
 from .certificates import ConjugacyCertificate, _row_factors, equivalence_verdict
 from .division import StaffordInstance, _witness_pairs, y_plus_s
-from .klein import SPoly, _mul_rows_into, _spoly, boundary_data
+from .klein import SPoly, _mul_rows_into, boundary_data
 from .presentations import Presentation, euler_characteristic
 
 
@@ -55,13 +55,15 @@ def chain_composites_vanish(chains: ChainData) -> bool:
     """d1 after d2 is zero for both complexes (edge entries on the left).
 
     Each row's products edge * entry are summed into one coefficient dict
-    per y-degree, with no SPoly per product or running total.
+    per y-degree, with no SPoly per product or running total;
+    _mul_rows_into deletes a row that cancels to empty, so the composite
+    vanishes when no row is left.
     """
     for row in (chains.d2_p, *chains.d2_q):
         total: dict[int, dict[int, int]] = {}
         for edge, entry in zip(chains.d1, row):
             _mul_rows_into(total, edge._rows, entry._rows)
-        if _spoly(total):
+        if total:
             return False
     return True
 
@@ -284,6 +286,9 @@ def full_report(
 
     Each row factor goes with the relator of Q its certificate names,
     whatever the certificates' order; inputs keeps the caller's order.
+    The cached built-in row factors serve only when neither Q nor the
+    forward certificates are given, so passing the built-in certificates
+    changes no flag.
     The instance is read from the row factors y + s and r, which
     factorization_ok ties to Q; a caller's instance is a claim checked
     against it.  When none is read or the claim differs, the ring checks
@@ -308,7 +313,8 @@ def full_report(
 
     chi_ok = attempt(lambda: euler_characteristic(q) == 1 and euler_characteristic(p) == 0)
     pi1_ok = attempt(lambda: equivalence_verdict(p, q, fwd, rev))
-    derive = builtin.boundary_row_factors if forward_certs is None else lambda: _row_factors(p, q.relators, fwd)
+    builtin_factors = presentation_q is None and forward_certs is None
+    derive = builtin.boundary_row_factors if builtin_factors else lambda: _row_factors(p, q.relators, fwd)
     factors = attempt(derive, None)  # None when a forward certificate does not check
     factorization_ok = factors is not None and attempt(
         lambda: verify_factorization(build_chain_data(p, q), factors))

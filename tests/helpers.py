@@ -1026,6 +1026,13 @@ def check_rpoly_mul_matches_oracle(cases: int, seed: int = SEED) -> None:
             assert b * a == got
             assert_normalised(got)
     assert 0 < calls["_kronecker_mul"] < 2 * cases
+    # Products with a 0 at every odd digit, from their own stream.
+    rng = random.Random(seed + 1)
+    for i in range(cases // 10):
+        a, b = RPoly(_holed_bits(rng)), RPoly(_holed_bits(rng))
+        got = a * b
+        assert got == rpoly_mul_oracle(a, b), (i, str(a), str(b))
+        assert_normalised(got)
 
 
 def _rand_dense_row(rng: random.Random) -> RPoly:
@@ -1073,6 +1080,21 @@ def check_spoly_dense_mul_matches_oracle(cases: int, seed: int = SEED) -> None:
             assert_cancelled(((f - f) * f, f * (f - f)), zero)
         assert_normalised(got)
     assert packed[0] and packed[1], packed
+    # Rows on even exponents, so each Kronecker product has a 0 at every
+    # odd digit, and a row that such products cancel to empty:
+    # (y + a)(y*b - sigma(a)*b) has no y-row.  Their own stream.
+    rng = random.Random(seed + 1)
+    for i in range(cases // 10):
+        a, b = RPoly(_holed_bits(rng)), RPoly(_holed_bits(rng))
+        f = SPoly({rng.randint(-3, 3): a, rng.randint(-3, 3): RPoly(_holed_bits(rng))})
+        g = SPoly({rng.randint(-3, 3): b})
+        got = f * g
+        assert got == spoly_mul_oracle(f, g), (i, str(f), str(g))
+        assert_normalised(got)
+        sa_b = rpoly_mul_oracle(a.sigma(), b)
+        got = SPoly({1: RPoly.one(), 0: a}) * SPoly({1: b, 0: -sa_b})
+        assert got == SPoly({2: b, 0: -rpoly_mul_oracle(a, sa_b)}), (i, str(a), str(b))
+        assert_normalised(got)
 
 
 def check_divide_dense_twists(cases: int, seed: int = SEED) -> None:
@@ -1087,6 +1109,102 @@ def check_divide_dense_twists(cases: int, seed: int = SEED) -> None:
             assert spoly_mul_oracle(y_plus_s(twist), q) + SPoly({d: rem}) == f, (i, str(f), str(twist))
             assert_normalised(q)
     assert calls["_kronecker_mul"]
+
+
+def unit_divide_reference(f: SPoly, s: RPoly) -> Tuple[Tuple[SPoly, int, RPoly], Counter]:
+    """divide(f, s) for a one-term s by the plain one-step recursion on
+    RPolys: row_top = f_top, row_k = f_k - sigma^k(s) * row_(k+1) and
+    q_k = row_(k+1), down to row_d, d = min_degree(f).  When row_k is
+    zero every row below is f's own down to f's next row, where the walk
+    goes on.  Returns that, and how many steps division._unit_walk's rule
+    takes in each form: "two-step" when row_(k+2) is nonzero and f_(k+1)
+    has fewer than half the terms of row_(k+1), else "one-step"; "jump"
+    counts the zero rows."""
+    if f.is_zero():
+        return (SPoly.zero(), 0, RPoly.zero()), Counter()
+    forms: Counter = Counter()
+    keys = sorted(f._rows)
+    d, k = keys[0], keys[-1]
+    above, row = RPoly.zero(), f.row(k)
+    q = {}
+    while k > d:
+        if not row:
+            forms["jump"] += 1
+            k = max(m for m in keys if m < k)
+            above, row = RPoly.zero(), f.row(k)
+            continue
+        q[k - 1] = row
+        two_step = above and 2 * len(f.row(k)._coeffs) < len(row._coeffs)
+        forms["two-step" if two_step else "one-step"] += 1
+        above, row = row, f.row(k - 1) - _sigma_power(s, k - 1) * row
+        k -= 1
+    return (SPoly(q), d, row), forms
+
+
+# The nonzero coefficients of absolute value up to 9.
+_SMALL_COEFFS = (*range(-9, 0), *range(1, 10))
+
+
+def _unit_walk_rows(rng: random.Random, span: int, wide: bool) -> Dict[int, RPoly]:
+    """Rows over span + 1 y-degrees, each present with probability 0.8:
+    one to three terms from the exponents -3..3, or 20-25 terms from
+    -12..12, so that the rows of a wide f nearly share one support."""
+    lo, hi, terms = (-12, 12, (20, 25)) if wide else (-3, 3, (1, 3))
+    base = rng.randint(-5, 5)
+    return {
+        m: RPoly({e: rng.choice(_SMALL_COEFFS) for e in rng.sample(range(lo, hi + 1), rng.randint(*terms))})
+        for m in range(base, base + span + 1) if rng.random() < 0.8
+    }
+
+
+def check_unit_walk(cases: int, seed: int = SEED) -> Counter:
+    """divide by a unit s = +-x^e against unit_divide_reference, by kind:
+
+    0  f with rows of one to three terms from a narrow exponent window,
+       over a y-span drawn log-uniformly from 1 to 1000;
+    1  f with rows of 20-25 terms from a wide window, which nearly share
+       one support, over a y-span drawn log-uniformly from 1 to 100;
+    2  f = (y + s) * q + y^d * c, built by spoly_mul_oracle, with q's two
+       or three rows and d up to 10^6 y-degrees apart, which must give
+       back (q, d, c).
+
+    e is 0 in a third of the cases, and the sign is drawn.  Every quotient and
+    remainder passes assert_normalised.  Returns the forms the reference
+    counted, per kind, and how many cases met each e and sign.
+    """
+    rng = random.Random(seed)
+    seen: Counter = Counter()
+    for i in range(cases):
+        kind = i % 3
+        e = 0 if rng.random() < 1 / 3 else rng.choice((1, -1)) * rng.randint(1, 6)
+        u = rng.choice((1, -1))
+        s = RPoly.monomial(e, u)
+        if kind < 2:
+            span = int(10 ** rng.uniform(0, 3 if kind == 0 else 2))
+            f = SPoly(_unit_walk_rows(rng, span, wide=kind == 1))
+            want = None
+            seen["span >= 500"] += span >= 500
+        else:
+            degrees = [0]
+            for _ in range(rng.randint(1, 2)):
+                degrees.append(degrees[-1] - rng.choice((1, 2, 3, 60, rng.randint(2, 10**6))))
+            q = SPoly({m: rand_rpoly(rng, nonzero=True) for m in degrees})
+            f = spoly_mul_oracle(y_plus_s(s), q)
+            d, c = f.min_degree, RPoly.zero()
+            if rng.random() < 0.5:
+                d, c = d - rng.choice((1, 2, rng.randint(1, 10**6))), rand_rpoly(rng, nonzero=True)
+                f = f + SPoly({d: c})
+            want = (q, d, c)
+        got = divide(f, s)
+        reference, forms = unit_divide_reference(f, s)
+        assert got == reference, (i, str(f), str(s))
+        assert want is None or got == want, (i, str(f), str(s))
+        assert_normalised(got.quotient)
+        assert_normalised(got.remainder)
+        seen.update({f"kind {kind} {form}": n for form, n in forms.items()})
+        seen["e = 0" if e == 0 else "e != 0"] += 1
+        seen["s = %sx^e" % ("" if u > 0 else "-")] += 1
+    return seen
 
 
 def _rand_one_term_row(rng: random.Random) -> RPoly:
@@ -1516,6 +1634,13 @@ def _dense_bits(rng: random.Random, terms: int, bits: int, shift: Optional[int] 
     return _dense_rpoly(rng, terms, lambda r: r.choice((1, -1)) * r.randint(1, 1 << bits), shift)._coeffs
 
 
+def _holed_bits(rng: random.Random, bits: int = 6) -> Dict[int, int]:
+    """A dense operand on even exponents only, of at least
+    _KRONECKER_TERMS terms: a product of two has a 0 at every odd digit."""
+    coeffs = _dense_bits(rng, rng.randint(laurent._KRONECKER_TERMS, 30), bits)
+    return {2 * e: c for e, c in coeffs.items()}
+
+
 def _rand_one_term(rng: random.Random) -> Dict[int, int]:
     """A one-term operand, as RPoly products by a unit hand the kernel;
     one in four is the constant 1."""
@@ -1530,11 +1655,12 @@ def _rand_kernel_case(rng: random.Random, kind: int):
     with 0 an empty out (half of these swapped, so b has the one term),
     1 one smaller than b, 2 one at least as large; 3 small operands; 4
     dense operands whose digit width is drawn from 1 to 13 bytes, with an
-    empty or a dense out."""
+    empty or a dense out.  out holds no zero, as no caller's out does."""
     if kind < 3:
         a, b = _rand_one_term(rng), rand_rpoly(rng, max_terms=30, coeff_range=(-50, 50))._coeffs
         size = (0, rng.randint(1, max(len(b) - 1, 1)), len(b) + rng.randint(0, 5))[kind]
         out = {rng.randint(-40, 40): rng.randint(-9, 9) for _ in range(size)}
+        out = {e: c for e, c in out.items() if c}
         if kind == 0 and rng.random() < 0.5:
             return out, b, a
         return (out if kind != 1 or len(out) < len(b) else {}), a, b
@@ -1607,7 +1733,7 @@ def check_mul_into_matches_oracle(cases: int, seed: int = SEED) -> Counter:
             got = laurent._mul_into(out, signed, b, flip)
             assert got is not signed and got is not b, (i, before, a, b, flip, sign)
             assert signed == a_before and b == b_before, (i, before, a_before, b_before, flip, sign)
-            assert {e: c for e, c in got.items() if c} == want, (i, before, a, b, flip, sign)
+            assert got == want, (i, before, a, b, flip, sign)
             seen["zero" if not want else "kind %d" % kind] += 1
             seen["one-term b, flip %+d" % flip] += len(b) == 1 < len(a) and not before
             if a == {0: 1}:
@@ -1627,6 +1753,18 @@ def check_mul_into_matches_oracle(cases: int, seed: int = SEED) -> Counter:
             seen["quotient None, packed"] += got is None and packed["_kronecker_quotient"]
     for caller in ("_kronecker_mul", "_kronecker_quotient"):
         assert _roundings(calls, caller) == {"3->4", "5-7->8", ">8 kept"}, (caller, calls)
+    # Kronecker digits that come out 0, written into an empty out and into
+    # a dense one, must not be returned.  Their own stream, so the cases
+    # above stay as they were.
+    rng = random.Random(seed + 1)
+    with counting(kronecker, "_kronecker_mul") as packed:
+        for i in range(cases // 5):
+            a, b, flip = _holed_bits(rng, rng.randint(0, 90)), _holed_bits(rng), rng.choice((1, -1))
+            out = _dense_bits(rng, rng.randint(1, 80), rng.randint(0, 9), rng.randint(-60, 0)) if i % 2 else {}
+            got = laurent._mul_into(dict(out), a, b, flip)
+            assert got == mul_into_oracle(out, a, b, flip, 1), (i, out, a, b, flip)
+            seen["zero digits, %s out" % ("dense" if out else "empty")] += 1
+    assert packed["_kronecker_mul"] == cases // 5, packed
     return seen
 
 

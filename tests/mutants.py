@@ -45,8 +45,20 @@ MUTANTS = (
     (
         "a cancelled coefficient kept in a one-term division step",
         "src/kleinverify/division.py",
-        "del row[e]",
-        "row[e] = v",
+        "                        del row[e]\n        else:\n            row = _mul_into(",
+        "                        row[e] = v\n        else:\n            row = _mul_into(",
+    ),
+    (
+        "the unit walk's two-step form adding sigma^k(s)*f_(k+1), not subtracting it",
+        "src/kleinverify/division.py",
+        "v = rget(e, 0) + minus_u * v",
+        "v = rget(e, 0) - minus_u * v",
+    ),
+    (
+        "the unit walk's two-step form shifting f_(k+1) by sigma^(k+1)(s), not sigma^k(s)",
+        "src/kleinverify/division.py",
+        "                    e += x\n",
+        "                    e -= x\n",
     ),
     (
         "sigma's parity swapped in _mul_rows_into's one-term rows",
@@ -218,6 +230,24 @@ MUTANTS = (
         "quot = _nonzero(dict(enumerate(digits)))",
     ),
     (
+        "_mul_into returning the Kronecker digits that come out 0",
+        "src/kleinverify/laurent.py",
+        "            return _nonzero(out)",
+        "            return out",
+    ),
+    (
+        "_mul_rows_into keeping a cancelled coefficient of a one-term row's product",
+        "src/kleinverify/klein.py",
+        "                    else:\n                        del row[e2]",
+        "                    else:\n                        row[e2] = v",
+    ),
+    (
+        "_mul_rows_into keeping a row that a one-term row's product empties",
+        "src/kleinverify/klein.py",
+        "                if not row:\n                    del out[key]",
+        "                if False:\n                    del out[key]",
+    ),
+    (
         "_mul_into's dense branch never taken: no product reaches the Kronecker module",
         "src/kleinverify/laurent.py",
         "if _dense(a_lo, a_hi, len(a)) and _dense(b_lo, b_hi, len(b)):",
@@ -304,7 +334,7 @@ MUTANTS = (
     (
         "chain_composites_vanish never returning false",
         "src/kleinverify/verify.py",
-        "        if _spoly(total):\n            return False",
+        "        if total:\n            return False",
         "        if False:\n            return False",
     ),
     (
@@ -335,9 +365,9 @@ MUTANTS = (
 
 # Known equivalent mutants, left out of MUTANTS because no result of the
 # library tells them apart from it:
-# - klein._mul_rows_into keeping a cancelled coefficient ("row[e2] = v"
-#   for "del row[e2]"): every caller wraps the rows by klein._spoly, whose
-#   laurent._nonzero drops the zero, so only the time differs.
+# - division._unit_walk's step always taking one form, the one-step or
+#   the two-step (where row_(k+2) is nonzero): both are exact, so only
+#   the time differs.
 # - laurent._long_quotient stopping one exponent below the quotient's
 #   lowest ("stop = dmax + lo - 1"): a step there gives the quotient a
 #   term below min(b) - min(a), so a * q has a term below min(b) and

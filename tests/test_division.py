@@ -24,6 +24,7 @@ from helpers import (
     check_divide_dense_twists,
     check_division_recomposition,
     check_single_degree_span,
+    check_unit_walk,
     check_v_right_module,
     counting,
     lift_kernel,
@@ -62,6 +63,30 @@ def test_divide_recomposition():
 
 def test_divide_by_dense_twists():
     check_divide_dense_twists(500)
+
+
+def test_unit_walk_matches_one_step_reference():
+    seen = check_unit_walk(500)
+    # both step forms ran, on narrow rows and on rows sharing one support,
+    # and exact multiples jumped their cancelled gaps
+    assert seen["kind 0 two-step"] > seen["kind 0 one-step"] > 0, seen
+    assert seen["kind 1 one-step"] > seen["kind 1 two-step"] > 0, seen
+    assert seen["kind 2 jump"] >= 100 and seen["span >= 500"] >= 10, seen
+    assert all(seen[k] >= 100 for k in ("e = 0", "e != 0", "s = x^e", "s = -x^e")), seen
+
+
+def test_divide_walk_follows_s():
+    # A unit s takes the unit walk; a non-unit monomial and a several-term
+    # s take the one-step walk, the latter through the multiply kernel.
+    f = parse_spoly("y^3*(x^2 - 1) + y^2*(3) + y*(x - 4*x^-1) + (5)")
+    for text, walk, kernel in (
+        ("-x^-1", "_unit_walk", 0), ("1", "_unit_walk", 0), ("2*x^3", "_walk", 0), ("x^2 - 1", "_walk", 3),
+    ):
+        s = parse_rpoly(text)
+        with counting(division, "_unit_walk", "_walk", "_mul_into") as calls:
+            q, d, rem = divide(f, s)
+        assert calls == {"_unit_walk": walk == "_unit_walk", "_walk": walk == "_walk", "_mul_into": kernel}, text
+        assert y_plus_s(s) * q + SPoly.from_rpoly(rem, d) == f, text
 
 
 def test_divide_jumps_cancelled_gap():

@@ -181,6 +181,8 @@ def test_mul_into_matches_oracle():
     assert seen["quotient"] and seen["quotient None"] == seen["quotient None, packed"], seen
     assert seen["one-term b, flip +1"] >= 10 and seen["one-term b, flip -1"] >= 10, seen
     assert seen["kind 4, a coefficient >= 2^63"] and seen["quotient, a coefficient >= 2^63"], seen
+    # Kronecker digits that come out 0 are dropped for an empty and a dense out
+    assert seen["zero digits, empty out"] == seen["zero digits, dense out"] == 60, seen
     # a = 1 with both flips, both signs, and out smaller or not smaller than b
     assert all(
         seen["a = 1, flip %+d, sign %+d, out %s b" % (flip, sign, size)]

@@ -295,6 +295,20 @@ def test_full_report_derives_row_factors_from_given_certificates():
             "[FAIL] bezout_ok        unit combination: no instance (r, s) read from the row factors")
 
 
+def test_full_report_pairs_builtin_certificates_with_the_given_q():
+    # Q with its relators swapped: the built-in certificates, left out or
+    # passed, go with the relators they name, so both reports agree, and
+    # the boundary rows factor; only the reverse certificate, which names
+    # relators by index, fails.
+    q = builtin.presentation_q()
+    swapped = Presentation(q.generators, q.relators[::-1])
+    left_out = full_report(presentation_q=swapped)
+    passed = full_report(presentation_q=swapped, forward_certs=builtin.forward_certificates())
+    assert left_out.flags() == passed.flags()
+    assert left_out.to_text() == passed.to_text()
+    assert left_out.factorization_ok and not left_out.pi1_ok
+
+
 def test_full_report_pairs_certificates_with_the_relators_they_name():
     # The built-in certificates reversed verify as they are: the factors
     # follow Q's relators, and only inputs keeps the caller's order.

@@ -1,14 +1,17 @@
 """Exact verification toolkit for the Klein bottle group ring.
 
 Layers, bottom up: free-group words, integer Laurent polynomials with the
-exponent-flip involution, the twisted group ring, free differential
-calculus and presentation boundaries, division by y + s with the kernel
-module V, product-of-conjugates certificates, and the aggregate
-non-freeness verdict.
+exponent-flip involution, the twisted group ring, presentations and the
+reference free differential calculus (fox), division by y + s (walks)
+with the kernel module V, product-of-conjugates certificates, and the
+aggregate non-freeness verdict.
 
 A submodule loads on first use of one of its names (PEP 562), so a
 program that needs only polynomials compiles no word or certificate code.
 The first access binds the name here, and later ones are plain lookups.
+Each name maps to the module that defines it; division, presentations
+and klein also resolve the names that moved out of them into walks and
+fox, by a module __getattr__ of their own.
 """
 
 __version__ = "0.1.0"
@@ -17,15 +20,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "words": ("IDENTITY", "Word", "WordSyntaxError", "parse_word"),
     "laurent": ("PolySyntaxError", "RPoly", "divides", "parse_rpoly", "quotient"),
-    "presentations": (
-        "FreeCombo", "Presentation", "boundary_matrices", "euler_characteristic",
-        "fox_derivative", "load_presentation",
-    ),
-    "klein": ("SPoly", "boundary_data", "eval_combo", "eval_word", "parse_spoly"),
-    "division": (
-        "DivisionResult", "StaffordInstance", "divide", "in_V", "monic_witness",
-        "no_monic_degree_one", "y_plus_s",
-    ),
+    "presentations": ("Presentation", "euler_characteristic", "load_presentation"),
+    "fox": ("FreeCombo", "boundary_matrices", "eval_combo", "fox_derivative"),
+    "klein": ("SPoly", "boundary_data", "eval_word", "parse_spoly"),
+    "division": ("StaffordInstance", "monic_witness", "no_monic_degree_one", "y_plus_s"),
+    "walks": ("DivisionResult", "divide", "in_V"),
     "certificates": (
         "CertFactor", "ConjugacyCertificate", "boundary_factor", "certificate_from_dict",
         "check_certificate", "equivalence_verdict", "expand_certificate", "load_certificate",

@@ -31,8 +31,8 @@ import sys
 # Each handler imports the library modules it runs, and each table entry
 # but verify-paper's imports its handler's module, so a command compiles
 # only those: divides needs cli_ring, laurent, grammar and syntax;
-# verify-paper every library module but grammar and kronecker, and no
-# other handler.  Annotations are never evaluated, so the names they use
+# verify-paper every library module but grammar and the ones loaded at
+# first use (kronecker, longdiv, walks, fox), and no other handler.  Annotations are never evaluated, so the names they use
 # (Callable) need no import here.
 
 

@@ -43,8 +43,8 @@ def _instance_from(args) -> StaffordInstance:
 
 
 def cmd_member(args):
-    from .division import in_V
     from .klein import parse_spoly
+    from .walks import in_V
 
     inst = _instance_from(args)
     v = parse_spoly(args.element)

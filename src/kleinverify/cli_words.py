@@ -54,7 +54,7 @@ def cmd_normal_form(args):
 
 
 def cmd_fox(args):
-    from .presentations import fox_derivative
+    from .fox import fox_derivative
     from .words import parse_word
 
     letters = parse_word(args.generator).letters

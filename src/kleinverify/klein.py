@@ -12,9 +12,12 @@ The verification path gets its boundary data from boundary_data, which
 evaluates Fox derivatives straight into S in one pass per relator, one
 coefficient update per letter x^+-1 or y^+-1.  eval_combo evaluates a
 FreeCombo term by term into one dict per y-degree; with
-presentations.boundary_matrices it is the slower reference the tests
-hold boundary_data to.  eval_word returns the normal form as the pair
-(m, n), applying the group law letter by letter.
+boundary_matrices it is the slower reference the tests hold
+boundary_data to.  It lives with them in the fox module, which this
+module's __getattr__ (PEP 562) loads at the first read of
+klein.eval_combo, so verify-paper never compiles it.  eval_word returns
+the normal form as the pair (m, n), applying the group law letter by
+letter.
 
 An SPoly keeps each row a_m as a plain zero-free coefficient dict,
 exponent to int, the dict an RPoly holds, with no RPoly around it.  An
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from .laurent import RPoly, _mul_into, _sum
 
-# FreeCombo and Presentation appear only in annotations, which are never
+# Presentation and Word appear only in annotations, which are never
 # evaluated, and boundary_data imports Word itself, so the ring alone loads
 # no word or presentation code.
 
@@ -281,16 +284,6 @@ def _spoly(rows: dict[int, dict[int, int]]) -> SPoly:
     return SPoly._of_rows(rows)
 
 
-def eval_combo(c: FreeCombo) -> SPoly:
-    """Linear extension of eval_word followed by the group-to-ring embedding."""
-    rows: dict[int, dict[int, int]] = {}
-    for w, coeff in c._terms.items():
-        m, n = eval_word(w)
-        row = rows.setdefault(m, {})
-        row[n] = row.get(n, 0) + coeff
-    return _spoly(rows)
-
-
 def boundary_data(p: Presentation) -> tuple[list[list[SPoly]], list[SPoly]]:
     """boundary_matrices(p, eval_combo), computed in one pass per relator.
 
@@ -375,3 +368,12 @@ def parse_spoly(text: str) -> SPoly:
     from .grammar import _SPOLY, _parse
 
     return _spoly(_parse(text, _SPOLY))
+
+
+def __getattr__(name: str):
+    """eval_combo, from fox, which loads at its first read."""
+    if name == "eval_combo":
+        from . import fox
+
+        return fox.eval_combo
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,8 @@ are the coefficients of a * q, and balanced digits are unique, so they
 are b's.  That is the bound every product here meets.  Any other
 candidate is returned only after a * q == b has been checked; when that
 check fails (a digit width too narrow for q, or a(N) | b(N) by
-coincidence), laurent's long division decides.
+coincidence), long division decides: the longdiv module, which this
+fallback imports, so a dense product compiles no long division.
 
 The lowest and highest exponent of each operand come from laurent's
 dense test, found once.
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 from struct import pack, unpack
 
-from . import laurent
 from .laurent import _mul_into, _nonzero
 
 
@@ -138,4 +138,6 @@ def _kronecker_quotient(
             or _mul_into({}, den, quot) == num
         ):
             return quot
-    return laurent._long_quotient(num, den, lo)
+    from .longdiv import _long_quotient
+
+    return _long_quotient(num, den, lo)

@@ -6,17 +6,20 @@ immutable once constructed.  sigma is the ring involution x -> x^-1.
 Products and quotients pick their method by operand size.  Small or sparse
 operands use the schoolbook double loop and integer long division, which
 finds each step's top in a heap of the remainder's exponents.  Dense
-operands with at least _KRONECKER_TERMS terms use Kronecker substitution,
-whose code lives in the kronecker module: it loads at the first dense
-product or quotient, so a start-up on small operands never compiles it.
-A one-term factor needs neither: its product is one shift loop.
+operands with at least _KRONECKER_TERMS terms use Kronecker substitution.
+Neither lives here: Kronecker substitution is in the kronecker module,
+which loads at the first dense product or quotient, and long division in
+longdiv, which loads at the first quotient that reaches it, so a
+start-up whose operands are small and whose quotients a shortcut
+settles compiles neither.  A one-term factor needs neither method: its
+product is one shift loop.
 
 One kernel, _mul_into(out, a, b, flip), adds a(x^flip) * b into the
 coefficient dict out, by Kronecker substitution or the schoolbook double
 loop.  RPoly.__mul__ calls it with an empty out, klein.SPoly.__mul__
 with flip -1 for sigma.  A one-term row, most products on the verify
 path (a row of y + s, or a unit s), makes no kernel call: klein's row
-walk and division.divide's steps multiply such a row inline, one loop
+walk and the steps of walks.divide multiply such a row inline, one loop
 per row.  No product is built only to be added.  One pass, _sum, adds
 or subtracts: RPoly sums and differences and the rows klein's sums
 share, with no negated copy of the subtrahend.
@@ -25,7 +28,7 @@ The kernel writes only out, a dict its caller built: a dict reachable
 from an RPoly is never passed as out, because values share their dicts
 and never copy them.  klein.SPoly keeps its rows as such dicts, with no
 RPoly per row, and may share them with RPolys, so the same holds for
-every row: the row walks of klein and division hand the kernel only
+every row: the row walks of klein and walks hand the kernel only
 dicts they created.  Each value is built once from a dict the library
 owns, and RPoly._of_nonzero wraps it with no copy.  Zeros are dropped
 where they can arise, so no product is scanned for them afterwards: the
@@ -45,7 +48,7 @@ division stops below the lowest exponent; the Kronecker path reads the
 quotient's digits from it and accepts a candidate under the no-carry
 bound that makes every Kronecker product exact, multiplying back any
 other.  So verify-paper, whose one quotient has operands of equal span,
-never divides, and never loads heapq.
+never divides, and never loads longdiv or heapq.
 """
 
 from __future__ import annotations
@@ -279,55 +282,6 @@ def _mul_into(out: dict[int, int], a: dict[int, int], b: dict[int, int], flip: i
     return out
 
 
-def _long_quotient(num: dict[int, int], den: dict[int, int], lo: int) -> dict[int, int] | None:
-    # Long division from the top, down to the quotient's lowest exponent
-    # lo; every quotient coefficient must be an exact integer and the
-    # remainder must vanish.  The remainder's exponents wait in a heap,
-    # negated for heapq's min-heap, so each step pops the next top with
-    # no scan of the remainder and costs O(terms(den) * log(terms(rem))).
-    # Zero gaps are jumped over: x^100000000 - 1 over x^10000 - 1 takes
-    # 10^4 steps, not 10^8.  An exponent is pushed when it enters rem, and
-    # one whose coefficient cancelled is skipped when popped; a step
-    # writes only below its top, so a popped exponent never comes back.
-    # heapq loads at the first call, and a plain import costs less per
-    # call than a from-import.
-    import heapq
-
-    dmax = max(den)
-    dlead = den[dmax]
-    stop = dmax + lo
-    lower = dict(den)
-    del lower[dmax]
-    rem = dict(num)
-    tops = [-e for e in rem]
-    heapq.heapify(tops)
-    pop, push = heapq.heappop, heapq.heappush
-    quot: dict[int, int] = {}
-    while tops:
-        rmax = -pop(tops)
-        top = rem.pop(rmax, 0)
-        if not top:
-            continue
-        if rmax < stop:
-            return None
-        c, leftover = divmod(top, dlead)
-        if leftover:
-            return None
-        shift = rmax - dmax
-        quot[shift] = c
-        for e, dc in lower.items():
-            e += shift
-            v = rem.get(e)
-            if v is None:
-                rem[e] = -dc * c
-                push(tops, -e)
-            elif v := v - dc * c:
-                rem[e] = v
-            else:
-                del rem[e]
-    return quot
-
-
 def quotient(a: RPoly, b: RPoly) -> RPoly | None:
     """Exact quotient c with b = a * c, or None when a does not divide b.
 
@@ -349,7 +303,7 @@ def quotient(a: RPoly, b: RPoly) -> RPoly | None:
     is exact as it is when max|a| * max|q| * min(terms) is under the
     digit's half-range, so that no digit of a * q carries, and is
     multiplied back otherwise (see the kronecker module).  The others
-    take integer long division.
+    take integer long division, from longdiv, imported here.
     """
     if a.is_zero():
         raise ValueError("division by the zero polynomial")
@@ -377,6 +331,8 @@ def quotient(a: RPoly, b: RPoly) -> RPoly | None:
 
         q = _kronecker_quotient(num, num_lo, num_hi, den, den_lo, den_hi)
     else:
+        from .longdiv import _long_quotient
+
         q = _long_quotient(num, den, lo)
     return None if q is None else RPoly._of_nonzero(q)
 

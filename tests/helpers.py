@@ -74,7 +74,7 @@ from kleinverify import (
     verify_bezout,
     y_plus_s,
 )
-from kleinverify import builtin, kronecker
+from kleinverify import builtin, kronecker, longdiv
 
 SEED = 20230717
 
@@ -1468,7 +1468,7 @@ def quotient_path(a: RPoly, b: RPoly) -> Tuple[Optional[RPoly], str]:
       product first;
     - "long": long division alone."""
     with recording_widths() as widths, counting(kronecker, "_kronecker_quotient", "_mul_into") as packed, counting(
-        laurent, "_long_quotient"
+        longdiv, "_long_quotient"
     ) as long:
         got = quotient(a, b)
     if long["_long_quotient"]:

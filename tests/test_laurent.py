@@ -5,7 +5,7 @@ import time
 import pytest
 
 from kleinverify import RPoly, divides, parse_rpoly, parse_word, quotient
-from kleinverify import kronecker, laurent, syntax
+from kleinverify import kronecker, laurent, longdiv, syntax
 from kleinverify.laurent import PolySyntaxError
 
 from helpers import (
@@ -100,7 +100,7 @@ def test_long_quotient_is_fast_on_a_long_dividend():
     g = RPoly({e: rng.choice((1, -1)) * rng.randint(1, 9) for e in range(30000)})
     a = parse_rpoly("x + 1")
     b = a * g
-    with counting(laurent, "_long_quotient") as calls:
+    with counting(longdiv, "_long_quotient") as calls:
         start = time.perf_counter()
         got = quotient(a, b)
         assert time.perf_counter() - start < 1.0
@@ -114,13 +114,13 @@ def test_long_quotient_refills_a_cancelled_exponent():
     # skipped once.  The quotient is -2(1 + x + x^2).
     # The quotient's lowest exponent, 0, is the third argument.
     den, num = {0: -1, 1: 1, 2: -1}, {0: 2, 2: 2, 4: 2}
-    assert laurent._long_quotient(num, den, 0) == {0: -2, 1: -2, 2: -2}
-    assert laurent._long_quotient({**num, 1: 1}, den, 0) is None
-    assert laurent._long_quotient({**num, 5: 1}, den, 0) is None
+    assert longdiv._long_quotient(num, den, 0) == {0: -2, 1: -2, 2: -2}
+    assert longdiv._long_quotient({**num, 1: 1}, den, 0) is None
+    assert longdiv._long_quotient({**num, 5: 1}, den, 0) is None
     # The same division shifted by x^-7 and x^10^6: no copy is shifted.
     den, num = {e - 7: c for e, c in den.items()}, {e + 10**6: c for e, c in num.items()}
-    assert laurent._long_quotient(num, den, 10**6 + 7) == {10**6 + 7 + e: -2 for e in range(3)}
-    assert laurent._long_quotient({**num, 10**6 - 1: 1}, den, 10**6 + 7 - 1) is None
+    assert longdiv._long_quotient(num, den, 10**6 + 7) == {10**6 + 7 + e: -2 for e in range(3)}
+    assert longdiv._long_quotient({**num, 10**6 - 1: 1}, den, 10**6 + 7 - 1) is None
 
 
 def test_mul_matches_oracle():
@@ -165,12 +165,12 @@ def test_quotient_shortcuts_answer_without_division():
         ("x + 2", "x^1000 + 1", None),
         ("x + 1", "x^3 + x + 1", None),
     ]
-    with counting(kronecker, "_kronecker_quotient") as packed, counting(laurent, "_long_quotient") as calls:
+    with counting(kronecker, "_kronecker_quotient") as packed, counting(longdiv, "_long_quotient") as calls:
         for a, b, want in cases:
             got = quotient(parse_rpoly(a), parse_rpoly(b))
             assert got == (None if want is None else parse_rpoly(want)), (a, b)
     assert packed == {"_kronecker_quotient": 0} and calls == {"_long_quotient": 0}
-    with counting(laurent, "_long_quotient") as calls:
+    with counting(longdiv, "_long_quotient") as calls:
         assert quotient(parse_rpoly("x - 1"), parse_rpoly("x^3 + x - 1")) is None
     assert calls == {"_long_quotient": 1}
 

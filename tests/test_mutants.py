@@ -1,13 +1,48 @@
-"""The mutation gate's budget arithmetic, read without the workflow file."""
+"""The mutation gate's deadline, read without the workflow file."""
 
-from mutants import BOUND_FACTOR, budget
+from mutants import BOUND_FACTOR, cannot_start, gate
+
+MUTANTS = (("first", "f", "a", "b"), ("second", "f", "a", "b"), ("third", "f", "a", "b"))
 
 
-def test_mutant_bound_is_twice_the_unedited_suite_and_fits_the_job():
+def test_a_mutant_starts_only_while_one_run_at_the_bound_fits_the_job():
     assert BOUND_FACTOR == 2
-    assert budget(24.0, 20.0, 27, 30) == (40.0, None)
-    # 100 s spent and 34 runs at 50 s fill 30 minutes exactly; a 35th run
-    # does not fit.
-    assert budget(100.0, 25.0, 34, 30) == (50.0, None)
-    assert budget(100.0, 25.0, 35, 30) == (
-        50.0, "100 s spent and 35 runs at 50.0 s take up to 1850 s, over the job's 30 minutes")
+    # 1750 s spent and a run of up to 50 s fill 30 minutes exactly.
+    assert cannot_start(1750.0, 50.0, 30) is None
+    assert cannot_start(1751.0, 50.0, 30) == (
+        "1751 s spent and a run of up to 50.0 s take up to 1801 s, over the job's 30 minutes")
+
+
+def test_gate_names_every_mutant_that_did_not_run(capsys):
+    # Each fake run takes 20 s of a 1-minute job with a 30 s bound: the
+    # first starts at 0 s, the second at 20 s (ending by 50 s), and the
+    # third, at 40 s, would not fit, so it does not start.
+    now = [0.0]
+
+    def run(file, old, new, bound):
+        now[0] += 20.0
+        return "killed"
+
+    assert gate(MUTANTS, 30.0, 1, 0.0, run, lambda: now[0]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("killed") and lines[0].endswith("first")
+    assert lines[1].startswith("killed") and lines[1].endswith("second")
+    assert lines[2] == ("deadline: 40 s spent and a run of up to 30.0 s take up to 70 s,"
+                        " over the job's 1 minutes; 1 of 3 mutants did not run")
+    assert lines[3].startswith("not run") and lines[3].endswith("third")
+    assert len(lines) == 4
+
+
+def test_gate_passes_only_when_every_mutant_ran_and_was_killed(capsys):
+    now = [0.0]
+    verdicts = iter(["killed", "killed (timeout)", "killed"])
+
+    def run(file, old, new, bound):
+        now[0] += 1.0
+        return next(verdicts)
+
+    assert gate(MUTANTS, 30.0, 30, 0.0, run, lambda: now[0]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "3 of 3 mutants killed"
+    verdicts = iter(["killed", "SURVIVED", "killed"])
+    assert gate(MUTANTS, 30.0, 30, 0.0, run, lambda: now[0]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "2 of 3 mutants killed"

@@ -1,11 +1,13 @@
 import ast
 import doctest
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,8 @@ import kleinverify.words
 # site-packages for an installed package.  The subprocesses below import
 # it from there, so they test the same copy as this process.
 SRC = Path(kleinverify.__file__).resolve().parents[1]
+# The benchmark harness, beside the tests in the repository.
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_all_names_bound():
@@ -36,9 +40,42 @@ def test_dir_lists_every_public_name():
     assert set(kleinverify.__all__) <= set(dir(kleinverify))
 
 
+def test_benchmark_names_reach_the_package_objects():
+    # perfbench's tracer wraps functions by (module, attribute), under every
+    # module binding of the same object, and its verdicts call
+    # kleinverify.<name>.  A function that moved into a lazy module is
+    # still read from the module it left, through that module's
+    # __getattr__, so each pair must reach the object the package exports
+    # under the name, or the tracer would wrap a stale copy.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.targets(kleinverify, types.SimpleNamespace(row_identities=None))
+    pairs = {(owner, attr) for owner, attr, *_ in targets if isinstance(owner, types.ModuleType)}
+    names = {(owner.__name__.split(".")[-1], attr) for owner, attr in pairs}
+    moved = {("division", "divide"), ("division", "in_V"), ("division", "monic_witness"),
+             ("presentations", "fox_derivative"), ("presentations", "boundary_matrices"),
+             ("klein", "eval_combo")}
+    assert moved <= names
+    for owner, attr in pairs:
+        want = getattr(kleinverify, attr) if attr in kleinverify.__all__ else vars(owner)[attr]
+        assert getattr(owner, attr) is want, (owner.__name__, attr)
+    tree = ast.parse((PERFBENCH / "verdicts.py").read_text(encoding="utf-8"))
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "kv"}
+    assert {"divide", "in_V", "quotient", "builtin"} <= used
+    for name in used:
+        home = importlib.import_module(f"kleinverify.{kleinverify._HOMES[name]}")
+        assert getattr(kleinverify, name) is (home if name == "builtin" else getattr(home, name)), name
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         kleinverify.no_such_name  # noqa: B018
+    # and from each module that resolves the names moved out of it
+    for module in (kleinverify.division, kleinverify.presentations, kleinverify.klein):
+        with pytest.raises(AttributeError, match=f"'{module.__name__}' has no attribute 'no_such_name'"):
+            module.no_such_name  # noqa: B018
 
 
 # The library modules each command loads (none for a bare import); the rest
@@ -47,12 +84,17 @@ def test_unknown_name_raises_attribute_error():
 # that parses polynomial text loads grammar.  A command other than
 # verify-paper loads its handler's module, cli_ring or cli_words; only
 # --help and a usage error load cli_usage, and only a dense operand
-# loads kronecker.
+# loads kronecker.  The code no verdict of the report runs loads at its
+# first use: walks (divide, in_V) for member, longdiv for a quotient
+# that reaches long division, and fox (the Fox calculus) for fox; so
+# verify-paper, stafford, chi and certificate load none of the three.
 ALL_MODULES = [
-    "builtin", "certificates", "cli", "cli_ring", "cli_usage", "cli_words", "division",
-    "grammar", "klein", "kronecker", "laurent", "presentations", "syntax", "verify", "words",
+    "builtin", "certificates", "cli", "cli_ring", "cli_usage", "cli_words", "division", "fox",
+    "grammar", "klein", "kronecker", "laurent", "longdiv", "presentations", "syntax", "verify",
+    "walks", "words",
 ]
-REPORT_MODULES = [m for m in ALL_MODULES if m not in ("cli_ring", "cli_usage", "cli_words", "grammar", "kronecker")]
+REPORT_MODULES = [m for m in ALL_MODULES if m not in (
+    "cli_ring", "cli_usage", "cli_words", "fox", "grammar", "kronecker", "longdiv", "walks")]
 STAFFORD_MODULES = sorted(REPORT_MODULES + ["cli_ring"])
 CHI_MODULES = ["builtin", "cli", "cli_words", "presentations", "syntax", "words"]
 # Two 24-term operands, g(x)(1 + x^18) and g(x)(1 - x^36) with
@@ -63,16 +105,18 @@ DENSE_B = " + ".join(f"x^{e}" for e in range(12)) + "".join(f" - x^{e}" for e in
 COMMAND_MODULES = [
     ([], []),
     (["--help"], ["cli", "cli_usage"]),
-    (["divides", "x+1", "x^2-1"], ["cli", "cli_ring", "grammar", "laurent", "syntax"]),
+    # x^2 - 1 spans more than x + 1, and 2 = (x + 1)(1) divides its value
+    # 0 at 1, so neither shortcut answers and long division runs.
+    (["divides", "x+1", "x^2-1"], ["cli", "cli_ring", "grammar", "laurent", "longdiv", "syntax"]),
     (["divides", DENSE_A, DENSE_B], ["cli", "cli_ring", "grammar", "kronecker", "laurent", "syntax"]),
     (["member", "y - x^-1", "--r", "1", "--s", "-x^-1"],
-     ["cli", "cli_ring", "division", "grammar", "klein", "laurent", "syntax"]),
+     ["cli", "cli_ring", "division", "grammar", "klein", "laurent", "syntax", "walks"]),
     # r and s default to the paper's, read from the forward certificates.
     (["member", "y^2*(1) + (-1)"],
      ["builtin", "certificates", "cli", "cli_ring", "division", "grammar", "klein", "laurent",
-      "presentations", "syntax", "words"]),
+      "presentations", "syntax", "walks", "words"]),
     (["normal-form", "y^-1 x y"], ["cli", "cli_words", "klein", "laurent", "syntax", "words"]),
-    (["fox", "y^-1 x y x", "x"], ["cli", "cli_words", "presentations", "syntax", "words"]),
+    (["fox", "y^-1 x y x", "x"], ["cli", "cli_words", "fox", "syntax", "words"]),
     (["chi"], CHI_MODULES),
     (["certificate", "--certificate", "{cert}"], sorted(CHI_MODULES + ["certificates"])),
     (["verify-paper"], REPORT_MODULES),

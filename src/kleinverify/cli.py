@@ -32,8 +32,9 @@ import sys
 # but verify-paper's imports its handler's module, so a command compiles
 # only those: divides needs cli_ring, laurent, grammar and syntax;
 # verify-paper every library module but grammar and the ones loaded at
-# first use (kronecker, longdiv, walks, fox), and no other handler.  Annotations are never evaluated, so the names they use
-# (Callable) need no import here.
+# first use (kronecker, longdiv, walks, fox), and no other handler.
+# Annotations are never evaluated, so the names they use (Callable) need
+# no import here.
 
 
 def _emit(args, payload: Callable[[], dict], text: Callable[[], str]) -> None:

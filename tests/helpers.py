@@ -1116,10 +1116,10 @@ def unit_divide_reference(f: SPoly, s: RPoly) -> Tuple[Tuple[SPoly, int, RPoly],
     RPolys: row_top = f_top, row_k = f_k - sigma^k(s) * row_(k+1) and
     q_k = row_(k+1), down to row_d, d = min_degree(f).  When row_k is
     zero every row below is f's own down to f's next row, where the walk
-    goes on.  Returns that, and how many steps division._unit_walk's rule
-    takes in each form: "two-step" when row_(k+2) is nonzero and f_(k+1)
-    has fewer than half the terms of row_(k+1), else "one-step"; "jump"
-    counts the zero rows."""
+    goes on.  Returns that, and how many steps walks._walk's rule for a
+    unit s takes in each form: "two-step" when row_(k+2) is nonzero and
+    f_(k+1) has fewer than half the terms of row_(k+1), else "one-step";
+    "jump" counts the zero rows."""
     if f.is_zero():
         return (SPoly.zero(), 0, RPoly.zero()), Counter()
     forms: Counter = Counter()

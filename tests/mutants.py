@@ -53,20 +53,20 @@ MUTANTS = (
     (
         "a cancelled coefficient kept in a one-term division step",
         "src/kleinverify/walks.py",
-        "                        del row[e]\n        else:\n            row = _mul_into(",
-        "                        row[e] = v\n        else:\n            row = _mul_into(",
+        "                        del row[e]\n        if row or k == d:",
+        "                        row[e] = v\n        if row or k == d:",
     ),
     (
-        "the unit walk's two-step form adding sigma^k(s)*f_(k+1), not subtracting it",
+        "the division walk's two-step form adding sigma^k(s)*f_(k+1), not subtracting it",
         "src/kleinverify/walks.py",
-        "v = rget(e, 0) + minus_u * v",
-        "v = rget(e, 0) - minus_u * v",
+        "v = rget(e, 0) + minus_c * v",
+        "v = rget(e, 0) - minus_c * v",
     ),
     (
-        "the unit walk's two-step form shifting f_(k+1) by sigma^(k+1)(s), not sigma^k(s)",
+        "the division walk's two-step form shifting f_(k+1) by sigma^(k+1)(s), not sigma^k(s)",
         "src/kleinverify/walks.py",
-        "                    e += x\n",
-        "                    e -= x\n",
+        "                        e += x\n",
+        "                        e -= x\n",
     ),
     (
         "sigma's parity swapped in _mul_rows_into's one-term rows",
@@ -77,8 +77,8 @@ MUTANTS = (
     (
         "the sign of the one-term division step dropped",
         "src/kleinverify/walks.py",
-        "minus_c = -s_coeff",
-        "minus_c = s_coeff",
+        "minus_c, unit = -c, c * c == 1",
+        "minus_c, unit = c, c * c == 1",
     ),
     (
         "the monic element's factor sigma(s) in place of -sigma(s)",
@@ -179,25 +179,22 @@ MUTANTS = (
     (
         "divide's one-term step adding into f's row below in place",
         "src/kleinverify/walks.py",
-        """            row = {}
-            for e, v in c.items():
-                row[x + e] = minus_c * v
+        """                row = {}
+                for e, v in mid.items():
+                    row[x + e] = minus_c * v
             if below:
-                get = row.get
-                for e, v in below.items():
-                    v += get(e, 0)""",
-        """            row = below if below else {}
-            get = row.get
-            for e, v in c.items():
-                e += x
-                v = get(e, 0) + minus_c * v
-                if v:
-                    row[e] = v
-                else:
-                    del row[e]
-            if False:
-                for e, v in below.items():
-                    v += get(e, 0)""",
+""",
+        """                row = below if below else {}
+                rget = row.get
+                for e, v in mid.items():
+                    e += x
+                    v = rget(e, 0) + minus_c * v
+                    if v:
+                        row[e] = v
+                    else:
+                        del row[e]
+            if below and row is not below:
+""",
     ),
     (
         "klein._spoly without its zero scan",
@@ -388,10 +385,10 @@ MUTANTS = (
         "    if False:",
     ),
     (
-        "divide taking the one-step walk for every s",
+        "the division walk taking the two-step form for a non-unit one-term s",
         "src/kleinverify/walks.py",
-        "walk = _unit_walk if s.is_unit() else _walk",
-        "walk = _walk",
+        "c * c == 1",
+        "True",
     ),
     (
         "the Kronecker quotient's fallback answering None with no long division",
@@ -403,8 +400,8 @@ MUTANTS = (
 
 # Known equivalent mutants, left out of MUTANTS because no result of the
 # library tells them apart from it:
-# - walks._unit_walk's step always taking one form, the one-step or
-#   the two-step (where row_(k+2) is nonzero): both are exact, so only
+# - walks._walk's step by a unit s always taking one form, the one-step
+#   or the two-step (where row_(k+2) is nonzero): both are exact, so only
 #   the time differs.
 # - longdiv._long_quotient stopping one exponent below the quotient's
 #   lowest ("stop = dmax + lo - 1"): a step there gives the quotient a

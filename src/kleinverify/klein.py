@@ -296,9 +296,10 @@ def boundary_data(p: Presentation) -> tuple[list[list[SPoly]], list[SPoly]]:
     calculus I, Ann. of Math. 57, 1953).  With t = -(-1)^m and u = t*n,
     term i is y^-m x^(u + t*i) for g = x and y^-(m+i) x^u for g = y.
     Coefficients collect in one dict per row, keyed by y-degree and then
-    x-exponent.  A letter g^+-1, most of a relator's letters, has the one
-    term i = k >> 1 (0 or -1) and is one dict update; only a run g^k with
-    |k| > 1 loops over its terms.
+    x-exponent; the x row and the y row are two locals, and a letter's
+    generator is compared once.  A letter g^+-1, most of a relator's
+    letters, has the one term i = k >> 1 (0 or -1) and is one dict
+    update; only a run g^k with |k| > 1 loops over its terms.
     """
     from .words import Word
 
@@ -315,19 +316,19 @@ def boundary_data(p: Presentation) -> tuple[list[list[SPoly]], list[SPoly]]:
         d1.append(_spoly(edge))
     d2 = []
     for rel in p.relators:
-        rows: dict[str, dict[int, dict[int, int]]] = {g: {} for g in gens}
+        xrows: dict[int, dict[int, int]] = {}
+        yrows: dict[int, dict[int, int]] = {}
         # The prefix y^m x^n is kept as m, t and u.  x^k adds t*k to u;
         # y^k adds k to m and, for odd k, negates t and n, so u stays.
         m, t, u = 0, -1, 0
         for name, k in rel._letters:
-            acc = rows[name]
             if k == 1 or k == -1:
                 i = k >> 1
                 if name == "x":
-                    d, e = m, u + t * i
+                    acc, d, e = xrows, m, u + t * i
                     u += t * k
                 else:
-                    d, e = m + i, u
+                    acc, d, e = yrows, m + i, u
                     m += k
                     t = -t
                 row = acc.get(-d)
@@ -338,21 +339,19 @@ def boundary_data(p: Presentation) -> tuple[list[list[SPoly]], list[SPoly]]:
                 continue
             c, steps = (1, range(k)) if k > 0 else (-1, range(k, 0))
             if name == "x":
-                row = acc.setdefault(-m, {})
+                row = xrows.setdefault(-m, {})
                 for i in steps:
                     e = u + t * i
                     row[e] = row.get(e, 0) + c
                 u += t * k
             else:
                 for i in steps:
-                    row = acc.setdefault(-m - i, {})
+                    row = yrows.setdefault(-m - i, {})
                     row[u] = row.get(u, 0) + c
                 m += k
                 if k % 2:
                     t = -t
-        d2.append([
-            _spoly(rows[g]) for g in gens
-        ])
+        d2.append([_spoly(xrows if g == "x" else yrows) for g in gens])
     return d2, d1
 
 

@@ -10,11 +10,14 @@ with integer ``k``, written in ASCII digits 0-9, at most 4300 of them
 (CPython's default int() limit); the bare token ``1`` denotes the
 identity.  Printing uses the same syntax with exponent 1 omitted.
 
-The public Word(...) rejects a letter whose name is not such a generator
-name or whose exponent is not an int, so every word prints as text that
-parses back to it.  Code that already holds valid letters (parse_word,
-powers, certificate expansion) wraps them through Word._of_reduced and
-skips that check.
+Every letter the layer holds is a (str, nonzero int) tuple.  The two
+entry points make it so: the public Word(...) rejects a letter whose name
+is not such a generator name or whose exponent is not an int, rebuilds
+each letter as a tuple and drops a zero exponent, and parse_word drops a
+token g^0.  So every word prints as text that parses back to it, and
+free reduction needs no check per letter.  Code that already holds valid
+letters (parse_word, inverses, powers, certificate expansion) wraps them
+through Word._of_reduced and skips the checks.
 
 This module is the bottom of the free-group layer: it imports only the
 shared parser limits of syntax, never the ring modules.
@@ -43,10 +46,10 @@ class WordSyntaxError(ValueError):
 
 
 def _reduced(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    # One stack pass.  top is the generator of stack[-1] (None on an empty
-    # stack), so a letter costs one comparison and a push: a tuple letter
-    # is pushed as it is, and only a merge or a list-shaped letter builds
-    # a tuple.  A zero exponent is dropped, or merges as a no-op.
+    # One stack pass over (str, nonzero int) tuples, the only letters the
+    # layer holds.  top is the generator of stack[-1] (None on an empty
+    # stack), so a letter costs one comparison and a push; only a merge
+    # builds a tuple, and a merge that cancels pops the pair.
     stack: list[Letter] = []
     top = None
     for letter in letters:
@@ -57,8 +60,8 @@ def _reduced(letters: Iterable[Letter]) -> tuple[Letter, ...]:
                 stack.append((name, merged))
             else:
                 top = stack[-1][0] if stack else None
-        elif exp:
-            stack.append(letter if type(letter) is tuple else (name, exp))
+        else:
+            stack.append(letter)
             top = name
     return tuple(stack)
 
@@ -69,14 +72,18 @@ class Word:
     __slots__ = ("_letters",)
 
     def __init__(self, letters: Iterable[Letter] = ()):
-        letters = tuple(letters)
+        """Check each (name, exponent) pair, rebuild it as a tuple, drop a
+        zero exponent, and reduce."""
+        checked = []
         for name, exp in letters:
             # isinstance, not type(): True and False pass, as in RPoly.
             if not isinstance(exp, int):
                 raise ValueError(f"exponent {exp!r} is not an int")
             if not (isinstance(name, str) and _IS_NAME(name)):
                 raise ValueError(f"generator name {name!r} is not a letter followed by letters, digits or _")
-        self._letters = _reduced(letters)
+            if exp:
+                checked.append((name, exp))
+        self._letters = _reduced(checked)
 
     @classmethod
     def _of_reduced(cls, letters: tuple[Letter, ...]) -> "Word":
@@ -121,9 +128,34 @@ class Word:
         )
 
     def __pow__(self, n: int) -> "Word":
+        """self^n in time and memory linear in the answer: self is peeled
+        into u c u^-1 with c cyclically reduced, c^n needs no merge where
+        two copies meet, and u and u^-1 are joined on by __mul__."""
+        if not isinstance(n, int):
+            return NotImplemented
         if n < 0:
             return (~self) ** (-n)
-        return Word._of_reduced(_reduced(self._letters * n))
+        a = self._letters
+        if not (n and a):
+            return IDENTITY
+        # a[:i] is u and a[j + 1:] is u^-1; a letter pair on one generator
+        # that does not cancel splits as g^-q (into u) and g^(p+q) (into c).
+        i, j = 0, len(a) - 1
+        while i < j and a[i][0] == a[j][0]:
+            (g, p), (_, q) = a[i], a[j]
+            if p + q:
+                u, core, u_inv = a[:i] + ((g, -q),), ((g, p + q),) + a[i + 1 : j], a[j:]
+                break
+            i += 1
+            j -= 1
+        else:
+            u, core, u_inv = a[:i], a[i : j + 1], a[j + 1 :]
+        if len(core) == 1:
+            [(g, k)] = core
+            power = ((g, k * n),)
+        else:
+            power = core * n
+        return Word._of_reduced(u) * Word._of_reduced(power) * Word._of_reduced(u_inv)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Word) and self._letters == other._letters
@@ -146,7 +178,8 @@ IDENTITY = Word()
 
 
 def parse_word(text: str, generators: Iterable[str] | None = None) -> Word:
-    """Parse a word string, optionally validating generator names.
+    """Parse a word string, optionally validating generator names.  A
+    token g^0 is checked as any other, then dropped.
 
     >>> parse_word("y^-1 x y x").letters
     (('y', -1), ('x', 1), ('y', 1), ('x', 1))
@@ -172,5 +205,7 @@ def parse_word(text: str, generators: Iterable[str] | None = None) -> Word:
                 f"exponent longer than {_MAX_DIGITS} digits in token"
                 f" {tok[:_QUOTE_CHARS]!r}... at position {i}"
             )
-        letters.append((name, int(exp) if exp else 1))
+        k = int(exp) if exp else 1
+        if k:
+            letters.append((name, k))
     return Word._of_reduced(_reduced(letters))

@@ -8,7 +8,11 @@ each, src, tests, perfbench (whose tracer targets a tier-1 test reads;
 its run records stay behind), README.md and pyproject.toml are copied to
 a fresh temporary directory, the one edit is applied there, and
 "python -X dev -W error -m pytest -q -x" runs in that copy with
-PYTHONPATH at its src.  The checkout itself is never written.
+PYTHONPATH at its src.  It runs the test file named after the mutated
+module first (tests/test_words.py for src/kleinverify/words.py), so a
+mutant that the module's own tests kill stops there, and then every
+other file.
+The checkout itself is never written.
 
 First the unedited copy runs the whole suite, which must pass and must
 import kleinverify from the copy; otherwise no verdict on a mutant
@@ -149,14 +153,14 @@ MUTANTS = (
     (
         "boundary_data's x^-1 term at x-exponent u + t, not u - t",
         "src/kleinverify/klein.py",
-        "d, e = m, u + t * i",
-        "d, e = m, u - t * i",
+        "xrows, m, u + t * i",
+        "xrows, m, u - t * i",
     ),
     (
         "boundary_data's y^-1 term in row -(m+1), not -(m-1)",
         "src/kleinverify/klein.py",
-        "d, e = m + i, u",
-        "d, e = m - i, u",
+        "yrows, m + i, u",
+        "yrows, m - i, u",
     ),
     (
         "boundary_data adding +1, not -1, for a letter x^-1 or y^-1 in a row it has met",
@@ -171,10 +175,37 @@ MUTANTS = (
         "top = None",
     ),
     (
-        "_reduced storing a list-shaped letter as it is",
+        "Word(...) storing a list-shaped letter as it is",
         "src/kleinverify/words.py",
-        "stack.append(letter if type(letter) is tuple else (name, exp))",
-        "stack.append(letter)",
+        """        for name, exp in letters:
+            # isinstance, not type(): True and False pass, as in RPoly.
+            if not isinstance(exp, int):
+                raise ValueError(f"exponent {exp!r} is not an int")
+            if not (isinstance(name, str) and _IS_NAME(name)):
+                raise ValueError(f"generator name {name!r} is not a letter followed by letters, digits or _")
+            if exp:
+                checked.append((name, exp))""",
+        """        for letter in letters:
+            name, exp = letter
+            # isinstance, not type(): True and False pass, as in RPoly.
+            if not isinstance(exp, int):
+                raise ValueError(f"exponent {exp!r} is not an int")
+            if not (isinstance(name, str) and _IS_NAME(name)):
+                raise ValueError(f"generator name {name!r} is not a letter followed by letters, digits or _")
+            if exp:
+                checked.append(letter)""",
+    ),
+    (
+        "Word(...) keeping a zero-exponent letter",
+        "src/kleinverify/words.py",
+        "            if exp:\n                checked.append((name, exp))",
+        "            checked.append((name, exp))",
+    ),
+    (
+        "parse_word keeping a zero-exponent letter",
+        "src/kleinverify/words.py",
+        "        if k:\n            letters.append((name, k))",
+        "        letters.append((name, k))",
     ),
     (
         "divide's one-term step adding into f's row below in place",
@@ -503,15 +534,27 @@ def baseline(timeout: float) -> tuple[float, str | None]:
     return elapsed, None
 
 
+def files_in_order(file: str) -> list[str]:
+    """Every tier-1 test file, in the order a mutant of file runs them: the
+    one named after the mutated module first (tests/test_words.py for
+    src/kleinverify/words.py), then the rest in collection order.  Each
+    file is named, as pytest runs a file passed before its directory in
+    the directory's order."""
+    files = sorted(f"tests/{path.name}" for path in (ROOT / "tests").glob("test_*.py"))
+    first = f"tests/test_{Path(file).stem}.py"
+    return sorted(files, key=lambda name: name != first)
+
+
 def run_mutant(file: str, old: str, new: str, bound: float) -> str:
     """'killed', 'killed (timeout)' or 'SURVIVED' for the copy with old
-    replaced by new in file, its suite run for at most bound seconds."""
+    replaced by new in file, its suite run for at most bound seconds,
+    stopping at the first failure, in files_in_order(file)'s order."""
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
         _copy(copy)
         target = copy / file
         target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
-        result = _run(copy, (*PYTEST, "-x"), bound)
+        result = _run(copy, (*PYTEST, "-x", *files_in_order(file)), bound)
     if result is None:
         return "killed (timeout)"
     return "killed" if result.returncode else "SURVIVED"

@@ -1,6 +1,7 @@
-"""The mutation gate's deadline, read without the workflow file."""
+"""The mutation gate's deadline and the order of each mutant's test files,
+read without the workflow file."""
 
-from mutants import BOUND_FACTOR, cannot_start, gate
+from mutants import BOUND_FACTOR, ROOT, cannot_start, files_in_order, gate
 
 MUTANTS = (("first", "f", "a", "b"), ("second", "f", "a", "b"), ("third", "f", "a", "b"))
 
@@ -46,3 +47,12 @@ def test_gate_passes_only_when_every_mutant_ran_and_was_killed(capsys):
     verdicts = iter(["killed", "SURVIVED", "killed"])
     assert gate(MUTANTS, 30.0, 30, 0.0, run, lambda: now[0]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "2 of 3 mutants killed"
+
+
+def test_a_mutant_runs_its_module_test_file_first_then_every_other_file_once():
+    every = sorted(f"tests/{path.name}" for path in (ROOT / "tests").glob("test_*.py"))
+    words = files_in_order("src/kleinverify/words.py")
+    assert words[0] == "tests/test_words.py"
+    assert sorted(words) == every and words[1:] == [f for f in every if f != "tests/test_words.py"]
+    # No tests/test_walks.py: collection order, unchanged.
+    assert files_in_order("src/kleinverify/walks.py") == every

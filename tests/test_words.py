@@ -1,8 +1,10 @@
 import random
+import time
+from collections import namedtuple
 
 import pytest
 
-from kleinverify import Word, WordSyntaxError, parse_word
+from kleinverify import Word, WordSyntaxError, builtin, expand_certificate, parse_word
 
 from helpers import (
     SEED,
@@ -11,6 +13,7 @@ from helpers import (
     check_reduction_canonical,
     check_word_mul_matches_fold,
     check_word_pow_matches_fold,
+    rand_valid_certificate,
     rand_word,
 )
 
@@ -90,13 +93,49 @@ def test_reduction_merges_across_a_full_cancel():
     assert Word([("y", 1), ("x", 2), ("y", -2), ("y", 2), ("x", -2), ("y", 1)]).letters == (("y", 2),)
 
 
+def _plain(w):
+    """Every letter of w is a plain (str, int) tuple with a nonzero exponent."""
+    return all(
+        type(letter) is tuple and len(letter) == 2 and type(letter[0]) is str
+        and type(letter[1]) is int and letter[1]
+        for letter in w.letters
+    )
+
+
 def test_reduction_stores_tuples_and_drops_zero_exponents():
-    w = Word([["x", 1], ["y", 0], ["y", -2], ("x", 0), ["x", 3]])
-    assert w.letters == (("x", 1), ("y", -2), ("x", 3))
-    assert all(type(letter) is tuple for letter in w.letters)
+    # Word(...) rebuilds each letter as a tuple, whatever pair it was given.
+    Pair = namedtuple("Pair", "name exp")
+    pairs = (("x", 1), ("y", 0), ("y", -2), ("x", 0), ("x", 3))
+    for letters in (
+        [["x", 1], ["y", 0], ["y", -2], ("x", 0), ["x", 3]],
+        [Pair(*pair) for pair in pairs],
+        (pair for pair in pairs),
+    ):
+        w = Word(letters)
+        assert w.letters == (("x", 1), ("y", -2), ("x", 3))
+        assert all(type(letter) is tuple for letter in w.letters)
     assert Word([("x", 0), ("y", 0)]).letters == ()
     # a zero exponent between two letters on one generator: they merge
     assert Word([("x", 2), ("y", 0), ("x", -1)]).letters == (("x", 1),)
+    # bool exponents are ints: True stays as it is, False is dropped
+    w = Word([("x", True), ("y", False), ["y", True]])
+    assert w.letters == (("x", 1), ("y", 1))
+    assert w.letters[0][1] is True and all(type(letter) is tuple for letter in w.letters)
+    assert Word([("y", False)]).letters == ()
+    # parse_word drops a token g^0 before it reduces
+    assert parse_word("x x^0 x^-1 y^0").letters == ()
+    assert parse_word("x^0 y^+0 y^-00").letters == ()
+    assert parse_word("x^2 y^0 x^-1").letters == (("x", 1),)
+    # The layer's own results hold only plain letters.
+    rng = random.Random(SEED)
+    for _ in range(200):
+        w = parse_word(" ".join(f"{g}^{k} y^0" for g, k in rand_word(rng).letters))
+        n = rng.randint(-5, 5)
+        assert _plain(w) and _plain(~w) and _plain(w ** n)
+    p = builtin.presentation_p()
+    certs = [rand_valid_certificate(rng, p) for _ in range(50)]
+    for cert in (*builtin.forward_certificates(), *certs):
+        assert _plain(expand_certificate(p, cert))
 
 
 def test_group_axioms():
@@ -122,6 +161,37 @@ def test_long_pow_is_reduced():
     assert (parse_word("x y") ** 5000).letters == (("x", 1), ("y", 1)) * 5000
     w = parse_word("y x^2 y^-1")
     assert w ** 5000 == parse_word("y x^10000 y^-1")
+    # (y x^2 y^-1) ** 10**6 once built 3 * 10**6 letters and reduced them
+    # to three (1.6 s).  Each word is raised to +-10**4 first, so a power
+    # that still repeats the whole word fails the bound there, well inside
+    # a second, before it tries 10**12.  A many-letter core is not raised
+    # to 10**12: its answer has 10**12 copies of the core.
+    rng = random.Random(SEED)
+    u = Word([(g, rng.choice((-2, -1, 1, 2))) for g in "yx" * 150])
+    cases = (
+        (parse_word("y"), "x^2"),
+        (u, "y^-3"),
+        # x^2 y x^-1 peels as x (x y) x^-1: a pair on one generator that
+        # does not cancel splits between the conjugator and the core.
+        (parse_word("x"), "x y"),
+        (u, "y x^-2 y^3 x"),
+    )
+    for n in (10**4, -(10**4), 10**12):
+        for conj, core in cases:
+            c = parse_word(core)
+            if n == 10**12 and len(c.letters) > 1:
+                continue
+            w = conj * c * ~conj
+            start = time.perf_counter()
+            got = w ** n
+            elapsed = time.perf_counter() - start
+            assert elapsed < 0.1, (core, n, elapsed)
+            base = (c if n > 0 else ~c).letters
+            if len(base) == 1:
+                power = ((base[0][0], base[0][1] * abs(n)),)
+            else:
+                power = base * abs(n)
+            assert got == Word(conj.letters + power + (~conj).letters)
 
 
 def test_parse_ascii_digits_only():

@@ -11,13 +11,12 @@ last two as zero-argument callables, and run() hands them to _emit, the
 one function that prints, which builds only the one it prints.
 
 Only verify-paper's handler lives here, so verify-paper compiles no
-other command's code.  The others live in two command-group modules
-that run() imports only for them: cli_ring (member, divides, stafford)
-and cli_words (chi, normal-form, fox, certificate).  The help text and
-the usage errors live in cli_usage.  Each is handed what it needs of
-this module, the parsed arguments or the table, and imports nothing
-from it: run as python -m kleinverify.cli, this module is __main__, and
-an import of kleinverify.cli would compile it a second time.
+other command's code.  Every other command, the help text and the usage
+errors live in cli_commands, which run() imports only for them.  It is
+handed what it needs of this module, the parsed arguments or the table,
+and imports nothing from it: run as python -m kleinverify.cli, this
+module is __main__, and an import of kleinverify.cli would compile it a
+second time.
 
 Exit status: 0 when every requested check passes, 1 when a check fails,
 2 on input or parse errors, usage errors included, and on an input too
@@ -29,8 +28,8 @@ from __future__ import annotations
 import sys
 
 # Each handler imports the library modules it runs, and each table entry
-# but verify-paper's imports its handler's module, so a command compiles
-# only those: divides needs cli_ring, laurent, grammar and syntax;
+# but verify-paper's imports cli_commands, so a command compiles only
+# those: divides needs cli_commands, laurent, grammar and syntax;
 # verify-paper every library module but grammar and the ones loaded at
 # first use (kronecker, longdiv, walks, fox), and no other handler.
 # Annotations are never evaluated, so the names they use (Callable) need
@@ -56,14 +55,14 @@ def cmd_verify_paper(args):
     return 0 if report.all_ok else 1, report.to_json_dict, report.to_text
 
 
-def _deferred(module: str, name: str):
-    """The handler name of the command-group module kleinverify.<module>,
-    which loads at the first call."""
+def _deferred(name: str):
+    """The handler name of kleinverify.cli_commands, which loads at the
+    first call."""
 
     def handler(args):
-        from importlib import import_module
+        from . import cli_commands
 
-        return getattr(import_module(f".{module}", __package__), name)(args)
+        return getattr(cli_commands, name)(args)
 
     return handler
 
@@ -73,19 +72,19 @@ def _deferred(module: str, name: str):
 # Every command also takes --format json|text, by default text.
 COMMANDS = {
     "verify-paper": (cmd_verify_paper, (), {}, "run the whole replication suite"),
-    "chi": (_deferred("cli_words", "cmd_chi"), (), {"presentation": "Q"},
+    "chi": (_deferred("cmd_chi"), (), {"presentation": "Q"},
             "Euler characteristic of P, Q (the default) or a presentation JSON file"),
-    "normal-form": (_deferred("cli_words", "cmd_normal_form"), ("word",), {},
+    "normal-form": (_deferred("cmd_normal_form"), ("word",), {},
                     "normal form y^m x^n of a word in x, y, e.g. 'y^-1 x y'"),
-    "fox": (_deferred("cli_words", "cmd_fox"), ("word", "generator"), {},
+    "fox": (_deferred("cmd_fox"), ("word", "generator"), {},
             "free derivative of a word by a generator"),
-    "member": (_deferred("cli_ring", "cmd_member"), ("element",), {"r": None, "s": None},
+    "member": (_deferred("cmd_member"), ("element",), {"r": None, "s": None},
                "whether a twisted-ring element lies in V; r, s default to the paper's"),
-    "divides": (_deferred("cli_ring", "cmd_divides"), ("a", "b"), {},
+    "divides": (_deferred("cmd_divides"), ("a", "b"), {},
                 "exact divisibility of b by a in Z[x, x^-1]"),
-    "certificate": (_deferred("cli_words", "cmd_certificate"), (), {"certificate": ..., "presentation": None},
+    "certificate": (_deferred("cmd_certificate"), (), {"certificate": ..., "presentation": None},
                     "check a certificate file over its source or over P, Q or a file"),
-    "stafford": (_deferred("cli_ring", "cmd_stafford"), (), {"r": None, "s": None},
+    "stafford": (_deferred("cmd_stafford"), (), {"r": None, "s": None},
                  "non-freeness conditions for an instance (r, s), by default the paper's"),
 }
 _HELP = ("-h", "--help")
@@ -100,7 +99,7 @@ class _Args:
 
 
 def _usage_error(command: str | None, message: str):
-    from .cli_usage import usage_error
+    from .cli_commands import usage_error
 
     usage_error(COMMANDS, command, message)
 
@@ -149,7 +148,7 @@ def _parse_args(argv: list[str]):
 def run(argv: list[str] | None = None) -> int:
     parsed = _parse_args(sys.argv[1:] if argv is None else argv)
     if parsed is None:
-        from .cli_usage import help_text
+        from .cli_commands import help_text
 
         print(help_text(COMMANDS))
         return 0

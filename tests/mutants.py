@@ -422,6 +422,12 @@ MUTANTS = (
         "True",
     ),
     (
+        "stafford's JSON naming its command Stafford",
+        "src/kleinverify/cli_commands.py",
+        '{"command": "stafford",',
+        '{"command": "Stafford",',
+    ),
+    (
         "the Kronecker quotient's fallback answering None with no long division",
         "src/kleinverify/kronecker.py",
         "    from .longdiv import _long_quotient\n\n    return _long_quotient(num, den, lo)",

@@ -21,6 +21,7 @@ from kleinverify import (
     parse_word,
 )
 from kleinverify import builtin
+from kleinverify.certificates import _row_factors
 
 from helpers import (
     SEED,
@@ -75,6 +76,11 @@ def test_boundary_factor_values():
     assert boundary_factor(P, CERT1) == {0: parse_spoly("y - x^-1")}
     assert boundary_factor(P, CERT2) == {0: parse_spoly("x^3 - x - 1")}
     assert boundary_factor(P, ConjugacyCertificate(Word(), ())) == {}
+    # The row factors come in the order of the relators the certificates
+    # name, whatever order the certificates come in.
+    factors = [parse_spoly("y - x^-1"), parse_spoly("x^3 - x - 1")]
+    assert _row_factors(P, Q.relators, [CERT1, CERT2]) == factors
+    assert _row_factors(P, Q.relators, [CERT2, CERT1]) == factors
 
 
 def test_boundary_factor_rejects_invalid():

@@ -9,7 +9,23 @@ from kleinverify.cli import run
 from kleinverify import SPoly, builtin
 from kleinverify.verify import NonFreenessReport
 
+import golden
 from helpers import certificate_to_dict, counting
+
+
+def test_golden_corpus():
+    # Every record of tests/golden/cli.json, replayed in process: stdout,
+    # stderr and exit status, byte for byte.  python tests/golden.py
+    # --write regenerates the file; its diff shows what output changed.
+    records = golden.load()
+    assert len(records) > 250
+    mismatched = []
+    for record in records:
+        got = golden.replay(record["argv"], record.get("files", {}))
+        want = {key: record[key] for key in ("status", "stdout", "stderr")}
+        if got != want:
+            mismatched.append((record["argv"], {key: (want[key], got[key]) for key in want if got[key] != want[key]}))
+    assert not mismatched, f"{len(mismatched)} records differ; the first, as (expected, got): {mismatched[0]!r:.2000}"
 
 
 def test_verify_paper_text(capsys):

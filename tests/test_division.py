@@ -120,6 +120,9 @@ def test_in_V_examples():
     degree_one = SPoly({1: INST.r, 0: INST.s * INST.r.sigma()})
     assert in_V(degree_one, INST)
     assert not in_V(SPoly.one(), INST)
+    # division still resolves the names that moved into walks.
+    assert division.in_V is walks.in_V and division.divide is walks.divide
+    assert division.DivisionResult is walks.DivisionResult
 
 
 def test_lift_kernel_examples():

@@ -13,7 +13,7 @@ from kleinverify import (
     parse_word,
 )
 from kleinverify import FreeCombo, Presentation, boundary_data, boundary_matrices, fox_derivative
-from kleinverify import PolySyntaxError, StaffordInstance, divide, klein, walks, y_plus_s
+from kleinverify import PolySyntaxError, StaffordInstance, divide, fox, klein, walks, y_plus_s
 
 from helpers import (
     SEED,
@@ -123,6 +123,8 @@ def test_eval_combo_examples():
     )
     assert eval_combo(cubic) == SPoly.from_rpoly(parse_rpoly("x^3 - x - 1"))
     assert eval_combo(Combo()).is_zero()
+    # klein still resolves eval_combo, which moved into fox.
+    assert klein.eval_combo is fox.eval_combo
 
 
 def test_eval_combo_linearity():

@@ -81,22 +81,21 @@ def test_unknown_name_raises_attribute_error():
 # The library modules each command loads (none for a bare import); the rest
 # stay uncompiled.  -S, as below, keeps site .pth files out.  {cert} stands
 # for the README's example certificate, written to a file.  Only a command
-# that parses polynomial text loads grammar.  A command other than
-# verify-paper loads its handler's module, cli_ring or cli_words; only
-# --help and a usage error load cli_usage, and only a dense operand
-# loads kronecker.  The code no verdict of the report runs loads at its
-# first use: walks (divide, in_V) for member, longdiv for a quotient
-# that reaches long division, and fox (the Fox calculus) for fox; so
-# verify-paper, stafford, chi and certificate load none of the three.
+# that parses polynomial text loads grammar.  Every command but
+# verify-paper loads cli_commands, and so do --help and a usage error
+# (exit 2); only a dense operand loads kronecker.  The code no verdict
+# of the report runs loads at its first use: walks (divide, in_V) for
+# member, longdiv for a quotient that reaches long division, and fox
+# (the Fox calculus) for fox; so verify-paper, stafford, chi and
+# certificate load none of the three.
 ALL_MODULES = [
-    "builtin", "certificates", "cli", "cli_ring", "cli_usage", "cli_words", "division", "fox",
-    "grammar", "klein", "kronecker", "laurent", "longdiv", "presentations", "syntax", "verify",
-    "walks", "words",
+    "builtin", "certificates", "cli", "cli_commands", "division", "fox", "grammar", "klein",
+    "kronecker", "laurent", "longdiv", "presentations", "syntax", "verify", "walks", "words",
 ]
 REPORT_MODULES = [m for m in ALL_MODULES if m not in (
-    "cli_ring", "cli_usage", "cli_words", "fox", "grammar", "kronecker", "longdiv", "walks")]
-STAFFORD_MODULES = sorted(REPORT_MODULES + ["cli_ring"])
-CHI_MODULES = ["builtin", "cli", "cli_words", "presentations", "syntax", "words"]
+    "cli_commands", "fox", "grammar", "kronecker", "longdiv", "walks")]
+STAFFORD_MODULES = sorted(REPORT_MODULES + ["cli_commands"])
+CHI_MODULES = ["builtin", "cli", "cli_commands", "presentations", "syntax", "words"]
 # Two 24-term operands, g(x)(1 + x^18) and g(x)(1 - x^36) with
 # g = 1 + x + ... + x^11.  Both are dense, and their quotient 1 - x^18
 # spans 19 exponents, so divides takes the Kronecker quotient.
@@ -104,19 +103,20 @@ DENSE_A = " + ".join(f"x^{e}" for e in (*range(12), *range(18, 30)))
 DENSE_B = " + ".join(f"x^{e}" for e in range(12)) + "".join(f" - x^{e}" for e in range(36, 48))
 COMMAND_MODULES = [
     ([], []),
-    (["--help"], ["cli", "cli_usage"]),
+    (["--help"], ["cli", "cli_commands"]),
+    (["divides", "x"], ["cli", "cli_commands"]),
     # x^2 - 1 spans more than x + 1, and 2 = (x + 1)(1) divides its value
     # 0 at 1, so neither shortcut answers and long division runs.
-    (["divides", "x+1", "x^2-1"], ["cli", "cli_ring", "grammar", "laurent", "longdiv", "syntax"]),
-    (["divides", DENSE_A, DENSE_B], ["cli", "cli_ring", "grammar", "kronecker", "laurent", "syntax"]),
+    (["divides", "x+1", "x^2-1"], ["cli", "cli_commands", "grammar", "laurent", "longdiv", "syntax"]),
+    (["divides", DENSE_A, DENSE_B], ["cli", "cli_commands", "grammar", "kronecker", "laurent", "syntax"]),
     (["member", "y - x^-1", "--r", "1", "--s", "-x^-1"],
-     ["cli", "cli_ring", "division", "grammar", "klein", "laurent", "syntax", "walks"]),
+     ["cli", "cli_commands", "division", "grammar", "klein", "laurent", "syntax", "walks"]),
     # r and s default to the paper's, read from the forward certificates.
     (["member", "y^2*(1) + (-1)"],
-     ["builtin", "certificates", "cli", "cli_ring", "division", "grammar", "klein", "laurent",
+     ["builtin", "certificates", "cli", "cli_commands", "division", "grammar", "klein", "laurent",
       "presentations", "syntax", "walks", "words"]),
-    (["normal-form", "y^-1 x y"], ["cli", "cli_words", "klein", "laurent", "syntax", "words"]),
-    (["fox", "y^-1 x y x", "x"], ["cli", "cli_words", "fox", "syntax", "words"]),
+    (["normal-form", "y^-1 x y"], ["cli", "cli_commands", "klein", "laurent", "syntax", "words"]),
+    (["fox", "y^-1 x y x", "x"], ["cli", "cli_commands", "fox", "syntax", "words"]),
     (["chi"], CHI_MODULES),
     (["certificate", "--certificate", "{cert}"], sorted(CHI_MODULES + ["certificates"])),
     (["verify-paper"], REPORT_MODULES),
@@ -150,8 +150,11 @@ def test_each_command_loads_only_its_modules(tmp_path):
         "import contextlib, io, json, sys, kleinverify\n"
         "if sys.argv[1:]:\n"
         "    from kleinverify.cli import run\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert run(sys.argv[1:]) == 0\n"
+        "    try:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "            assert run(sys.argv[1:]) == 0\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 2\n"
         "print(json.dumps([sorted(m.split('.')[1] for m in sys.modules"
         " if m.startswith('kleinverify.')), 'argparse' in sys.modules]))\n"
     )
@@ -188,6 +191,32 @@ def test_hostile_divides_answers_fast():
     done = _python("-m", "kleinverify.cli", "divides", "x + 2", "x^1000000000 + 1", timeout=6)
     assert time.perf_counter() - start < 1.0
     assert (done.returncode, done.stdout, done.stderr) == (1, "false\n", "")
+
+
+def test_hostile_fox_exits_2_fast():
+    # The derivative's size, the generator's total power times the word's
+    # letters, is known before any term is built.  Each word here is far
+    # over the limit: the 40-digit power ran until killed, and the
+    # 16000-letter word printed 128 MB.  A subprocess, so that a
+    # regression fails at the timeout, not hangs.
+    code = (
+        "import contextlib, io, json, sys, time\n"
+        "from kleinverify.cli import run\n"
+        "seen = []\n"
+        "for word in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    start = time.perf_counter()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        status = run(['fox', word, 'x'])\n"
+        "    seen.append([status, out.getvalue(), err.getvalue(), time.perf_counter() - start])\n"
+        "print(json.dumps(seen))\n"
+    )
+    words = ["x^" + "9" * 40, "x^2000000", " ".join(["x y"] * 8000)]
+    seen = json.loads(_python("-c", code, json.dumps(words), timeout=30, check=True).stdout)
+    for word, (status, out, err, elapsed) in zip(words, seen):
+        assert (status, out) == (2, ""), word[:20]
+        assert err == "error: the derivative would print over 10^6 letters (its terms times (1 + the word's letters))\n"
+        assert elapsed < 1.0, (word[:20], elapsed)
 
 
 def test_no_command_imports_cli_a_second_time(tmp_path):

@@ -16,7 +16,7 @@ from kleinverify import (
     parse_spoly,
     parse_word,
 )
-from kleinverify import builtin
+from kleinverify import builtin, fox, presentations
 
 from helpers import (
     SEED,
@@ -108,6 +108,9 @@ def test_boundary_matrices_one_relator():
     assert d2[0][0] == parse_spoly("y + (x)")
     assert d2[0][1] == parse_spoly("y*(x - 1)")
     assert d1 == [parse_spoly("x^-1 - 1"), parse_spoly("(-1) + y^-1*(1)")]
+    # presentations still resolves the names that moved into fox.
+    assert presentations.boundary_matrices is fox.boundary_matrices
+    assert presentations.fox_derivative is fox.fox_derivative and presentations.FreeCombo is fox.FreeCombo
 
 
 def test_boundary_matrices_two_relator():

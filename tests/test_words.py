@@ -35,6 +35,8 @@ def test_parse_long_relator():
 def test_parse_identity_token():
     assert parse_word("1").is_identity()
     assert parse_word("").is_identity()
+    # A word is false exactly when it is the identity.
+    assert not parse_word("1") and not Word() and parse_word("x") and Word([("y", -2)])
 
 
 def test_parse_errors():
@@ -147,6 +149,9 @@ def test_word_pow():
     assert x**3 == parse_word("x^3")
     assert x**-2 == parse_word("x^-2")
     assert (parse_word("x y") ** 0).is_identity()
+    # A non-int power returns NotImplemented, so Python raises TypeError.
+    with pytest.raises(TypeError):
+        x**1.5
 
 
 def test_mul_matches_fold():

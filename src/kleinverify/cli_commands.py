@@ -119,11 +119,12 @@ def cmd_fox(args):
     g = letters[0][0]
     word = parse_word(args.word)
     # The derivative has one term per power of g the word passes through,
-    # terms in all, each a word of at most len(word.letters) letters, so
+    # terms in all.  Each prints as "-1*(...) + " around a prefix of the
+    # reduced word, whose text is never longer than the argument's, so
     # what it prints is bounded before any term is built.
     terms = sum(abs(k) for name, k in word.letters if name == g)
-    if terms * (len(word.letters) + 1) > 10**6:
-        raise ValueError("the derivative would print over 10^6 letters (its terms times (1 + the word's letters))")
+    if terms * (len(args.word) + 8) > 10**7:
+        raise ValueError("the derivative would print over 10^7 characters (its terms times (8 + the word's characters))")
     return _answer(args, str(fox_derivative(word, g)), lambda: {"word": args.word, "generator": args.generator})
 
 

@@ -7,7 +7,11 @@ by an evaluation map supplied by the caller, so the chain-level boundary
 data can be assembled for any quotient group; eval_combo is the map into
 the Klein bottle group ring S.
 
-fox_derivative serves the fox command.  boundary_matrices, with
+fox_derivative serves the fox command.  Each of its terms is a slice of
+the reduced word with at most one letter appended, built with no product
+and no reduction, so its cost is linear in what it prints.  FreeCombo
+orders terms by their letter count, summed rather than taken by len(),
+which refuses a count over sys.maxsize.  boundary_matrices, with
 eval_combo, is the reference the tests hold klein.boundary_data to;
 verification does not use it, because boundary_data evaluates the same
 Fox derivatives directly in S, in one pass per relator.  So no verdict
@@ -31,6 +35,11 @@ from .words import Word
 # never evaluated.
 
 
+def _order(w: Word) -> tuple[int, str]:
+    """A term's place in print: fewer letters first, then by text."""
+    return sum(abs(k) for _, k in w.letters), str(w)
+
+
 class FreeCombo:
     """Finite integer combination of free-group words.
 
@@ -44,7 +53,7 @@ class FreeCombo:
         self._terms = {w: c for w, c in (terms or {}).items() if c}
 
     def items(self) -> list[tuple[Word, int]]:
-        return sorted(self._terms.items(), key=lambda t: (len(t[0]), str(t[0])))
+        return sorted(self._terms.items(), key=lambda t: _order(t[0]))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FreeCombo) and self._terms == other._terms
@@ -54,8 +63,8 @@ class FreeCombo:
             return "0"
         # The order of items(), with each word formatted once.  Two words
         # never share their text, so the sort never compares coefficients.
-        terms = sorted((len(w), str(w), c) for w, c in self._terms.items())
-        return " + ".join(f"{c}*({text})" for _, text, c in terms)
+        terms = sorted((_order(w), c) for w, c in self._terms.items())
+        return " + ".join(f"{c}*({text})" for (_, text), c in terms)
 
     def __repr__(self) -> str:
         return f"FreeCombo({str(self)!r})"
@@ -70,17 +79,18 @@ def fox_derivative(w: Word, g: str) -> FreeCombo:
     # By the product rule each run g^k adds prefix * d(g^k)/dg, where
     # d(g^k)/dg = 1 + g + ... + g^(k-1) for k > 0,
     #           = -(g^-1 + ... + g^k)   for k < 0.
-    # All runs add into one dict, so the cost is that of the output.  Each
-    # letter is one of w's, so it skips Word's public check.
+    # w is reduced, so the prefix is the slice of w's letters before the
+    # run, and its last letter is not on g: each term is that slice with
+    # (g, i) appended, already reduced.  All runs add into one dict, so
+    # the cost is that of the output.
     terms: dict[Word, int] = {}
-    prefix = Word()
-    for name, exp in w.letters:
+    for at, (name, exp) in enumerate(w.letters):
         if name == g:
+            prefix = w.letters[:at]
             sign = 1 if exp > 0 else -1
             for i in range(exp) if exp > 0 else range(-1, exp - 1, -1):
-                key = prefix * Word._of_reduced(((g, i),)) if i else prefix
+                key = Word._of_reduced(prefix + ((g, i),) if i else prefix)
                 terms[key] = terms.get(key, 0) + sign
-        prefix = prefix * Word._of_reduced(((name, exp),))
     return FreeCombo(terms)
 
 

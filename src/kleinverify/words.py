@@ -16,8 +16,10 @@ is not such a generator name or whose exponent is not an int, rebuilds
 each letter as a tuple and drops a zero exponent, and parse_word drops a
 token g^0.  So every word prints as text that parses back to it, and
 free reduction needs no check per letter.  Code that already holds valid
-letters (parse_word, inverses, powers, certificate expansion) wraps them
-through Word._of_reduced and skips the checks.
+letters (parse_word, inverses, products, certificate expansion, the terms
+of a Fox derivative) wraps them through Word._of_reduced and skips the
+checks.  Two words are joined only by Word.__mul__, which looks at the
+one place they meet; a power is repeated squaring through it.
 
 This module is the bottom of the free-group layer: it imports only the
 shared parser limits of syntax, never the ring modules.
@@ -128,34 +130,20 @@ class Word:
         )
 
     def __pow__(self, n: int) -> "Word":
-        """self^n in time and memory linear in the answer: self is peeled
-        into u c u^-1 with c cyclically reduced, c^n needs no merge where
-        two copies meet, and u and u^-1 are joined on by __mul__."""
+        """self^n by repeated squaring: about log2(n) products, each through
+        __mul__, so a power of u c u^-1 cancels each u^-1 u where two
+        factors meet and its size stays that of its answer."""
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return (~self) ** (-n)
-        a = self._letters
-        if not (n and a):
-            return IDENTITY
-        # a[:i] is u and a[j + 1:] is u^-1; a letter pair on one generator
-        # that does not cancel splits as g^-q (into u) and g^(p+q) (into c).
-        i, j = 0, len(a) - 1
-        while i < j and a[i][0] == a[j][0]:
-            (g, p), (_, q) = a[i], a[j]
-            if p + q:
-                u, core, u_inv = a[:i] + ((g, -q),), ((g, p + q),) + a[i + 1 : j], a[j:]
-                break
-            i += 1
-            j -= 1
-        else:
-            u, core, u_inv = a[:i], a[i : j + 1], a[j + 1 :]
-        if len(core) == 1:
-            [(g, k)] = core
-            power = ((g, k * n),)
-        else:
-            power = core * n
-        return Word._of_reduced(u) * Word._of_reduced(power) * Word._of_reduced(u_inv)
+        base, n = (self, n) if n >= 0 else (~self, -n)
+        power = IDENTITY
+        while n:
+            if n & 1:
+                power = power * base
+            n >>= 1
+            if n:
+                base = base * base
+        return power
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Word) and self._letters == other._letters

@@ -279,7 +279,10 @@ def cases() -> list[tuple[list, dict]]:
     add("member", [["y*(x) + ", 131072], ["q", 1]])
     add("normal-form", "x^9999999999999999999999999999999999999999 y^-3")
     add("fox", "x^3000 y^-2", "x")
-    # fox refuses a derivative that would print over 10^6 letters.
+    # A term of over sys.maxsize letters, and a 128 KB word with no term.
+    add("fox", "y^99999999999999999999 x", "x")
+    add("fox", [["x y ", 31999], ["x y", 1]], "z")
+    # fox refuses a derivative that would print over 10^7 characters.
     add("fox", "x^9999999999999999999999999999999999999999", "x")
     add("fox", "x^2000000", "x")
     add("fox", [["x y ", 7999], ["x y", 1]], "x")

@@ -9,9 +9,9 @@ its run records stay behind), README.md and pyproject.toml are copied to
 a fresh temporary directory, the one edit is applied there, and
 "python -X dev -W error -m pytest -q -x" runs in that copy with
 PYTHONPATH at its src.  It runs the test file named after the mutated
-module first (tests/test_words.py for src/kleinverify/words.py), so a
-mutant that the module's own tests kill stops there, and then every
-other file.
+module first (tests/test_words.py for src/kleinverify/words.py, and
+tests/test_cli.py for src/kleinverify/cli_commands.py), so a mutant that
+the module's own tests kill stops there, and then every other file.
 The checkout itself is never written.
 
 First the unedited copy runs the whole suite, which must pass and must
@@ -206,6 +206,30 @@ MUTANTS = (
         "src/kleinverify/words.py",
         "        if k:\n            letters.append((name, k))",
         "        letters.append((name, k))",
+    ),
+    (
+        "Word ** n reading the second bit of n as its odd bit",
+        "src/kleinverify/words.py",
+        "            if n & 1:",
+        "            if n & 2:",
+    ),
+    (
+        "Word ** n multiplying the base by the word, not squaring it",
+        "src/kleinverify/words.py",
+        "base = base * base",
+        "base = base * self",
+    ),
+    (
+        "a Fox term's prefix taking the run's own letter",
+        "src/kleinverify/fox.py",
+        "prefix = w.letters[:at]",
+        "prefix = w.letters[:at + 1]",
+    ),
+    (
+        "FreeCombo's order key taking len() of the word",
+        "src/kleinverify/fox.py",
+        "return sum(abs(k) for _, k in w.letters), str(w)",
+        "return len(w), str(w)",
     ),
     (
         "divide's one-term step adding into f's row below in place",
@@ -542,12 +566,15 @@ def baseline(timeout: float) -> tuple[float, str | None]:
 
 def files_in_order(file: str) -> list[str]:
     """Every tier-1 test file, in the order a mutant of file runs them: the
-    one named after the mutated module first (tests/test_words.py for
-    src/kleinverify/words.py), then the rest in collection order.  Each
-    file is named, as pytest runs a file passed before its directory in
-    the directory's order."""
+    one whose name after test_ is the longest prefix of the mutated
+    module's first (tests/test_words.py for src/kleinverify/words.py,
+    tests/test_cli.py for src/kleinverify/cli_commands.py), then the rest
+    in collection order.  Each file is named, as pytest runs a file passed
+    before its directory in the directory's order."""
     files = sorted(f"tests/{path.name}" for path in (ROOT / "tests").glob("test_*.py"))
-    first = f"tests/test_{Path(file).stem}.py"
+    stem = Path(file).stem
+    named = [f for f in files if stem.startswith(f.removeprefix("tests/test_").removesuffix(".py"))]
+    first = max(named, key=len, default=None)
     return sorted(files, key=lambda name: name != first)
 
 

@@ -54,5 +54,8 @@ def test_a_mutant_runs_its_module_test_file_first_then_every_other_file_once():
     words = files_in_order("src/kleinverify/words.py")
     assert words[0] == "tests/test_words.py"
     assert sorted(words) == every and words[1:] == [f for f in every if f != "tests/test_words.py"]
+    # The longest test-file name that starts the module's name.
+    assert files_in_order("src/kleinverify/cli_commands.py")[0] == "tests/test_cli.py"
+    assert files_in_order("src/kleinverify/cli.py")[0] == "tests/test_cli.py"
     # No tests/test_walks.py: collection order, unchanged.
     assert files_in_order("src/kleinverify/walks.py") == every

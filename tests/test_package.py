@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -13,7 +14,6 @@ from pathlib import Path
 import pytest
 
 import kleinverify
-import kleinverify.words
 
 # The directory kleinverify was imported from: src in a checkout, or
 # site-packages for an installed package.  The subprocesses below import
@@ -195,10 +195,11 @@ def test_hostile_divides_answers_fast():
 
 def test_hostile_fox_exits_2_fast():
     # The derivative's size, the generator's total power times the word's
-    # letters, is known before any term is built.  Each word here is far
-    # over the limit: the 40-digit power ran until killed, and the
-    # 16000-letter word printed 128 MB.  A subprocess, so that a
-    # regression fails at the timeout, not hangs.
+    # characters, is known before any term is built.  Each word here is far
+    # over the limit: the 40-digit power ran until killed, the 16000-letter
+    # word printed 128 MB, and the 4300-digit one, under a bound of the
+    # letters alone, would print 333332 terms of 4.3 KB each.  A
+    # subprocess, so that a regression fails at the timeout, not hangs.
     code = (
         "import contextlib, io, json, sys, time\n"
         "from kleinverify.cli import run\n"
@@ -211,11 +212,11 @@ def test_hostile_fox_exits_2_fast():
         "    seen.append([status, out.getvalue(), err.getvalue(), time.perf_counter() - start])\n"
         "print(json.dumps(seen))\n"
     )
-    words = ["x^" + "9" * 40, "x^2000000", " ".join(["x y"] * 8000)]
+    words = ["x^" + "9" * 40, "x^2000000", " ".join(["x y"] * 8000), f"y^{'9' * 4300} x^333332"]
     seen = json.loads(_python("-c", code, json.dumps(words), timeout=30, check=True).stdout)
     for word, (status, out, err, elapsed) in zip(words, seen):
         assert (status, out) == (2, ""), word[:20]
-        assert err == "error: the derivative would print over 10^6 letters (its terms times (1 + the word's letters))\n"
+        assert err == "error: the derivative would print over 10^7 characters (its terms times (8 + the word's characters))\n"
         assert elapsed < 1.0, (word[:20], elapsed)
 
 
@@ -315,6 +316,10 @@ def test_library_imports_are_used():
     assert unused == []
 
 
-def test_words_doctests_pass():
-    result = doctest.testmod(kleinverify.words)
-    assert result.attempted > 0 and result.failed == 0
+def test_every_module_doctests_pass():
+    # Every module of the package kleinverify was imported from, so an
+    # installed copy's doctests run too.
+    names = ["kleinverify"] + [f"kleinverify.{m.name}" for m in pkgutil.iter_modules(kleinverify.__path__)]
+    results = {name: doctest.testmod(importlib.import_module(name)) for name in names}
+    assert len(results) > 10 and sum(r.attempted for r in results.values()) > 0
+    assert [name for name, r in results.items() if r.failed] == []

@@ -92,6 +92,19 @@ def test_fox_derivative_is_fast():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "edf87cb55e26e579eb6f73daa3a192a2013e23e01aecd893a2978d40dc8d3d15"
     )
+    # A prefix built by one product per letter copied it each time, which
+    # is quadratic in the word: each of these 64000-letter words took 10 s
+    # to answer, the first with no term at all.
+    cases = (
+        (" ".join(["x y"] * 32000), "z", "0"),
+        (" ".join(["y z"] * 32000) + " x", "x", f"1*({' '.join(['y z'] * 32000)})"),
+    )
+    for word, g, want in cases:
+        w = parse_word(word)
+        start = time.perf_counter()
+        text = str(fox_derivative(w, g))
+        assert time.perf_counter() - start < 3.0, g
+        assert text == want
 
 
 def test_fox_product_rule():

@@ -167,17 +167,20 @@ def test_long_pow_is_reduced():
     w = parse_word("y x^2 y^-1")
     assert w ** 5000 == parse_word("y x^10000 y^-1")
     # (y x^2 y^-1) ** 10**6 once built 3 * 10**6 letters and reduced them
-    # to three (1.6 s).  Each word is raised to +-10**4 first, so a power
-    # that still repeats the whole word fails the bound there, well inside
-    # a second, before it tries 10**12.  A many-letter core is not raised
-    # to 10**12: its answer has 10**12 copies of the core.
+    # to three (1.6 s).  A power then peeled the word into u c u^-1 and
+    # repeated the core c alone; it is now repeated squaring through
+    # Word.__mul__, which cancels u^-1 u where two factors meet, so no
+    # square outgrows its answer.  Each word is raised to +-10**4 first, so
+    # a power that still repeats the whole word fails the bound there, well
+    # inside a second, before it tries 10**12.  A many-letter core is not
+    # raised to 10**12: its answer has 10**12 copies of the core.
     rng = random.Random(SEED)
     u = Word([(g, rng.choice((-2, -1, 1, 2))) for g in "yx" * 150])
     cases = (
         (parse_word("y"), "x^2"),
         (u, "y^-3"),
-        # x^2 y x^-1 peels as x (x y) x^-1: a pair on one generator that
-        # does not cancel splits between the conjugator and the core.
+        # x^2 y x^-1: where two factors meet, x^-1 x^2 merges to x
+        # rather than cancelling.
         (parse_word("x"), "x y"),
         (u, "y x^-2 y^3 x"),
     )
